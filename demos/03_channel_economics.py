@@ -7,7 +7,7 @@ with the square root, so requests-per-bit shrinks roughly in proportion.
 This demo reproduces the measured leakage table, shows the conservation law,
 and prices the two ways of ducking the branch/iTLB threshold.
 
-    python3 demos/03_channel_economics.py   (takes ~20 s: Monte-Carlo budgeting)
+    python3 demos/03_channel_economics.py   (takes under 1 s: budgeting is exact)
 """
 
 from spectreguard import (
@@ -26,12 +26,12 @@ for row in leakage_table():
 print()
 
 params = js_worker_params()
-print("requests needed for a 99%-reliable bit (seeded Monte-Carlo):")
-base = required_requests(1, params, target_success=0.99, rng_seed=7)
+print("requests needed for a 99%-reliable bit (exact binomial vote):")
+base = required_requests(1, params, target_success=0.99)
 print(f"{'amplification':>14} {'requests':>9} {'requests x amplification':>25}")
 print(f"{1:>14} {base:>9} {base:>25}")
 for amplification in (10, 100, 1000):
-    n = required_requests(amplification, params, target_success=0.99, rng_seed=7)
+    n = required_requests(amplification, params, target_success=0.99)
     print(f"{amplification:>14} {n:>9} {n * amplification:>25}")
 print("(the product stays near the no-amplification request count)")
 print()

@@ -9,15 +9,20 @@ of its cost, so measurement noise grows with the square root of the
 amplification factor.  That scaling is what makes requests-per-bit times
 amplification roughly conserved, matching the measured request table.
 
-All Monte-Carlo entry points take an explicit seed and derive one child seed
-per phase and per candidate request count, so results are reproducible and
-independent of evaluation order.
+Readings are Gaussian truncated to the timer tick, so calibration and request
+budgeting are exact closed forms: the box-test threshold from population
+quantiles, one-shot accuracies from the normal CDF, and the majority vote as
+a binomial tail.  They draw no random numbers; ``required_requests`` still
+accepts ``rng_seed`` for compatibility and ignores it.  The simulator
+(``simulate_bit_batch``, ``sample_bit_set``, ``box_test``) takes an explicit
+seed and stays as the reference the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -186,8 +191,9 @@ def sample_bit_set(
     n_per_class: int,
     seed,
 ) -> BitSampleSet:
-    root = np.random.SeedSequence(_seed_entropy(seed))
-    zero_seed, one_seed = root.spawn(2)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    zero_seed, one_seed = seed.spawn(2)
     zeros = simulate_bit_batch(
         0, amplification, params, n_per_class, np.random.default_rng(zero_seed)
     )
@@ -195,6 +201,10 @@ def sample_bit_set(
         1, amplification, params, n_per_class, np.random.default_rng(one_seed)
     )
     return BitSampleSet(zeros=zeros, ones=ones, amplification=amplification)
+
+
+# Default percentiles of the box test; the closed form uses the same ones.
+_BOX_PERCENTILES = (10.0, 90.0)
 
 
 class BoxTest(NamedTuple):
@@ -205,8 +215,8 @@ class BoxTest(NamedTuple):
 def box_test(
     zeros: Sequence[float],
     ones: Sequence[float],
-    q_low: float = 10.0,
-    q_high: float = 90.0,
+    q_low: float = _BOX_PERCENTILES[0],
+    q_high: float = _BOX_PERCENTILES[1],
 ) -> BoxTest:
     """Percentile-box distinguishability of the two timing classes.
 
@@ -224,6 +234,11 @@ def box_test(
 
     z_lo, z_hi = np.percentile(zeros, [q_low, q_high])
     o_lo, o_hi = np.percentile(ones, [q_low, q_high])
+    return _box_decision(z_lo, z_hi, o_lo, o_hi)
+
+
+def _box_decision(z_lo: float, z_hi: float, o_lo: float, o_hi: float) -> BoxTest:
+    """Compare the zeros' and ones' percentile boxes [lo, hi]."""
     if z_lo == z_hi == o_lo == o_hi:
         raise DegenerateSamples(
             "both classes collapse to a single repeated value; no threshold exists"
@@ -239,67 +254,49 @@ def box_test(
     )
 
 
-def _seed_entropy(seed) -> list[int]:
-    if isinstance(seed, np.random.SeedSequence):
-        return list(seed.entropy) if isinstance(seed.entropy, (list, tuple)) else [seed.entropy]
-    return [int(seed)]
+# The box-test percentiles as standard-normal quantiles, for the closed form.
+_BOX_Z = tuple(NormalDist().inv_cdf(p / 100.0) for p in _BOX_PERCENTILES)
 
 
-def _one_shot_accuracy(
-    amplification: int,
-    params: ChannelParams,
-    threshold: float,
-    seed: np.random.SeedSequence,
-    samples: int,
-    chunk: int = 4_000_000,
-) -> tuple[float, float]:
-    """Per-class probabilities of classifying a single measurement correctly.
+def _below(edge: float, mean: float, sd: float) -> float:
+    """P(mean + sd * Z < edge) for a standard normal Z."""
+    if sd == 0:
+        return float(mean < edge)
+    return NormalDist(mean, sd).cdf(edge)
 
-    Zeros are predicted when the reading exceeds the threshold.  Estimated
-    from direct channel simulation in chunks to bound memory.
+
+def majority_success(n: int, accuracy: float) -> float:
+    """Exact probability that a majority of n independent votes is correct.
+
+    Each vote is correct with probability ``accuracy``; a tie (even n) is
+    broken by a fair coin, which keeps the result nondecreasing in n for
+    accuracy >= 0.5 (a tie-as-failure rule would penalize even n).  The
+    binomial pmf is summed in log space over a window of +-(40 sd + 40)
+    votes around the mode; by Bennett's inequality the mass outside it is
+    below 1e-46 (the 40-vote margin covers small sd, where the tail is
+    Poisson-like rather than Gaussian).
     """
-    zero_seed, one_seed = seed.spawn(2)
-    counts = []
-    for bit, child in ((0, zero_seed), (1, one_seed)):
-        rng = np.random.default_rng(child)
-        hits = 0
-        done = 0
-        while done < samples:
-            step = min(chunk, samples - done)
-            readings = simulate_bit_batch(bit, amplification, params, step, rng)
-            if bit == 0:
-                hits += int((readings > threshold).sum())
-            else:
-                hits += int((readings <= threshold).sum())
-            done += step
-        counts.append(hits / samples)
-    return counts[0], counts[1]
-
-
-def _vote_success(
-    n: int,
-    q0: float,
-    q1: float,
-    trials: int,
-    seed: np.random.SeedSequence,
-) -> float:
-    """Fraction of trials where a majority of n votes recovers the bit.
-
-    Votes within a trial are independent, so the number of correct votes is
-    exactly Binomial(n, q_class); trials split evenly between bit values.
-    Ties are broken by a fair coin, which keeps the success rate
-    nondecreasing in n (a tie-as-failure rule penalizes even vote counts).
-    """
-    rng = np.random.default_rng(seed)
-    half = trials // 2
-    wins = 0
-    for q, count in ((q0, half), (q1, trials - half)):
-        correct = rng.binomial(n, q, size=count)
-        wins += int((correct * 2 > n).sum())
-        ties = int((correct * 2 == n).sum())
-        if ties:
-            wins += int(rng.integers(0, 2, size=ties).sum())
-    return wins / trials
+    if n < 1:
+        raise ValueError("request count must be >= 1")
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValueError("accuracy must be in [0, 1]")
+    if accuracy in (0.0, 1.0):
+        return accuracy
+    reach = math.ceil(40.0 * math.sqrt(n * accuracy * (1.0 - accuracy))) + 40
+    mode = int((n + 1) * accuracy)
+    lo, hi = max(0, mode - reach), min(n, mode + reach)
+    k = np.arange(lo, hi + 1)
+    log_pmf = np.empty(k.size)
+    log_pmf[0] = (
+        math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(n - lo + 1)
+        + lo * math.log(accuracy) + (n - lo) * math.log1p(-accuracy)
+    )
+    logit = math.log(accuracy) - math.log1p(-accuracy)
+    steps = np.log((n - k[:-1]) / (k[:-1] + 1)) + logit
+    log_pmf[1:] = log_pmf[0] + np.cumsum(steps)
+    pmf = np.exp(log_pmf)
+    # summing the failure side keeps relative precision as success nears 1
+    return 1.0 - float(pmf[2 * k < n].sum() + 0.5 * pmf[2 * k == n].sum())
 
 
 @dataclass(frozen=True)
@@ -311,26 +308,38 @@ class ChannelCalibration:
     accuracy_zero: float
     accuracy_one: float
 
+    def success(self, n: int) -> float:
+        """Exact majority-vote success over n requests, bit values equally likely."""
+        return 0.5 * (
+            majority_success(n, self.accuracy_zero) + majority_success(n, self.accuracy_one)
+        )
 
-def calibrate_decision(
-    amplification: int,
-    params: ChannelParams,
-    seed,
-    training_per_class: int = 4_000_000,
-    accuracy_samples: int = 32_000_000,
-) -> ChannelCalibration:
-    root = np.random.SeedSequence(_seed_entropy(seed) + [int(amplification), 0x0B5E])
-    train_seed, accuracy_seed = root.spawn(2)
-    training = sample_bit_set(amplification, params, training_per_class, train_seed)
-    decision = box_test(training.zeros, training.ones)
-    q0, q1 = _one_shot_accuracy(
-        amplification, params, decision.threshold, accuracy_seed, accuracy_samples
+
+def calibrate_decision(amplification: int, params: ChannelParams) -> ChannelCalibration:
+    """Exact box-test threshold and one-shot accuracies for one amplification.
+
+    The threshold is what ``box_test`` converges to on unlimited samples:
+    quantizing is monotone, so each box edge is the quantized population
+    percentile.  A reading is classified as a zero when it exceeds the
+    threshold; readings are positive, so truncation floors them, and that
+    happens exactly when the raw reading reaches the next tick above it.
+    """
+    if amplification < 1:
+        raise ValueError("amplification must be >= 1")
+    means = [params.mean_reading(bit, amplification) for bit in (0, 1)]
+    sds = [params.reading_noise_sd(bit, amplification) for bit in (0, 1)]
+    resolution = params.resolution_cycles
+    (z_lo, z_hi), (o_lo, o_hi) = (
+        _quantize(np.array([mean + sd * z for z in _BOX_Z]), resolution)
+        for mean, sd in zip(means, sds)
     )
+    threshold = _box_decision(z_lo, z_hi, o_lo, o_hi).threshold
+    edge = (math.floor(threshold / resolution) + 1) * resolution if resolution > 0 else threshold
     return ChannelCalibration(
         amplification=amplification,
-        threshold=decision.threshold,
-        accuracy_zero=q0,
-        accuracy_one=q1,
+        threshold=threshold,
+        accuracy_zero=1.0 - _below(edge, means[0], sds[0]),
+        accuracy_one=_below(edge, means[1], sds[1]),
     )
 
 
@@ -340,45 +349,29 @@ def required_requests(
     target_success: float = 0.99,
     rng_seed=0,
     n_max: int = 1_000_000,
-    trials: int = 1_000,
-    training_per_class: int = 4_000_000,
-    accuracy_samples: int = 32_000_000,
 ) -> int:
     """Smallest request count whose majority vote reaches the target success.
 
-    Binary search over Monte-Carlo success estimates; every candidate n is
-    evaluated with ``trials`` seeded trials whose seed depends only on
-    (rng_seed, amplification, n), so the search path cannot perturb results.
+    Binary search over the exact success, which is nondecreasing in n.  The
+    result is exact and does not depend on ``rng_seed``, which is accepted
+    only so that existing callers keep working.
     """
     if not 0.0 < target_success < 1.0:
         raise ValueError("target_success must be in (0, 1)")
-    cal = calibrate_decision(
-        amplification,
-        params,
-        rng_seed,
-        training_per_class=training_per_class,
-        accuracy_samples=accuracy_samples,
-    )
-
-    def success(n: int) -> float:
-        seed = np.random.SeedSequence(
-            _seed_entropy(rng_seed) + [int(amplification), int(n), 0x5EED]
-        )
-        return _vote_success(n, cal.accuracy_zero, cal.accuracy_one, trials, seed)
-
-    if success(n_max) < target_success:
+    cal = calibrate_decision(amplification, params)
+    if cal.success(n_max) < target_success:
         raise Unreachable(
             f"success at n_max={n_max} below target {target_success} "
             f"for amplification {amplification}"
         )
 
     hi = 1
-    while hi < n_max and success(hi) < target_success:
+    while hi < n_max and cal.success(hi) < target_success:
         hi = min(n_max, hi * 2)
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if success(mid) >= target_success:
+        if cal.success(mid) >= target_success:
             hi = mid
         else:
             lo = mid + 1
@@ -389,30 +382,15 @@ def success_rate_curve(
     amplifications: Sequence[int],
     request_counts: Sequence[int],
     params: ChannelParams,
-    seed=0,
-    trials: int = 1_000,
-    training_per_class: int = 200_000,
-    accuracy_samples: int = 2_000_000,
 ) -> np.ndarray:
-    """Monte-Carlo success grid, shape (len(amplifications), len(request_counts))."""
+    """Exact success grid, shape (len(amplifications), len(request_counts))."""
     if len(amplifications) == 0 or len(request_counts) == 0:
         raise ValueError("both grid axes must be non-empty")
     grid = np.empty((len(amplifications), len(request_counts)))
     for i, amplification in enumerate(amplifications):
-        cal = calibrate_decision(
-            amplification,
-            params,
-            seed,
-            training_per_class=training_per_class,
-            accuracy_samples=accuracy_samples,
-        )
+        cal = calibrate_decision(amplification, params)
         for j, n in enumerate(request_counts):
-            child = np.random.SeedSequence(
-                _seed_entropy(seed) + [int(amplification), int(n), 0x5EED]
-            )
-            grid[i, j] = _vote_success(
-                int(n), cal.accuracy_zero, cal.accuracy_one, trials, child
-            )
+            grid[i, j] = cal.success(int(n))
     return grid
 
 

@@ -197,6 +197,16 @@ def _cmd_sweep(args) -> int:
 
 # --- channel -------------------------------------------------------------------
 
+def _positive_ints(flag: str, text: str) -> list[int]:
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise InputError(f"{flag}: values must be >= 1, got {text!r}")
+    return values
+
+
 def _cmd_channel(args) -> int:
     params = channel_mod.js_worker_params()
     if args.table:
@@ -215,16 +225,9 @@ def _cmd_channel(args) -> int:
         )
         return EXIT_OK
 
-    amplifications = [int(a) for a in args.amplifications.split(",")]
-    requests = [int(r) for r in args.requests.split(",")]
-    grid = channel_mod.success_rate_curve(
-        amplifications,
-        requests,
-        params,
-        seed=args.seed,
-        trials=args.trials,
-        accuracy_samples=args.accuracy_samples,
-    )
+    amplifications = _positive_ints("--amplifications", args.amplifications)
+    requests = _positive_ints("--requests", args.requests)
+    grid = channel_mod.success_rate_curve(amplifications, requests, params)
     rows = (
         f"{a},{n},{_float(grid[i, j])}"
         for i, a in enumerate(amplifications)
@@ -406,9 +409,8 @@ def _build_parser() -> _Parser:
     channel.add_argument("--table", action="store_true")
     channel.add_argument("--amplifications", default="1,10,100,1000")
     channel.add_argument("--requests", default="1,10,100,1000,10000")
-    channel.add_argument("--trials", type=int, default=1000)
-    channel.add_argument("--accuracy-samples", type=int, default=2_000_000)
-    channel.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    channel.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                         help="accepted for compatibility; the grid is exact")
     channel.add_argument("--out", required=True)
 
     fleet = sub.add_parser("fleet", help="run the fleet simulator")

@@ -198,10 +198,8 @@ class WorkerRecord:
     worker_id: str
     workload: Workload
     placement: Placement = Placement.SHARED
-    history: list[IntervalAverage] = field(default_factory=list)
     subsequent_requests: int = 0
     flagged_at_interval: int | None = None
-    served_executions: int = 0
     served_after_isolation: int = 0
     histogram_rng: np.random.Generator | None = None
 
@@ -299,7 +297,6 @@ def step_fleet(
             f"{event.subrequests} subrequests exceed the per-request limit"
         )
 
-    record.served_executions += 1
     if record.placement is Placement.ISOLATED:
         record.served_after_isolation += 1
     if record.flagged_at_interval is not None and record.placement is Placement.SHARED:
@@ -314,7 +311,6 @@ def _settle_average(
     state: FleetState, avg: IntervalAverage, cfg: FleetConfig
 ) -> list[Action]:
     record = state.workers[avg.worker_id]
-    record.history.append(avg)
     interval = avg.window_start_ns // state.interval_ns
     suspect = _classify_interval(state, record, avg)
     state.verdict_log.append(

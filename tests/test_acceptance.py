@@ -320,7 +320,6 @@ def _artifact_hashes(base, tag: str) -> list[str]:
         ["sweep", "--trace", str(trace_b), "--out", str(root / "sweep.csv")],
         ["channel", "--table", "--out", str(root / "table.csv")],
         ["channel", "--amplifications", "1000,10000", "--requests", "1,20",
-         "--trials", "200", "--accuracy-samples", "100000",
          "--out", str(root / "grid.csv")],
         ["fleet", "--config", str(fleet_cfg), "--out", str(root / "fleet.json"),
          "--series-out", str(root / "series.csv")],
@@ -466,23 +465,18 @@ def test_c10d_box_test_trivial_cases(zero_value, one_value, n_zero, n_one):
     st.integers(min_value=4, max_value=16),
     st.integers(min_value=25, max_value=200),
     st.integers(min_value=4, max_value=16),
-    st.integers(min_value=0, max_value=2**20),
 )
-def test_c10e_success_curve_monotone_with_se_slack(a1, a_factor, n1, n_factor, seed):
+def test_c10e_success_curve_monotone_with_se_slack(a1, a_factor, n1, n_factor):
     # Cases are drawn from regimes where the curve is resolvable: on the
     # deep plateau (both cells ~0.5) any independent pair of estimates
     # violates a 1-SE bound with fixed probability, so nothing is learned
     # there.  Within these ranges the true gaps dominate the trial noise.
     params = js_worker_params()
-    trials = 400
+    trials = 400  # the grid is exact now; the slack keeps its 400-trial width
     grid = success_rate_curve(
         [a1, a1 * a_factor],
         [n1, n1 * n_factor],
         params,
-        seed=seed,
-        trials=trials,
-        training_per_class=50_000,
-        accuracy_samples=800_000,
     )
 
     def slack(p, q):

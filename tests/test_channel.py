@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectreguard.channel import (
     ChannelParams,
@@ -13,9 +17,11 @@ from spectreguard.channel import (
     Unreachable,
     access_bits_per_second,
     box_test,
+    calibrate_decision,
     js_worker_params,
     leakage_rate,
     leakage_table,
+    majority_success,
     native_xeon_params,
     per_bit_seconds,
     required_requests,
@@ -79,6 +85,13 @@ class TestSimulateBit:
         samples = sample_bit_set(1000, js_worker_params(), 2_000, seed=9)
         assert samples.zeros.mean() > samples.ones.mean()
 
+    def test_sample_set_accepts_seed_sequence(self):
+        params = js_worker_params()
+        by_int = sample_bit_set(10, params, 100, seed=9)
+        by_sequence = sample_bit_set(10, params, 100, seed=np.random.SeedSequence(9))
+        assert np.array_equal(by_int.zeros, by_sequence.zeros)
+        assert np.array_equal(by_int.ones, by_sequence.ones)
+
 
 class TestBoxTest:
     def test_disjoint_point_masses(self):
@@ -97,9 +110,8 @@ class TestBoxTest:
 
     def test_calibrated_channel_decision_quality(self):
         # amplification 1000 with 250 request pairs recovers bits >= 99% of
-        # the time (1000 seeded trials)
-        grid = success_rate_curve([1000], [250], js_worker_params(), seed=7,
-                                  trials=1000)
+        # the time
+        grid = success_rate_curve([1000], [250], js_worker_params())
         assert grid[0, 0] >= 0.99
 
     def test_invalid_percentiles(self):
@@ -107,23 +119,132 @@ class TestBoxTest:
             box_test([1.0], [2.0], q_low=90.0, q_high=10.0)
 
 
+def coarse_timer() -> ChannelParams:
+    # 100-cycle ticks against 40 cycles of noise: the tick rule dominates
+    return noise_free(network_noise_sd=40.0, timer_resolution_ns=50.0, cpu_ghz=2.0)
+
+
+def brute_force_vote(n: int, accuracy: float) -> float:
+    total = 0.0
+    for k in range(n + 1):
+        mass = math.comb(n, k) * accuracy**k * (1.0 - accuracy) ** (n - k)
+        total += mass if 2 * k > n else mass / 2 if 2 * k == n else 0.0
+    return total
+
+
+# Bound on the log-space rounding of majority_success: lgamma(n + 1) is ~1e7
+# at n = 1e6, so each log-pmf carries ~1e-9 of absolute error.
+VOTE_ROUNDING = 1e-8
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("params,amplification", [
+        (js_worker_params(), 1),
+        (js_worker_params(), 1000),
+        (dataclasses.replace(js_worker_params(), timer_resolution_ns=0.0), 100),
+        (coarse_timer(), 1),
+    ])
+    def test_accuracies_match_simulation(self, params, amplification):
+        cal = calibrate_decision(amplification, params)
+        draws = 1_000_000
+        rng = np.random.default_rng(amplification)
+        zeros = simulate_bit_batch(0, amplification, params, draws, rng)
+        ones = simulate_bit_batch(1, amplification, params, draws, rng)
+        for exact, observed in (
+            (cal.accuracy_zero, float((zeros > cal.threshold).mean())),
+            (cal.accuracy_one, float((ones <= cal.threshold).mean())),
+        ):
+            se = math.sqrt(exact * (1.0 - exact) / draws)
+            assert abs(observed - exact) <= 4.0 * se, (exact, observed)
+
+    @pytest.mark.parametrize("params,amplification", [
+        (js_worker_params(), 1),
+        (js_worker_params(), 1000),
+        # jitter-only noise: the zeros' sd is 2.7x the ones', so the
+        # threshold depends on which percentiles bound the boxes
+        (noise_free(per_iteration_overhead=0.0, timer_jitter_rel=0.5), 1000),
+    ])
+    def test_box_test_converges_to_closed_form_threshold(self, params, amplification):
+        per_class = 200_000
+        samples = sample_bit_set(amplification, params, per_class, seed=4)
+        observed = box_test(samples.zeros, samples.ones).threshold
+        # a 10th/90th sample percentile has SE 1.709 sd / sqrt(n); the
+        # threshold averages one from each class
+        sd = max(params.reading_noise_sd(bit, amplification) for bit in (0, 1))
+        se = 1.709 * sd / math.sqrt(2 * per_class)
+        expected = calibrate_decision(amplification, params).threshold
+        assert abs(observed - expected) <= 4.0 * se + params.resolution_cycles
+
+    @pytest.mark.parametrize("accuracy", [1e-4, 0.01, 0.3, 0.5, 0.5025, 0.7, 0.99, 0.9999, 1.0 - 1e-9])
+    def test_vote_matches_brute_force(self, accuracy):
+        for n in range(1, 61):
+            assert majority_success(n, accuracy) == pytest.approx(
+                brute_force_vote(n, accuracy), abs=1e-12
+            ), n
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=300_000),
+        st.integers(min_value=0, max_value=300_000),
+    )
+    def test_success_nondecreasing_in_requests_and_amplification(self, a, da, n, dn):
+        params = js_worker_params()
+        low, high = calibrate_decision(a, params), calibrate_decision(a + da, params)
+        assert low.success(n + dn) >= low.success(n) - VOTE_ROUNDING
+        assert high.success(n) >= low.success(n) - VOTE_ROUNDING
+
+    def test_noise_free_is_certain(self):
+        cal = calibrate_decision(10, noise_free())
+        assert (cal.accuracy_zero, cal.accuracy_one) == (1.0, 1.0)
+        assert cal.success(1) == 1.0
+
+    def test_zero_noise_on_a_timer_tick_matches_simulation(self):
+        params = noise_free(timer_resolution_ns=10.0, cpu_ghz=2.0)  # 20-cycle ticks
+        cal = calibrate_decision(1, params)
+        zero = simulate_bit(0, 1, params, rng_seed=0)
+        one = simulate_bit(1, 1, params, rng_seed=0)
+        assert cal.accuracy_zero == float(zero > cal.threshold)
+        assert cal.accuracy_one == float(one <= cal.threshold)
+
+    def test_single_tick_readings_are_degenerate(self):
+        # every reading truncates to 0 on a ~2e9-cycle tick
+        with pytest.raises(DegenerateSamples):
+            calibrate_decision(1, noise_free(timer_resolution_ns=1e9))
+
+    def test_seed_is_ignored(self):
+        params = js_worker_params()
+        assert required_requests(100, params, rng_seed=0) == required_requests(
+            100, params, rng_seed=12345
+        )
+
+    def test_counts_below_one_rejected(self):
+        params = js_worker_params()
+        with pytest.raises(ValueError):
+            required_requests(0, params)
+        with pytest.raises(ValueError):
+            success_rate_curve([0], [10], params)
+        with pytest.raises(ValueError):
+            success_rate_curve([10], [0], params)
+        with pytest.raises(ValueError):
+            majority_success(0, 0.7)
+
+
 class TestRequiredRequests:
     def test_noise_free_channel_needs_one_request(self):
-        n = required_requests(10, noise_free(), target_success=0.99, rng_seed=0,
-                              training_per_class=100, accuracy_samples=1000)
+        n = required_requests(10, noise_free(), target_success=0.99, rng_seed=0)
         assert n == 1
 
     def test_unreachable_with_cap(self):
         params = js_worker_params()
         with pytest.raises(Unreachable):
             required_requests(1, params, target_success=0.999999, rng_seed=0,
-                              n_max=10, training_per_class=10_000,
-                              accuracy_samples=100_000)
+                              n_max=10)
 
     def test_doubling_amplification_never_needs_more_requests(self):
         params = js_worker_params()
-        kwargs = dict(target_success=0.99, rng_seed=3,
-                      training_per_class=400_000, accuracy_samples=2_000_000)
+        kwargs = dict(target_success=0.99, rng_seed=3)
         n_a = required_requests(200, params, **kwargs)
         n_2a = required_requests(400, params, **kwargs)
         n_4a = required_requests(800, params, **kwargs)
@@ -132,8 +253,7 @@ class TestRequiredRequests:
 
     def test_deterministic_per_seed(self):
         params = js_worker_params()
-        kwargs = dict(target_success=0.95, rng_seed=11,
-                      training_per_class=50_000, accuracy_samples=200_000)
+        kwargs = dict(target_success=0.95, rng_seed=11)
         assert required_requests(500, params, **kwargs) == required_requests(
             500, params, **kwargs
         )
@@ -187,18 +307,15 @@ class TestLeakage:
 
 class TestSuccessCurve:
     def test_single_cell_noise_free(self):
-        grid = success_rate_curve([10], [1], noise_free(), seed=0, trials=200,
-                                  training_per_class=100, accuracy_samples=1000)
+        grid = success_rate_curve([10], [1], noise_free())
         assert grid[0, 0] == 1.0
 
     def test_high_amplification_single_request(self):
-        grid = success_rate_curve([250_000], [1], js_worker_params(), seed=7,
-                                  trials=1000)
+        grid = success_rate_curve([250_000], [1], js_worker_params())
         assert grid[0, 0] >= 0.99
 
     def test_small_amplification_enough_requests(self):
-        grid = success_rate_curve([10], [25_000], js_worker_params(), seed=7,
-                                  trials=1000)
+        grid = success_rate_curve([10], [25_000], js_worker_params())
         assert grid[0, 0] > 0.95
 
     def test_empty_axis_rejected(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from spectreguard import cli
 from spectreguard.trace import ingest_trace
 
@@ -84,7 +86,6 @@ class TestChannel:
     def test_success_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert run("channel", "--amplifications", "1000,10000", "--requests", "1,50",
-                   "--trials", "300", "--accuracy-samples", "100000",
                    "--out", str(out)) == 0
         lines = read_lines(out)
         assert lines[1] == "amplification,requests,success_rate"
@@ -130,6 +131,15 @@ class TestErrors:
 
     def test_usage_error_exits_one(self, tmp_path):
         assert run("gen", "--profile", "bogus", "--out", str(tmp_path / "t")) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--requests", "0"), ("--requests", "1,-5"), ("--amplifications", "0"),
+        ("--amplifications", "ten"),
+    ])
+    def test_channel_grid_rejects_bad_counts(self, tmp_path, capsys, flag, value):
+        assert run("channel", flag, value, "--out", str(tmp_path / "g.csv")) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_histogram_gen_requires_attack_profile(self, tmp_path):
         assert run("gen", "--profile", "benign", "--n", "5",
