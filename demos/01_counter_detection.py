@@ -26,8 +26,8 @@ print()
 
 # A slice of ordinary multi-tenant traffic.
 benign = generate_benign(BenignProfile.default(), n=5000, seed=1)
-benign_avgs = list(fold_intervals(iter(benign)))
-benign_metrics = np.array([a.mean_metrics.branch_instructions for a in benign_avgs])
+benign_avgs = fold_intervals(benign)
+benign_metrics = benign_avgs.metric("branch_instructions")
 flagged = sum(
     classify_threshold(avg, cfg).suspect for avg in benign_avgs
 )
@@ -38,7 +38,7 @@ print(f"benign: median metric {np.median(benign_metrics):8.1f}, "
 # Each attack variant at full strength.
 for variant in ("pht", "btb", "rsb", "stl"):
     snapshots, _hist = generate_attack(variant, n=200, seed=2)
-    verdicts = [classify_threshold(a, cfg) for a in fold_intervals(iter(snapshots))]
+    verdicts = [classify_threshold(a, cfg) for a in fold_intervals(snapshots)]
     metric = np.mean([v.value for v in verdicts])
     rules = {v.triggering_metric for v in verdicts if v.suspect}
     print(f"{variant:>6}: mean trigger value {metric:10.1f}, "
@@ -48,7 +48,7 @@ print()
 print("reducing amplification hides the attack from the branch rule:")
 for amplification in (1, 10, 100, None):
     snapshots, _ = generate_attack("pht", amplification=amplification, n=200, seed=3)
-    avgs = list(fold_intervals(iter(snapshots)))
+    avgs = list(fold_intervals(snapshots))
     metric = np.mean([a.mean_metrics.branch_instructions for a in avgs])
     caught = sum(classify_threshold(a, cfg).suspect for a in avgs)
     label = amplification if amplification is not None else "full"

@@ -60,7 +60,9 @@ from .threshold import (
 from .trace import (
     CounterSnapshot,
     IntervalAverage,
+    IntervalBatch,
     NormalizedMetrics,
+    TraceBatch,
     emit_trace,
     fold_intervals,
     ingest_trace,

@@ -16,11 +16,14 @@ Exit codes: 0 success, 1 input/usage error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +43,9 @@ SUCCESS_GRID_SCHEMA = "success-grid-v1"
 FLEET_SERIES_SCHEMA = "fleet-series-v1"
 FLEET_REPORT_SCHEMA = "fleet-report-v1"
 
+# json.dumps(..., sort_keys=True) without building an encoder per record.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
@@ -55,12 +61,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str | Path):
+    """A text handle on a temp file that replaces ``path`` on success only."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -70,10 +78,16 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _csv_text(schema: str, header: str, rows) -> str:
-    lines = [f"# schema: {schema}", header]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    with _atomic_file(path) as handle:
+        handle.writelines(chunks)
+
+
+def _csv_lines(schema: str, header: str, rows: Iterable[str]) -> Iterator[str]:
+    yield f"# schema: {schema}\n"
+    yield f"{header}\n"
+    for row in rows:
+        yield f"{row}\n"
 
 
 def _float(x: float) -> str:
@@ -96,14 +110,8 @@ def _cmd_gen(args) -> int:
             n=args.n,
             seed=args.seed,
         )
-    buffer = []
-
-    class _Sink:
-        def write(self, chunk):
-            buffer.append(chunk)
-
-    emit_trace(snapshots, _Sink())
-    _atomic_write(args.out, "".join(buffer))
+    with _atomic_file(args.out) as handle:
+        emit_trace(snapshots, handle)
     if args.histogram_out:
         if histogram is None:
             raise InputError("--histogram-out requires an attack profile")
@@ -116,7 +124,7 @@ def _cmd_gen(args) -> int:
 def _verdict_lines_threshold(trace_path, cfg, interval_ns):
     for avg in fold_intervals(ingest_trace(trace_path), interval_ns):
         verdict = threshold_mod.classify_threshold(avg, cfg)
-        yield json.dumps(
+        yield _SORTED_JSON(
             {
                 "worker_id": avg.worker_id,
                 "window_start_ns": avg.window_start_ns,
@@ -124,8 +132,7 @@ def _verdict_lines_threshold(trace_path, cfg, interval_ns):
                 "triggering_metric": verdict.triggering_metric,
                 "value": verdict.value,
                 "threshold": verdict.threshold,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -133,7 +140,7 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
     for path in histogram_paths:
         hist = ks_mod.read_histogram_csv(path)
         verdict = ks_mod.classify_ks(hist, template, alpha=alpha, k=k)
-        yield json.dumps(
+        yield _SORTED_JSON(
             {
                 "worker_id": Path(path).stem,
                 "suspect": verdict.suspect,
@@ -142,8 +149,7 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
                 "n": verdict.ks.n,
                 "m": verdict.ks.m,
                 "k_effective": verdict.k_effective,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -155,7 +161,7 @@ def _cmd_detect(args) -> int:
             branch_per_itlb_threshold=args.threshold,
             stl_reset_threshold=args.stl_threshold,
         )
-        lines = list(_verdict_lines_threshold(args.trace, cfg, args.interval_ns))
+        lines = _verdict_lines_threshold(args.trace, cfg, args.interval_ns)
     else:
         if not args.histograms:
             raise InputError("--detector ks requires --histograms")
@@ -167,9 +173,11 @@ def _cmd_detect(args) -> int:
             if args.template
             else ks_mod.load_default_template()
         )
-        lines = list(_verdict_lines_ks(paths, template, args.alpha, args.top_k))
-    text = f"# schema: {VERDICTS_SCHEMA}\n" + "".join(line + "\n" for line in lines)
-    _atomic_write(args.out, text)
+        lines = _verdict_lines_ks(paths, template, args.alpha, args.top_k)
+    _atomic_write(
+        args.out,
+        itertools.chain([f"# schema: {VERDICTS_SCHEMA}\n"], (line + "\n" for line in lines)),
+    )
     return EXIT_OK
 
 
@@ -180,7 +188,7 @@ def _default_thresholds() -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    averages = list(fold_intervals(ingest_trace(args.trace), args.interval_ns))
+    averages = fold_intervals(ingest_trace(args.trace), args.interval_ns)
     thresholds = (
         [float(t) for t in args.thresholds.split(",")]
         if args.thresholds
@@ -191,7 +199,7 @@ def _cmd_sweep(args) -> int:
     except threshold_mod.EmptyPopulation as exc:
         raise InputError(str(exc)) from exc
     rows = (f"{_float(t)},{_float(fp)}" for t, fp in points)
-    _atomic_write(args.out, _csv_text(SWEEP_SCHEMA, "threshold,fp_rate", rows))
+    _atomic_write(args.out, _csv_lines(SWEEP_SCHEMA, "threshold,fp_rate", rows))
     return EXIT_OK
 
 
@@ -217,7 +225,7 @@ def _cmd_channel(args) -> int:
         )
         _atomic_write(
             args.out,
-            _csv_text(
+            _csv_lines(
                 LEAKAGE_SCHEMA,
                 "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
                 rows,
@@ -235,7 +243,7 @@ def _cmd_channel(args) -> int:
     )
     _atomic_write(
         args.out,
-        _csv_text(SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows),
+        _csv_lines(SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows),
     )
     return EXIT_OK
 
@@ -328,7 +336,7 @@ def _cmd_fleet(args) -> int:
     cfg = _fleet_config_from_json(data, args)
     report = fleet_mod.run_fleet(cfg)
     payload = {"schema": FLEET_REPORT_SCHEMA, **report.to_json_dict()}
-    _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(args.out, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
     if args.series_out:
         rows = (
             f"{p.t_sec},{_float(p.throughput_rps)},{_float(p.memory_bytes)},{p.isolated_count}"
@@ -336,7 +344,7 @@ def _cmd_fleet(args) -> int:
         )
         _atomic_write(
             args.series_out,
-            _csv_text(
+            _csv_lines(
                 FLEET_SERIES_SCHEMA,
                 "t_sec,throughput_rps,memory_bytes,isolated_count",
                 rows,
@@ -364,7 +372,7 @@ def _cmd_ks(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK

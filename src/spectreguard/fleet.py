@@ -97,8 +97,7 @@ class CostModel:
     """Isolation cost constants.
 
     Detection itself costs a flat 2%.  An isolated guest costs 8x the CPU and
-    2x-5x the memory of a shared one; resource-hungry guests see 20-70% more
-    memory and ~60% more CPU instead.  Slopes of the affine throughput and
+    2x-5x the memory of a shared one.  Slopes of the affine throughput and
     memory curves default to values derived from those multipliers and may be
     overridden.
     """
@@ -106,8 +105,6 @@ class CostModel:
     detection_overhead_rel: float = 0.02
     isolated_cpu_multiplier: float = 8.0
     isolated_mem_multiplier_range: tuple[float, float] = (2.0, 5.0)
-    hungry_mem_overhead: tuple[float, float] = (0.20, 0.70)
-    hungry_cpu_overhead: float = 0.60
     rps_slope: float | None = None  # requests/sec lost per isolated process
     mem_slope: float | None = None  # extra bytes per isolated process
 
@@ -267,10 +264,8 @@ def _classify_interval(
     return _ks.classify_ks(hist, template, alpha=spec.alpha, k=spec.top_k).suspect
 
 
-def step_fleet(
-    state: FleetState, event: FleetEvent, cfg: FleetConfig
-) -> tuple[FleetState, list[Action]]:
-    """Apply one event; returns the state and any isolation/redirect actions.
+def step_fleet(state: FleetState, event: FleetEvent, cfg: FleetConfig) -> list[Action]:
+    """Apply one event to ``state``; returns any isolation/redirect actions.
 
     Completed interval averages (a worker's snapshot crossing into a new
     window closes the previous one) are classified here; a suspect verdict
@@ -286,7 +281,7 @@ def step_fleet(
         record.subsequent_requests += 1
         if record.subsequent_requests > cfg.detector.threshold.subrequest_limit:
             actions.append(Redirect(event.worker_id, record.subsequent_requests))
-        return state, actions
+        return actions
 
     if event.cpu_ms > cfg.limits.cpu_ms:
         raise LimitViolation(
@@ -304,7 +299,7 @@ def step_fleet(
 
     for avg in state.folder.push(event.snapshot):
         actions.extend(_settle_average(state, avg, cfg))
-    return state, actions
+    return actions
 
 
 def _settle_average(
@@ -443,7 +438,7 @@ def _build_workers(cfg: FleetConfig) -> tuple[dict[str, WorkerRecord], dict[str,
             workload=workload,
             histogram_rng=np.random.default_rng(hist_seed),
         )
-        traces[worker_id] = snapshots
+        traces[worker_id] = list(snapshots)
     return workers, traces
 
 
@@ -493,15 +488,11 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
                         event_rng.integers(0, cfg.limits.subrequests_per_request + 1)
                     ),
                 )
-                _state, actions = step_fleet(state, event, cfg)
-                record_actions(actions)
+                record_actions(step_fleet(state, event, cfg))
             for _ in range(cfg.subrequests_per_interval):
-                _state, actions = step_fleet(
-                    state,
-                    Subrequest(worker_id, interval * cfg.interval_ns),
-                    cfg,
+                record_actions(
+                    step_fleet(state, Subrequest(worker_id, interval * cfg.interval_ns), cfg)
                 )
-                record_actions(actions)
     record_actions(finish_fleet(state, cfg))
 
     n_workers = len(workers)

@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .ks import BranchHistogram
-from .trace import DEFAULT_INTERVAL_NS, CounterSnapshot
+from .trace import DEFAULT_INTERVAL_NS, TraceBatch
 
 _PHI = NormalDist()
 
@@ -315,7 +315,7 @@ def _assemble_snapshots(
     l1d_metric: np.ndarray,
     l1d_miss_ratio: np.ndarray,
     md_metric: np.ndarray,
-) -> list[CounterSnapshot]:
+) -> TraceBatch:
     branch = np.rint(branch_metric * itlb).astype(np.int64)
     misses = np.minimum(branch, np.rint(branch_miss_metric * itlb).astype(np.int64))
     llc = np.rint(cache_ref_metric * itlb).astype(np.int64)
@@ -323,21 +323,10 @@ def _assemble_snapshots(
     l1d = np.rint(l1d_metric * itlb).astype(np.int64)
     l1d_miss = np.rint(l1d_miss_ratio * l1d).astype(np.int64)
     md = np.rint(md_metric * itlb).astype(np.int64)
-    return [
-        CounterSnapshot(
-            worker_id=worker_id,
-            timestamp_ns=int(timestamps[i]),
-            itlb_accesses=int(itlb[i]),
-            branch_instructions=int(branch[i]),
-            branch_misses=int(misses[i]),
-            cache_references=int(llc[i]),
-            cache_misses=int(llc_miss[i]),
-            l1d_read_accesses=int(l1d[i]),
-            l1d_read_misses=int(l1d_miss[i]),
-            mem_disambiguation_resets=int(md[i]),
-        )
-        for i in range(len(timestamps))
-    ]
+    counts = np.column_stack(
+        (timestamps, itlb, branch, misses, llc, llc_miss, l1d, l1d_miss, md)
+    ).astype(np.int64, copy=False)
+    return TraceBatch((worker_id,), np.zeros(len(counts), dtype=np.intp), counts)
 
 
 def generate_benign(
@@ -348,7 +337,7 @@ def generate_benign(
     interval_ns: int = DEFAULT_INTERVAL_NS,
     samples_per_window: int = 1,
     start_ns: int = 0,
-) -> list[CounterSnapshot]:
+) -> TraceBatch:
     """Draw n benign snapshots; one per window unless samples_per_window > 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -381,7 +370,7 @@ def generate_attack(
     interval_ns: int = DEFAULT_INTERVAL_NS,
     samples_per_window: int = 1,
     start_ns: int = 0,
-) -> tuple[list[CounterSnapshot], BranchHistogram]:
+) -> tuple[TraceBatch, BranchHistogram]:
     """Draw n attack snapshots plus one recorded misprediction histogram.
 
     The branch metric scales with the amplification factor and dilutes with

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import IntervalAverage
+from .trace import IntervalAverage, IntervalBatch
 from . import channel as _channel
 from .profiles import (
     BENIGN_MD_MEAN,
@@ -96,22 +96,25 @@ def classify_threshold(avg: IntervalAverage, cfg: ThresholdConfig) -> ThresholdV
 
 
 def sweep_thresholds(
-    benign_averages: Sequence[IntervalAverage],
+    benign_averages: IntervalBatch | Sequence[IntervalAverage],
     thresholds: Sequence[float],
 ) -> list[tuple[float, float]]:
     """False-positive rate of the branch rule at each candidate threshold.
 
     fp_rate(t) is the survival function of the benign branch metric, so the
-    output is nonincreasing in t.
+    output is nonincreasing in t.  An IntervalBatch is read by its branch
+    column.
     """
     if len(benign_averages) == 0:
         raise EmptyPopulation("benign population is empty")
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly ascending")
-    metrics = np.sort(
-        np.asarray([avg.mean_metrics.branch_instructions for avg in benign_averages])
-    )
+    if isinstance(benign_averages, IntervalBatch):
+        branch = benign_averages.metric("branch_instructions")
+    else:
+        branch = [avg.mean_metrics.branch_instructions for avg in benign_averages]
+    metrics = np.sort(np.asarray(branch))
     n = metrics.size
     at_or_above = n - np.searchsorted(metrics, thresholds, side="left")
     return [(float(t), float(k) / n) for t, k in zip(thresholds, at_or_above)]

@@ -9,20 +9,42 @@ loops stand out against large benign programs) and then smoothed into tumbling
 Timestamps are integer nanoseconds since the trace epoch so traces stay
 platform independent and diff-able.  Windows are half-open
 ``[k*interval, (k+1)*interval)`` aligned to the epoch.
+
+Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
+int worker code per record with a table of worker names, and the source line
+of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
+batches, ``emit_trace`` writes them, and ``fold_intervals`` folds one into an
+``IntervalBatch`` of window means.  ``CounterSnapshot`` stays the per-record
+wire type: a batch iterates snapshots and an interval batch iterates
+``IntervalAverage``s.  The streaming ``IntervalFolder`` serves callers that see
+one record at a time (the fleet simulator) and is the reference the batch fold
+is tested against.
+
+Fold order rule, shared by both paths: a worker's window is emitted when that
+worker's first record of a later window arrives, in file order; windows still
+open at the end follow, ordered by (window_start, worker_id).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 NS_PER_SECOND = 1_000_000_000
 DEFAULT_INTERVAL_NS = NS_PER_SECOND
 
 TRACE_SCHEMA = "trace-v1"
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+# Integers up to 2**53 convert to float64 exactly, so numpy's division of
+# such counts is the correctly rounded quotient that Python's int / int gives.
+_FLOAT_EXACT_MAX = 2**53
 
 
 class TraceError(Exception):
@@ -32,9 +54,11 @@ class TraceError(Exception):
 class InvariantViolation(TraceError):
     """A snapshot field violates a counter invariant."""
 
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
+    def __init__(self, field_name: str, message: str, line_number: int | None = None):
+        where = "" if line_number is None else f"line {line_number}: "
+        super().__init__(f"{where}{field_name}: {message}")
         self.field_name = field_name
+        self.line_number = line_number
 
 
 class ZeroDenominator(TraceError):
@@ -71,7 +95,17 @@ _WIRE_KEYS = (
     ("l1d_miss", "l1d_read_misses"),
     ("md_reset", "mem_disambiguation_resets"),
 )
-_WIRE_TO_FIELD = dict(_WIRE_KEYS)
+_WIRE_KEY_SET = frozenset(wire for wire, _field in _WIRE_KEYS)
+# Integer fields in column order of TraceBatch.counts: the timestamp, iTLB
+# accesses, then the seven counters that normalization carries.
+_COLUMN_WIRE = tuple(wire for wire, _field in _WIRE_KEYS[1:])
+_COLUMN_FIELDS = tuple(field for _wire, field in _WIRE_KEYS[1:])
+# (misses, total) pairs: misses may never exceed the total they are drawn from.
+_BOUNDED = (
+    ("branch_misses", "branch_instructions"),
+    ("cache_misses", "cache_references"),
+    ("l1d_read_misses", "l1d_read_accesses"),
+)
 
 
 @dataclass(frozen=True)
@@ -90,22 +124,17 @@ class CounterSnapshot:
     mem_disambiguation_resets: int
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name == "worker_id":
-                continue
-            value = getattr(self, f.name)
+        for name in _COLUMN_FIELDS:
+            value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InvariantViolation(f.name, f"must be an integer, got {value!r}")
-            if f.name != "timestamp_ns" and value < 0:
-                raise InvariantViolation(f.name, f"count must be >= 0, got {value}")
-        if self.branch_misses > self.branch_instructions:
-            raise InvariantViolation(
-                "branch_misses", "exceeds branch_instructions"
-            )
-        if self.cache_misses > self.cache_references:
-            raise InvariantViolation("cache_misses", "exceeds cache_references")
-        if self.l1d_read_misses > self.l1d_read_accesses:
-            raise InvariantViolation("l1d_read_misses", "exceeds l1d_read_accesses")
+                raise InvariantViolation(name, f"must be an integer, got {value!r}")
+            if name != "timestamp_ns" and value < 0:
+                raise InvariantViolation(name, f"count must be >= 0, got {value}")
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise InvariantViolation(name, f"{value} is outside the int64 range")
+        for misses, total in _BOUNDED:
+            if getattr(self, misses) > getattr(self, total):
+                raise InvariantViolation(misses, f"exceeds {total}")
 
     def to_wire(self) -> dict:
         return {wire: getattr(self, field) for wire, field in _WIRE_KEYS}
@@ -113,15 +142,7 @@ class CounterSnapshot:
 
 # Counters carried through normalization; iTLB itself drops out (it would
 # always normalize to 1).
-METRIC_FIELDS = (
-    "branch_instructions",
-    "branch_misses",
-    "cache_references",
-    "cache_misses",
-    "l1d_read_accesses",
-    "l1d_read_misses",
-    "mem_disambiguation_resets",
-)
+METRIC_FIELDS = _COLUMN_FIELDS[2:]
 
 
 @dataclass(frozen=True)
@@ -147,6 +168,110 @@ class IntervalAverage:
     sample_count: int
 
 
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """Counter snapshots as columns, in file (or generation) order.
+
+    ``counts`` is an int64 array of shape (n, 9) whose columns are the
+    timestamp, iTLB accesses and the seven ``METRIC_FIELDS``.  ``worker``
+    holds each record's index into ``names``.  ``line`` holds each record's
+    source line number, or is None for generated batches.  The counter
+    invariants of ``CounterSnapshot`` are checked on construction; a
+    violation names the field and, when known, the line of the first
+    offending record.
+    """
+
+    names: tuple[str, ...]
+    worker: np.ndarray
+    counts: np.ndarray
+    line: np.ndarray | None = None
+
+    def __post_init__(self):
+        counts = self.counts
+        flags = np.hstack((
+            counts[:, 1:] < 0,
+            *(
+                counts[:, [_COLUMN_FIELDS.index(m)]] > counts[:, [_COLUMN_FIELDS.index(t)]]
+                for m, t in _BOUNDED
+            ),
+        ))
+        bad = np.flatnonzero(flags.any(axis=1))
+        if not bad.size:
+            return
+        row = int(bad[0])
+        check = int(np.argmax(flags[row]))
+        line = None if self.line is None else int(self.line[row])
+        if check < len(_COLUMN_FIELDS) - 1:
+            field = _COLUMN_FIELDS[check + 1]
+            value = int(counts[row, check + 1])
+            raise InvariantViolation(field, f"count must be >= 0, got {value}", line)
+        misses, total = _BOUNDED[check - len(_COLUMN_FIELDS) + 1]
+        raise InvariantViolation(misses, f"exceeds {total}", line)
+
+    @classmethod
+    def from_snapshots(cls, snapshots: Iterable[CounterSnapshot]) -> "TraceBatch":
+        """Columns of per-record snapshots; worker codes in first-seen order."""
+        codes: dict[str, int] = {}
+        worker: list[int] = []
+        rows: list[tuple[int, ...]] = []
+        for s in snapshots:
+            worker.append(codes.setdefault(s.worker_id, len(codes)))
+            rows.append(tuple(getattr(s, name) for name in _COLUMN_FIELDS))
+        return cls(
+            tuple(codes),
+            np.array(worker, dtype=np.intp),
+            np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMN_FIELDS)),
+        )
+
+    def __len__(self) -> int:
+        return len(self.worker)
+
+    def __iter__(self) -> Iterator[CounterSnapshot]:
+        names = self.names
+        for w, row in zip(self.worker.tolist(), self.counts.tolist()):
+            yield CounterSnapshot(names[w], *row)
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceBatch):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalBatch:
+    """Interval averages as columns, in emission order (see the module doc).
+
+    ``window`` holds each window's index k (the window starts at
+    ``k * interval_ns``), ``means`` the (n, 7) mean ``METRIC_FIELDS``.
+    ``dropped_zero_itlb`` counts the samples left out for zero iTLB accesses.
+    """
+
+    names: tuple[str, ...]
+    worker: np.ndarray
+    window: np.ndarray
+    interval_ns: int
+    sample_count: np.ndarray
+    means: np.ndarray
+    dropped_zero_itlb: int
+
+    def __len__(self) -> int:
+        return len(self.worker)
+
+    def __iter__(self) -> Iterator[IntervalAverage]:
+        names, interval = self.names, self.interval_ns
+        for w, k, count, means in zip(
+            self.worker.tolist(),
+            self.window.tolist(),
+            self.sample_count.tolist(),
+            self.means.tolist(),
+        ):
+            yield IntervalAverage(names[w], k * interval, NormalizedMetrics(*means), count)
+
+    def metric(self, name: str) -> np.ndarray:
+        """The mean of one ``METRIC_FIELDS`` entry, per window."""
+        return self.means[:, METRIC_FIELDS.index(name)]
+
+
 def normalize(snapshot: CounterSnapshot) -> NormalizedMetrics:
     """Divide every counter by the snapshot's iTLB accesses.
 
@@ -161,6 +286,11 @@ def normalize(snapshot: CounterSnapshot) -> NormalizedMetrics:
     )
 
 
+def _check_interval(interval_ns: int) -> None:
+    if not 0 < interval_ns <= _INT64_MAX:
+        raise ValueError("interval_ns must be positive and fit in int64")
+
+
 class IntervalFolder:
     """Folds a per-worker snapshot stream into tumbling interval averages.
 
@@ -173,8 +303,7 @@ class IntervalFolder:
     """
 
     def __init__(self, interval_ns: int = DEFAULT_INTERVAL_NS):
-        if interval_ns <= 0:
-            raise ValueError("interval_ns must be positive")
+        _check_interval(interval_ns)
         self.interval_ns = interval_ns
         self.dropped_zero_itlb = 0
         # worker -> (window_start_ns, last_ts_ns, [NormalizedMetrics, ...])
@@ -241,29 +370,117 @@ class IntervalFolder:
         )
 
 
+def _as_batch(records: TraceBatch | Iterable[CounterSnapshot]) -> TraceBatch:
+    return records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
+
+
 def fold_intervals(
-    snapshots: Iterable[CounterSnapshot], interval_ns: int = DEFAULT_INTERVAL_NS
-) -> Iterator[IntervalAverage]:
-    """Stream interval averages for a snapshot stream (see IntervalFolder)."""
-    folder = IntervalFolder(interval_ns)
-    for snapshot in snapshots:
-        yield from folder.push(snapshot)
-    yield from folder.flush()
+    records: TraceBatch | Iterable[CounterSnapshot],
+    interval_ns: int = DEFAULT_INTERVAL_NS,
+) -> IntervalBatch:
+    """Fold a trace into interval averages, exactly as IntervalFolder does.
+
+    Records are stably sorted by worker, so each worker's records keep their
+    file order; a timestamp regression raises OutOfOrderTimestamp for the
+    first offending record in file order.  Zero-iTLB samples are dropped and
+    counted.  Window sums are correctly rounded (``math.fsum``), so means do
+    not depend on the order of samples within a window: a window of at most
+    two samples takes one IEEE addition, which is already correctly rounded.
+    """
+    _check_interval(interval_ns)
+    batch = _as_batch(records)
+    n = len(batch)
+    order = np.argsort(batch.worker, kind="stable")
+    worker = batch.worker[order]
+    ts = batch.counts[order, 0]
+    same_worker = worker[1:] == worker[:-1]
+    regressed = np.flatnonzero(same_worker & (ts[1:] < ts[:-1])) + 1
+    if regressed.size:
+        i = int(regressed[np.argmin(order[regressed])])
+        raise OutOfOrderTimestamp(
+            f"worker {batch.names[worker[i]]!r}: timestamp {ts[i]} after {ts[i - 1]}"
+        )
+
+    # Groups are runs of one worker's records in one window.
+    window = ts // interval_ns
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = ~same_worker | (window[1:] != window[:-1])
+    starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    # A group closes at the first record of its worker's next group; the
+    # last group of each worker is still open at the end of the trace.
+    still_open = np.append(worker[starts[1:]] != worker[starts[:-1]], True)
+    closed_at = np.where(still_open, n, np.append(order[starts[1:]], n))
+
+    rows = batch.counts[order]
+    kept = rows[:, 1] != 0
+    rows, kept_group = rows[kept], group[kept]
+    normalized = rows[:, 2:] / rows[:, 1:2]
+    for i in np.flatnonzero(rows[:, 1:].max(axis=1, initial=0) > _FLOAT_EXACT_MAX):
+        row = rows[i].tolist()
+        normalized[i] = [value / row[1] for value in row[2:]]
+
+    sample_count = np.bincount(kept_group, minlength=starts.size)
+    emitted = np.flatnonzero(sample_count)
+    count = sample_count[emitted]
+    offsets = np.cumsum(count) - count
+    sums = np.add.reduceat(normalized, offsets, axis=0)
+    for j in np.flatnonzero(count > 2):
+        block = normalized[offsets[j]:offsets[j] + count[j]]
+        sums[j] = [math.fsum(column) for column in block.T.tolist()]
+
+    # Closed windows in the file order of their closing records, then the
+    # open ones by (window, worker name).
+    rank = np.empty(len(batch.names), dtype=np.intp)
+    rank[sorted(range(len(batch.names)), key=batch.names.__getitem__)] = np.arange(rank.size)
+    first = starts[emitted]
+    emit_order = np.lexsort((rank[worker[first]], window[first], closed_at[emitted]))
+    first = first[emit_order]
+    return IntervalBatch(
+        names=batch.names,
+        worker=worker[first],
+        window=window[first],
+        interval_ns=interval_ns,
+        sample_count=count[emit_order],
+        means=sums[emit_order] / count[emit_order, None],
+        dropped_zero_itlb=int(n - np.count_nonzero(kept)),
+    )
 
 
-def _parse_line(line_number: int, line: str) -> CounterSnapshot:
+class _DuplicateKey(Exception):
+    def __init__(self, key: str):
+        self.key = key
+
+
+def _unique_object(pairs: list[tuple[str, object]]) -> dict:
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
+    return record
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_object)
+_COLUMN_TYPES = (int,) * len(_COLUMN_WIRE)
+
+
+def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
+    """Check one record's keys and types; returns its worker and column values."""
     try:
-        record = json.loads(line)
+        record = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(line_number, f"invalid JSON: {exc.msg}") from exc
+    except _DuplicateKey as exc:
+        raise ParseError(line_number, f"duplicate key {exc.key!r}") from None
     if not isinstance(record, dict):
         raise ParseError(line_number, "record is not a JSON object")
 
-    expected = set(_WIRE_TO_FIELD)
-    got = set(record)
-    if got != expected:
-        unknown = sorted(got - expected)
-        missing = sorted(expected - got)
+    if record.keys() != _WIRE_KEY_SET:
+        unknown = sorted(record.keys() - _WIRE_KEY_SET)
+        missing = sorted(_WIRE_KEY_SET - record.keys())
         parts = []
         if unknown:
             parts.append(f"unknown keys {unknown}")
@@ -271,52 +488,83 @@ def _parse_line(line_number: int, line: str) -> CounterSnapshot:
             parts.append(f"missing keys {missing}")
         raise ParseError(line_number, "; ".join(parts))
 
-    if not isinstance(record["worker_id"], str):
+    worker = record["worker_id"]
+    if not isinstance(worker, str):
         raise ParseError(line_number, "worker_id must be a string")
-    for wire, field in _WIRE_KEYS:
-        if wire == "worker_id":
-            continue
-        value = record[wire]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(line_number, f"{wire} must be an integer")
+    values = tuple(map(record.__getitem__, _COLUMN_WIRE))
+    if tuple(map(type, values)) != _COLUMN_TYPES:  # json yields bool for true/false
+        wire = next(w for w, v in zip(_COLUMN_WIRE, values) if type(v) is not int)
+        raise ParseError(line_number, f"{wire} must be an integer")
+    if max(values) > _INT64_MAX or min(values) < _INT64_MIN:
+        wire = next(w for w, v in zip(_COLUMN_WIRE, values) if not _INT64_MIN <= v <= _INT64_MAX)
+        raise ParseError(line_number, f"{wire} is outside the int64 range")
+    return worker, values
 
-    return CounterSnapshot(**{field: record[wire] for wire, field in _WIRE_KEYS})
 
-
-def ingest_trace(path: str | Path) -> Iterator[CounterSnapshot]:
-    """Yield validated snapshots from a JSONL trace file, in file order.
+def ingest_trace(path: str | Path) -> TraceBatch:
+    """Read and validate a JSONL trace file into a batch, in file order.
 
     Blank lines and ``#`` comment lines (used for schema headers) are skipped.
-    Raises ParseError with the offending line number, or InvariantViolation
-    with the offending field name.
+    Raises ParseError (bad JSON, duplicate, unknown or missing keys, wrong
+    types, integers outside int64) with the offending line number, or
+    InvariantViolation with the offending field name and line number.  When
+    several lines are bad, the first of them in file order is reported.
     """
+    codes: dict[str, int] = {}
+    worker: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    lines: list[int] = []
+    error = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            yield _parse_line(line_number, stripped)
+            try:
+                name, values = _parse_line(line_number, stripped)
+            except ParseError as exc:
+                error = exc
+                break
+            worker.append(codes.setdefault(name, len(codes)))
+            rows.append(values)
+            lines.append(line_number)
+    # The invariants of the lines before a parse error are checked first,
+    # so the first bad line in file order is the one reported.
+    batch = TraceBatch(
+        tuple(codes),
+        np.array(worker, dtype=np.intp),
+        np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMN_WIRE)),
+        np.array(lines, dtype=np.int64),
+    )
+    if error is not None:
+        raise error
+    return batch
+
+
+_ROW_FORMAT = "{" + ",".join(f'"{wire}":%s' for wire, _field in _WIRE_KEYS) + "}\n"
 
 
 def emit_trace(
-    snapshots: Iterable[CounterSnapshot],
+    snapshots: TraceBatch | Iterable[CounterSnapshot],
     destination: str | Path | TextIO,
     header: bool = True,
 ) -> int:
     """Write snapshots as canonical JSONL; returns the number of records.
 
     ``ingest_trace(emit_trace(...))`` round-trips valid snapshots exactly.
+    Each line equals ``json.dumps(snapshot.to_wire(), separators=(",", ":"))``.
     """
+    batch = _as_batch(snapshots)
+    quoted = [json.dumps(name) for name in batch.names]
 
     def _write(handle: TextIO) -> int:
-        count = 0
         if header:
             handle.write(f"# schema: {TRACE_SCHEMA}\n")
-        for snapshot in snapshots:
-            handle.write(json.dumps(snapshot.to_wire(), separators=(",", ":")))
-            handle.write("\n")
-            count += 1
-        return count
+        handle.writelines(
+            _ROW_FORMAT % (quoted[w], *row)
+            for w, row in zip(batch.worker.tolist(), batch.counts.tolist())
+        )
+        return len(batch)
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as handle:

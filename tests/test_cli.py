@@ -3,11 +3,42 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from spectreguard import cli
 from spectreguard.trace import ingest_trace
+
+
+PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
+
+# Exact bytes of detect and sweep on PINNED_TRACE.  The web-b window at 0
+# pins the correctly rounded sum: 0.1 + 0.2 + 0.3 added left to right gives
+# a mean of 0.20000000000000004.
+PINNED_VERDICTS = """\
+# schema: verdicts-v1
+{"suspect": false, "threshold": 4096.0, "triggering_metric": "branch_per_itlb", "value": 600.0, "window_start_ns": 0, "worker_id": "api-a"}
+{"suspect": true, "threshold": 4877.155802862976, "triggering_metric": "md_reset_per_itlb", "value": 9000.0, "window_start_ns": 0, "worker_id": "stl-x"}
+{"suspect": false, "threshold": 4096.0, "triggering_metric": "branch_per_itlb", "value": 0.19999999999999998, "window_start_ns": 0, "worker_id": "web-b"}
+{"suspect": false, "threshold": 4096.0, "triggering_metric": "branch_per_itlb", "value": 500.0, "window_start_ns": 1000000000, "worker_id": "web-b"}
+{"suspect": true, "threshold": 4096.0, "triggering_metric": "branch_per_itlb", "value": 211835.77, "window_start_ns": 1000000000, "worker_id": "api-a"}
+{"suspect": true, "threshold": 4877.155802862976, "triggering_metric": "md_reset_per_itlb", "value": 9000.0, "window_start_ns": 1000000000, "worker_id": "stl-x"}
+"""
+PINNED_SWEEP = """\
+# schema: sweep-v1
+threshold,fp_rate
+128.0,0.8333333333333334
+256.0,0.8333333333333334
+512.0,0.6666666666666666
+1024.0,0.16666666666666666
+2048.0,0.16666666666666666
+4096.0,0.16666666666666666
+8192.0,0.16666666666666666
+16384.0,0.16666666666666666
+32768.0,0.16666666666666666
+65536.0,0.16666666666666666
+"""
 
 
 def run(*argv) -> int:
@@ -56,6 +87,18 @@ class TestGenAndDetect:
         assert record["worker_id"] == "worker-a"
         assert record["suspect"] is True
         assert set(record) == {"worker_id", "suspect", "d", "p", "n", "m", "k_effective"}
+
+
+class TestPinnedArtifacts:
+    def test_detect_bytes(self, tmp_path):
+        out = tmp_path / "verdicts.jsonl"
+        assert run("detect", "--trace", str(PINNED_TRACE), "--out", str(out)) == 0
+        assert out.read_bytes() == PINNED_VERDICTS.encode()
+
+    def test_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--trace", str(PINNED_TRACE), "--out", str(out)) == 0
+        assert out.read_bytes() == PINNED_SWEEP.encode()
 
 
 class TestSweep:
@@ -128,6 +171,15 @@ class TestErrors:
     def test_missing_trace_is_input_error(self, tmp_path):
         assert run("detect", "--trace", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "v.jsonl")) == 1
+
+    def test_bad_trace_leaves_previous_verdicts(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(PINNED_TRACE.read_text() + "{not json\n")
+        out = tmp_path / "v.jsonl"
+        out.write_text("previous\n")
+        assert run("detect", "--trace", str(trace), "--out", str(out)) == 1
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "v.jsonl"]
 
     def test_usage_error_exits_one(self, tmp_path):
         assert run("gen", "--profile", "bogus", "--out", str(tmp_path / "t")) == 1

@@ -56,7 +56,7 @@ class TestStepFleet:
         state = small_state(cfg)
         actions = []
         for _ in range(10_001):
-            _state, acts = step_fleet(state, Subrequest("w-0", 0), cfg)
+            acts = step_fleet(state, Subrequest("w-0", 0), cfg)
             actions.extend(acts)
         assert len(actions) == 1
         assert isinstance(actions[0], Redirect)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectreguard.profiles import BenignProfile, generate_attack, generate_benign
 from spectreguard.trace import (
     CounterSnapshot,
     IntervalFolder,
@@ -19,6 +25,8 @@ from spectreguard.trace import (
     ingest_trace,
     normalize,
 )
+
+PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
 
 
 def snap(worker="w0", ts=0, itlb=1000, br=604_710, br_miss=0, llc=30_000,
@@ -55,6 +63,12 @@ class TestSnapshotInvariants:
     def test_bool_counts_rejected(self):
         with pytest.raises(InvariantViolation):
             snap(md=True)
+
+    def test_counts_must_fit_int64(self):
+        with pytest.raises(InvariantViolation) as err:
+            snap(br=2**63)
+        assert err.value.field_name == "branch_instructions"
+        snap(br=2**63 - 1)
 
 
 class TestNormalize:
@@ -155,6 +169,112 @@ class TestFoldIntervals:
         folder.push(snap(ts=0, itlb=0))
         assert folder.flush() == []
 
+    def test_open_windows_ordered_by_worker_name(self):
+        # "b" appears first, so its worker code is 0; the flush order is by name
+        snaps = [snap(worker="b", ts=1), snap(worker="a", ts=2), snap(worker="c", ts=3)]
+        folded = fold_intervals(snaps)
+        assert [a.worker_id for a in folded] == ["a", "b", "c"]
+        assert [a.worker_id for a in _stream_fold(snaps, 10**9)[0]] == ["a", "b", "c"]
+
+    def test_interval_must_be_positive_int64(self):
+        for interval in (0, 2**63):
+            with pytest.raises(ValueError):
+                fold_intervals([snap()], interval)
+            with pytest.raises(ValueError):
+                IntervalFolder(interval)
+
+
+def _stream_fold(snaps, interval_ns):
+    """The streaming IntervalFolder, the reference for the batch fold."""
+    folder = IntervalFolder(interval_ns)
+    out = []
+    for s in snaps:
+        out.extend(folder.push(s))
+    out.extend(folder.flush())
+    return out, folder.dropped_zero_itlb
+
+
+def _exact(averages):
+    """Every field of each average; means as float hex, so equality is bitwise."""
+    return [
+        (a.worker_id, a.window_start_ns, a.sample_count,
+         [m.hex() for m in dataclasses.astuple(a.mean_metrics)])
+        for a in averages
+    ]
+
+
+def _assert_fold_matches_stream(snaps, interval_ns):
+    try:
+        expected, dropped = _stream_fold(snaps, interval_ns)
+    except OutOfOrderTimestamp as exc:
+        with pytest.raises(OutOfOrderTimestamp) as err:
+            fold_intervals(snaps, interval_ns)
+        assert str(err.value) == str(exc)
+        return None
+    folded = fold_intervals(snaps, interval_ns)
+    assert _exact(folded) == _exact(expected)
+    assert folded.dropped_zero_itlb == dropped
+    return folded
+
+
+# Name order differs from first-appearance order for most interleavings.
+ORACLE_WORKERS = ("w2", "w0", "w1", "w10")
+
+
+@st.composite
+def interleaved_traces(draw):
+    """Interleaved multi-worker traces; Hypothesis picks the structure
+    (workers, timestamps, zero-iTLB rows) and a seed fills in the counts."""
+    interval = draw(st.sampled_from([1, 3, 1000, 1_000_000_000]))
+    low = -interval if draw(st.booleans()) else 0  # may a timestamp regress?
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    last: dict[str, int] = {}
+    snaps = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        worker = draw(st.sampled_from(ORACLE_WORKERS))
+        if worker in last:
+            # small steps fill windows with several samples, large ones skip windows
+            ts = last[worker] + draw(st.one_of(
+                st.integers(min_value=low, max_value=interval // 3),
+                st.integers(min_value=low, max_value=3 * interval),
+            ))
+        else:
+            ts = draw(st.integers(min_value=-3 * interval, max_value=3 * interval))
+        last[worker] = ts
+        itlb = 0 if draw(st.integers(min_value=0, max_value=4)) == 0 else int(rng.integers(1, 10_000))
+        br, llc, l1d, md = (int(v) for v in rng.integers(0, 10_000_000, 4))
+        br_miss, llc_miss, l1d_miss = (int(rng.integers(0, total + 1)) for total in (br, llc, l1d))
+        snaps.append(snap(worker=worker, ts=ts, itlb=itlb, br=br, br_miss=br_miss, llc=llc,
+                          llc_miss=llc_miss, l1d=l1d, l1d_miss=l1d_miss, md=md))
+    return snaps, interval
+
+
+class TestBatchFoldOracle:
+    """fold_intervals must equal the streaming IntervalFolder exactly."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(interleaved_traces())
+    def test_matches_streaming_folder(self, trace):
+        snaps, interval = trace
+        _assert_fold_matches_stream(snaps, interval)
+
+    def test_pinned_trace_matches_streaming_folder(self):
+        # zero-iTLB rows, windows of 1, 2 and 3 samples, an all-dropped window
+        snaps = list(ingest_trace(PINNED_TRACE))
+        folded = _assert_fold_matches_stream(snaps, 1_000_000_000)
+        assert sorted(folded.sample_count.tolist()) == [1, 1, 1, 1, 2, 3]
+        assert folded.dropped_zero_itlb == 2
+        _assert_fold_matches_stream(snaps, 250_000_000)
+
+    def test_large_counts_divide_exactly(self):
+        # counts above 2**53 round on conversion to float64, but Python's
+        # int / int is correctly rounded: (2**60 + 32) / 3 differs by one ulp
+        big = 2**60 + 32
+        assert big / 3 != float(big) / 3
+        snaps = [snap(ts=0, itlb=3, br=big, br_miss=big, llc=big, llc_miss=big,
+                      l1d=big, l1d_miss=big, md=big)]
+        _assert_fold_matches_stream(snaps, 1_000_000_000)
+
 
 class TestTraceIO:
     def test_round_trip_exact(self, tmp_path):
@@ -206,3 +326,73 @@ class TestTraceIO:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError):
             list(ingest_trace(path))
+
+    def test_emit_matches_json_dumps_line_by_line(self):
+        benign = generate_benign(BenignProfile.default(), 300, seed=11, worker_id="b\u00e9-\"0\"")
+        attack, _hist = generate_attack("stl", n=200, seed=12, samples_per_window=4)
+        for batch in (benign, attack):
+            out = io.StringIO()
+            assert emit_trace(batch, out) == len(batch)
+            lines = out.getvalue().splitlines()
+            assert lines[0] == "# schema: trace-v1"
+            assert lines[1:] == [
+                json.dumps(s.to_wire(), separators=(",", ":")) for s in batch
+            ]
+
+
+def _write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _wire_line(**overrides):
+    record = snap().to_wire()
+    record.update(overrides)
+    return json.dumps(record)
+
+
+class TestIngestRobustness:
+    def test_duplicate_key_rejected(self, tmp_path):
+        good = _wire_line()
+        duplicated = good[:-1] + ', "itlb": 5}'
+        path = _write_lines(tmp_path / "dup.jsonl", good, duplicated)
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert err.value.line_number == 2
+        assert "duplicate key 'itlb'" in str(err.value)
+
+    @pytest.mark.parametrize("key,value", [("br_insn", 2**63), ("ts_ns", -(2**63) - 1)])
+    def test_integer_outside_int64_rejected(self, tmp_path, key, value):
+        path = _write_lines(tmp_path / "big.jsonl", "# header", _wire_line(**{key: value}))
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert err.value.line_number == 2
+        assert key in str(err.value)
+
+    def test_int64_limits_accepted(self, tmp_path):
+        path = _write_lines(tmp_path / "edge.jsonl",
+                            _wire_line(ts_ns=-(2**63), md_reset=2**63 - 1))
+        (s,) = ingest_trace(path)
+        assert s.timestamp_ns == -(2**63) and s.mem_disambiguation_resets == 2**63 - 1
+
+    def test_invariant_violation_names_field_and_line(self, tmp_path):
+        path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), "",
+                            _wire_line(llc_miss=40_000), _wire_line(itlb=-1))
+        with pytest.raises(InvariantViolation) as err:
+            ingest_trace(path)
+        assert err.value.field_name == "cache_misses"
+        assert err.value.line_number == 3
+        assert str(err.value).startswith("line 3: cache_misses")
+
+    @pytest.mark.parametrize("first,second,error,text", [
+        (_wire_line(br_miss=10**9), "{not json", InvariantViolation, "branch_misses"),
+        ("{not json", _wire_line(br_miss=10**9), ParseError, "invalid JSON"),
+        (_wire_line(l1d_acc=2**64), _wire_line(itlb=-5), ParseError, "l1d_acc"),
+        (_wire_line(itlb=-5), _wire_line(l1d_acc=2**64), InvariantViolation, "itlb_accesses"),
+    ])
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, first, second, error, text):
+        path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), first, _wire_line(), second)
+        with pytest.raises(error) as err:
+            ingest_trace(path)
+        assert err.value.line_number == 2
+        assert text in str(err.value)
