@@ -25,10 +25,8 @@ from .fleet import (
     FleetConfig,
     FleetReport,
     Placement,
-    RequestLimits,
     WorkerRecord,
     run_fleet,
-    step_fleet,
 )
 from .ks import (
     BranchHistogram,

@@ -2,10 +2,12 @@
 
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
-throughput, not availability.  The simulator drives a synchronous
-discrete-event loop over script executions and subsequent-request events,
-runs the configured detector on every completed 1-second interval average,
-and accounts isolation cost with an affine throughput/memory model.
+throughput, not availability.  The simulator folds the whole fleet's counter
+trace into 1-second interval averages once, then walks the interval
+boundaries: at boundary i each worker, in name order, has its window i-1
+classified by the configured detector (a suspect verdict isolates it at that
+boundary) and then runs interval i's script executions and subsequent
+requests.  Isolation cost is accounted with an affine throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
 byte-identical reports.
@@ -13,15 +15,15 @@ byte-identical reports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 from . import ks as _ks
 from .profiles import (
-    AttackProfile,
     AttackVariant,
     BenignProfile,
     generate_attack,
@@ -29,23 +31,11 @@ from .profiles import (
     make_attack_histogram,
     make_benign_histogram,
 )
-from .threshold import ThresholdConfig, ThresholdVerdict, classify_threshold
-from .trace import DEFAULT_INTERVAL_NS, CounterSnapshot, IntervalAverage, IntervalFolder
+from .threshold import ThresholdConfig, classify_threshold
+from .trace import DEFAULT_INTERVAL_NS, IntervalAverage, TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
-
-
-class FleetError(Exception):
-    """Base class for simulator failures."""
-
-
-class UnknownWorker(FleetError):
-    """An event references a worker that is not part of the fleet."""
-
-
-class LimitViolation(FleetError):
-    """A generated event exceeds the per-request platform limits."""
 
 
 class Placement(str, Enum):
@@ -79,34 +69,17 @@ Workload = Union[BenignWorkload, AttackWorkload, EvasiveWorkload]
 
 
 @dataclass(frozen=True)
-class RequestLimits:
-    """Per-request platform limits (documented constants, enforced on events)."""
-
-    cpu_ms: float = 50.0
-    memory_mb: int = 64
-    compile_ms: float = 200.0
-    subrequests_per_request: int = 50
-
-    def __post_init__(self):
-        if min(self.cpu_ms, self.memory_mb, self.compile_ms, self.subrequests_per_request) <= 0:
-            raise ValueError("limits must be positive")
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Isolation cost constants.
 
     Detection itself costs a flat 2%.  An isolated guest costs 8x the CPU and
-    2x-5x the memory of a shared one.  Slopes of the affine throughput and
-    memory curves default to values derived from those multipliers and may be
-    overridden.
+    2x-5x the memory of a shared one; the slopes of the affine throughput
+    and memory curves follow from those multipliers.
     """
 
     detection_overhead_rel: float = 0.02
     isolated_cpu_multiplier: float = 8.0
     isolated_mem_multiplier_range: tuple[float, float] = (2.0, 5.0)
-    rps_slope: float | None = None  # requests/sec lost per isolated process
-    mem_slope: float | None = None  # extra bytes per isolated process
 
     def __post_init__(self):
         if not 0.0 <= self.detection_overhead_rel < 1.0:
@@ -130,16 +103,11 @@ class CostModel:
 
     def throughput_rps(self, baseline_rps: float, isolated: int, n_workers: int) -> float:
         detected = baseline_rps * (1.0 - self.detection_overhead_rel)
-        if self.rps_slope is not None:
-            return detected - self.rps_slope * isolated
         return detected * self.isolation_penalty(isolated, n_workers)
 
     def memory_bytes(self, worker_mem_bytes: int, isolated: int, n_workers: int) -> float:
-        if self.mem_slope is not None:
-            slope = self.mem_slope
-        else:
-            mid = sum(self.isolated_mem_multiplier_range) / 2.0
-            slope = (mid - 1.0) * worker_mem_bytes
+        mid = sum(self.isolated_mem_multiplier_range) / 2.0
+        slope = (mid - 1.0) * worker_mem_bytes
         return n_workers * worker_mem_bytes + slope * isolated
 
 
@@ -167,7 +135,6 @@ class FleetConfig:
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     attack: AttackWorkload | EvasiveWorkload = field(default_factory=AttackWorkload)
     benign_profile: BenignProfile | None = None
-    limits: RequestLimits = field(default_factory=RequestLimits)
     cost_model: CostModel = field(default_factory=CostModel)
     baseline_rps: float = 1000.0
     worker_mem_bytes: int = 1 << 20
@@ -194,140 +161,22 @@ class WorkerRecord:
 
     worker_id: str
     workload: Workload
+    histogram_rng: np.random.Generator
     placement: Placement = Placement.SHARED
     subsequent_requests: int = 0
     flagged_at_interval: int | None = None
     served_after_isolation: int = 0
-    histogram_rng: np.random.Generator | None = None
 
 
-@dataclass(frozen=True)
-class ScriptExecution:
-    worker_id: str
-    timestamp_ns: int
-    snapshot: CounterSnapshot
-    cpu_ms: float
-    subrequests: int
-
-
-@dataclass(frozen=True)
-class Subrequest:
-    worker_id: str
-    timestamp_ns: int
-
-
-FleetEvent = Union[ScriptExecution, Subrequest]
-
-
-@dataclass(frozen=True)
-class Isolate:
-    worker_id: str
-    interval: int
-
-
-@dataclass(frozen=True)
-class Redirect:
-    worker_id: str
-    count: int
-
-
-Action = Union[Isolate, Redirect]
-
-
-@dataclass
-class FleetState:
-    workers: dict[str, WorkerRecord]
-    folder: IntervalFolder
-    detector: DetectorSpec
-    interval_ns: int
-    benign_averages: int = 0
-    benign_suspect_averages: int = 0
-    post_isolation_shared_events: int = 0
-    verdict_log: list[dict] = field(default_factory=list)
-
-
-def _classify_interval(
-    state: FleetState, record: WorkerRecord, avg: IntervalAverage
-) -> bool:
-    spec = state.detector
-    if spec.kind == "threshold":
-        verdict: ThresholdVerdict = classify_threshold(avg, spec.threshold)
-        return verdict.suspect
-    template = spec.template if spec.template is not None else _ks.load_default_template()
-    rng = record.histogram_rng
-    if rng is None:
-        raise FleetError(f"worker {record.worker_id!r} has no histogram stream")
+def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
+    if detector.kind == "threshold":
+        return classify_threshold(avg, detector.threshold).suspect
+    template = detector.template if detector.template is not None else _ks.load_default_template()
     if isinstance(record.workload, BenignWorkload):
-        hist = make_benign_histogram(rng)
+        hist = make_benign_histogram(record.histogram_rng)
     else:
-        hist = make_attack_histogram(rng)
-    return _ks.classify_ks(hist, template, alpha=spec.alpha, k=spec.top_k).suspect
-
-
-def step_fleet(state: FleetState, event: FleetEvent, cfg: FleetConfig) -> list[Action]:
-    """Apply one event to ``state``; returns any isolation/redirect actions.
-
-    Completed interval averages (a worker's snapshot crossing into a new
-    window closes the previous one) are classified here; a suspect verdict
-    isolates the worker, never terminates it.
-    """
-    record = state.workers.get(event.worker_id)
-    if record is None:
-        raise UnknownWorker(f"no worker {event.worker_id!r} in fleet")
-
-    actions: list[Action] = []
-
-    if isinstance(event, Subrequest):
-        record.subsequent_requests += 1
-        if record.subsequent_requests > cfg.detector.threshold.subrequest_limit:
-            actions.append(Redirect(event.worker_id, record.subsequent_requests))
-        return actions
-
-    if event.cpu_ms > cfg.limits.cpu_ms:
-        raise LimitViolation(
-            f"execution cpu {event.cpu_ms} ms exceeds the {cfg.limits.cpu_ms} ms budget"
-        )
-    if event.subrequests > cfg.limits.subrequests_per_request:
-        raise LimitViolation(
-            f"{event.subrequests} subrequests exceed the per-request limit"
-        )
-
-    if record.placement is Placement.ISOLATED:
-        record.served_after_isolation += 1
-    if record.flagged_at_interval is not None and record.placement is Placement.SHARED:
-        state.post_isolation_shared_events += 1  # must stay 0; safety telemetry
-
-    for avg in state.folder.push(event.snapshot):
-        actions.extend(_settle_average(state, avg, cfg))
-    return actions
-
-
-def _settle_average(
-    state: FleetState, avg: IntervalAverage, cfg: FleetConfig
-) -> list[Action]:
-    record = state.workers[avg.worker_id]
-    interval = avg.window_start_ns // state.interval_ns
-    suspect = _classify_interval(state, record, avg)
-    state.verdict_log.append(
-        {"interval": int(interval), "worker_id": avg.worker_id, "suspect": suspect}
-    )
-    if isinstance(record.workload, BenignWorkload):
-        state.benign_averages += 1
-        if suspect:
-            state.benign_suspect_averages += 1
-    if suspect and record.placement is Placement.SHARED:
-        record.placement = Placement.ISOLATED
-        record.flagged_at_interval = int(interval)
-        return [Isolate(avg.worker_id, int(interval))]
-    return []
-
-
-def finish_fleet(state: FleetState, cfg: FleetConfig) -> list[Action]:
-    """Close every open window at end of run and classify the remainder."""
-    actions: list[Action] = []
-    for avg in state.folder.flush():
-        actions.extend(_settle_average(state, avg, cfg))
-    return actions
+        hist = make_attack_histogram(record.histogram_rng)
+    return _ks.classify_ks(hist, template, alpha=detector.alpha, k=detector.top_k).suspect
 
 
 @dataclass(frozen=True)
@@ -396,12 +245,13 @@ class FleetReport:
         }
 
 
-def _build_workers(cfg: FleetConfig) -> tuple[dict[str, WorkerRecord], dict[str, list[CounterSnapshot]]]:
+def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
+    """The workers in name order and the fleet's trace, one worker after another.
+
+    A worker's code in the trace is its rank in name order.
+    """
     profile = cfg.benign_profile or BenignProfile.default()
     n_samples = cfg.intervals * cfg.executions_per_interval
-    root = np.random.SeedSequence(cfg.rng_seed)
-    workers: dict[str, WorkerRecord] = {}
-    traces: dict[str, list[CounterSnapshot]] = {}
 
     specs: list[tuple[str, Workload]] = []
     for i in range(cfg.n_attack):
@@ -409,11 +259,12 @@ def _build_workers(cfg: FleetConfig) -> tuple[dict[str, WorkerRecord], dict[str,
     for i in range(cfg.n_benign):
         specs.append((f"worker-{i:03d}", BenignWorkload()))
 
-    children = root.spawn(len(specs))
+    workers: list[tuple[WorkerRecord, TraceBatch]] = []
+    children = np.random.SeedSequence(cfg.rng_seed).spawn(len(specs))
     for (worker_id, workload), child in zip(specs, children):
         trace_seed, hist_seed = child.spawn(2)
         if isinstance(workload, BenignWorkload):
-            snapshots = generate_benign(
+            batch = generate_benign(
                 profile,
                 n=n_samples,
                 seed=trace_seed,
@@ -423,7 +274,7 @@ def _build_workers(cfg: FleetConfig) -> tuple[dict[str, WorkerRecord], dict[str,
             )
         else:
             pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
-            snapshots, _hist = generate_attack(
+            batch, _hist = generate_attack(
                 workload.variant,
                 amplification=workload.amplification,
                 pages=pages,
@@ -433,81 +284,85 @@ def _build_workers(cfg: FleetConfig) -> tuple[dict[str, WorkerRecord], dict[str,
                 interval_ns=cfg.interval_ns,
                 samples_per_window=cfg.executions_per_interval,
             )
-        workers[worker_id] = WorkerRecord(
-            worker_id=worker_id,
-            workload=workload,
-            histogram_rng=np.random.default_rng(hist_seed),
-        )
-        traces[worker_id] = list(snapshots)
-    return workers, traces
+        record = WorkerRecord(worker_id, workload, np.random.default_rng(hist_seed))
+        workers.append((record, batch))
+    workers.sort(key=lambda pair: pair[0].worker_id)
+
+    fleet = TraceBatch(
+        tuple(record.worker_id for record, _batch in workers),
+        np.repeat(np.arange(len(workers)), n_samples),
+        np.concatenate([batch.counts for _record, batch in workers]),
+    )
+    return [record for record, _batch in workers], fleet
 
 
 def run_fleet(cfg: FleetConfig) -> FleetReport:
-    """Run the synchronous event loop and account isolation costs."""
-    workers, traces = _build_workers(cfg)
-    state = FleetState(
-        workers=workers,
-        folder=IntervalFolder(cfg.interval_ns),
-        detector=cfg.detector,
-        interval_ns=cfg.interval_ns,
-    )
-    event_rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 0xE7E7]))
+    """Fold the fleet's trace, walk the interval boundaries, account costs."""
+    workers, trace = _build_workers(cfg)
+    # Windows are looked up by (window, worker), so the fold's emission
+    # order, and with it the order of workers in the trace, is immaterial.
+    folded = fold_intervals(trace, cfg.interval_ns)
+    due = {
+        (window, avg.worker_id): avg
+        for window, avg in zip(folded.window.tolist(), folded)
+    }
+    subrequest_limit = cfg.detector.threshold.subrequest_limit
 
-    worker_order = sorted(workers)
+    verdicts: list[dict] = []
     timeline: list[dict] = []
-    isolations_by_interval: dict[int, int] = {}
+    benign_averages = benign_suspect_averages = 0
+    post_isolation_shared_events = 0
     redirects = 0
 
-    def record_actions(actions: Iterable[Action]) -> None:
-        nonlocal redirects
-        for action in actions:
-            if isinstance(action, Isolate):
-                timeline.append(
-                    {"interval": action.interval, "worker_id": action.worker_id, "action": "isolate"}
+    for boundary in range(cfg.intervals + 1):
+        for record in workers:
+            # Settle the window that closed at this boundary before running
+            # the next interval, so a worker flagged here runs it isolated.
+            avg = due.get((boundary - 1, record.worker_id))
+            if avg is not None:
+                interval = boundary - 1
+                suspect = _is_suspect(cfg.detector, record, avg)
+                verdicts.append(
+                    {"interval": interval, "worker_id": record.worker_id, "suspect": suspect}
                 )
-                isolations_by_interval[action.interval] = (
-                    isolations_by_interval.get(action.interval, 0) + 1
-                )
-            else:
-                timeline.append(
-                    {"interval": -1, "worker_id": action.worker_id, "action": "redirect"}
-                )
-                redirects += 1
-
-    for interval in range(cfg.intervals):
-        for worker_id in worker_order:
-            base_index = interval * cfg.executions_per_interval
-            for slot in range(cfg.executions_per_interval):
-                snapshot = traces[worker_id][base_index + slot]
-                event = ScriptExecution(
-                    worker_id=worker_id,
-                    timestamp_ns=snapshot.timestamp_ns,
-                    snapshot=snapshot,
-                    cpu_ms=float(event_rng.uniform(0.2, cfg.limits.cpu_ms)),
-                    subrequests=int(
-                        event_rng.integers(0, cfg.limits.subrequests_per_request + 1)
-                    ),
-                )
-                record_actions(step_fleet(state, event, cfg))
-            for _ in range(cfg.subrequests_per_interval):
-                record_actions(
-                    step_fleet(state, Subrequest(worker_id, interval * cfg.interval_ns), cfg)
-                )
-    record_actions(finish_fleet(state, cfg))
+                if isinstance(record.workload, BenignWorkload):
+                    benign_averages += 1
+                    benign_suspect_averages += suspect
+                if suspect and record.placement is Placement.SHARED:
+                    record.placement = Placement.ISOLATED
+                    record.flagged_at_interval = interval
+                    timeline.append(
+                        {"interval": interval, "worker_id": record.worker_id, "action": "isolate"}
+                    )
+            if boundary == cfg.intervals:
+                continue
+            if record.placement is Placement.ISOLATED:
+                record.served_after_isolation += cfg.executions_per_interval
+            elif record.flagged_at_interval is not None:
+                post_isolation_shared_events += cfg.executions_per_interval  # must stay 0
+            before = record.subsequent_requests
+            record.subsequent_requests += cfg.subrequests_per_interval
+            over = max(0, record.subsequent_requests - max(before, subrequest_limit))
+            timeline.extend(
+                {"interval": -1, "worker_id": record.worker_id, "action": "redirect"}
+                for _ in range(over)
+            )
+            redirects += over
 
     n_workers = len(workers)
-    benign_ids = {w for w, r in workers.items() if isinstance(r.workload, BenignWorkload)}
-    flagged = {w: r.flagged_at_interval for w, r in workers.items() if r.flagged_at_interval is not None}
+    benign_ids = {r.worker_id for r in workers if isinstance(r.workload, BenignWorkload)}
+    flagged = {r.worker_id: r.flagged_at_interval for r in workers if r.flagged_at_interval is not None}
     latency = {
         w: interval + 1  # windows close one interval after they start filling
         for w, interval in flagged.items()
         if w not in benign_ids
     }
 
+    isolations_by_interval = Counter(flagged.values())
     isolated_running = 0
     series: list[SeriesPoint] = []
     for interval in range(cfg.intervals):
-        isolated_running += isolations_by_interval.get(interval, 0)
+        isolated_running += isolations_by_interval[interval]
         series.append(
             SeriesPoint(
                 t_sec=interval + 1,
@@ -521,12 +376,10 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
             )
         )
 
-    isolated_total = sum(
-        1 for r in workers.values() if r.placement is Placement.ISOLATED
-    )
+    isolated_total = sum(1 for r in workers if r.placement is Placement.ISOLATED)
     liveness_ok = all(
         r.served_after_isolation > 0
-        for r in workers.values()
+        for r in workers
         if r.placement is Placement.ISOLATED and (r.flagged_at_interval or 0) < cfg.intervals - 1
     )
 
@@ -541,15 +394,13 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         benign_workers_flagged=sum(1 for w in flagged if w in benign_ids),
         attack_workers_flagged=sum(1 for w in flagged if w not in benign_ids),
         benign_interval_fp_rate=(
-            state.benign_suspect_averages / state.benign_averages
-            if state.benign_averages
-            else 0.0
+            benign_suspect_averages / benign_averages if benign_averages else 0.0
         ),
         detection_latency_intervals=latency,
-        verdicts=tuple(state.verdict_log),
+        verdicts=tuple(verdicts),
         timeline=tuple(timeline),
         redirects=redirects,
-        post_isolation_shared_events=state.post_isolation_shared_events,
+        post_isolation_shared_events=post_isolation_shared_events,
         liveness_ok=liveness_ok,
         series=tuple(series),
         baseline_rps=cfg.baseline_rps,

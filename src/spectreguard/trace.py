@@ -16,9 +16,8 @@ of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes them, and ``fold_intervals`` folds one into an
 ``IntervalBatch`` of window means.  ``CounterSnapshot`` stays the per-record
 wire type: a batch iterates snapshots and an interval batch iterates
-``IntervalAverage``s.  The streaming ``IntervalFolder`` serves callers that see
-one record at a time (the fleet simulator) and is the reference the batch fold
-is tested against.
+``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
+time; it is the reference oracle the batch fold is tested against.
 
 Fold order rule, shared by both paths: a worker's window is emitted when that
 worker's first record of a later window arrives, in file order; windows still
@@ -294,9 +293,11 @@ def _check_interval(interval_ns: int) -> None:
 class IntervalFolder:
     """Folds a per-worker snapshot stream into tumbling interval averages.
 
-    Snapshots must arrive in nondecreasing timestamp order *per worker*;
-    streams of different workers may interleave freely.  Samples with zero
-    iTLB accesses are dropped and counted in ``dropped_zero_itlb``.
+    The reference oracle for ``fold_intervals``: it takes one record at a
+    time, with no columns or sorting.  Snapshots must arrive in
+    nondecreasing timestamp order *per worker*; streams of different workers
+    may interleave freely.  Samples with zero iTLB accesses are dropped and
+    counted in ``dropped_zero_itlb``.
 
     Means use ``math.fsum`` so the result is invariant under permutation of
     samples within a window.

@@ -1,70 +1,54 @@
-"""Fleet simulator tests: isolation policy, limits, cost model, determinism."""
+"""Fleet simulator tests: isolation policy, redirects, cost model, determinism."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spectreguard.fleet import (
-    AttackWorkload,
-    BenignWorkload,
     CostModel,
     DEGRADED_MODE,
     DetectorSpec,
     EvasiveWorkload,
     FleetConfig,
-    FleetState,
-    Isolate,
-    Placement,
-    Redirect,
-    Subrequest,
-    UnknownWorker,
-    WorkerRecord,
     run_fleet,
-    step_fleet,
 )
 from spectreguard.profiles import BenignProfile, generate_benign
 from spectreguard.threshold import ThresholdConfig, sweep_thresholds
-from spectreguard.trace import IntervalFolder, fold_intervals
+from spectreguard.trace import fold_intervals
+
+DATA = Path(__file__).parent / "data"
 
 
-def small_state(cfg: FleetConfig, worker_id="w-0") -> FleetState:
-    record = WorkerRecord(
-        worker_id=worker_id,
-        workload=BenignWorkload(),
-        histogram_rng=np.random.default_rng(0),
+def redirect_fleet(subrequest_limit: int) -> FleetConfig:
+    # 4 subsequent requests per worker per interval: 12 per worker in all
+    return FleetConfig(
+        n_benign=1,
+        n_attack=1,
+        intervals=3,
+        subrequests_per_interval=4,
+        rng_seed=0,
+        detector=DetectorSpec(threshold=ThresholdConfig(subrequest_limit=subrequest_limit)),
     )
-    return FleetState(
-        workers={worker_id: record},
-        folder=IntervalFolder(cfg.interval_ns),
-        detector=cfg.detector,
-        interval_ns=cfg.interval_ns,
-    )
-
-
-class TestStepFleet:
-    def test_unknown_worker(self):
-        cfg = FleetConfig(n_benign=1, n_attack=0)
-        state = small_state(cfg)
-        with pytest.raises(UnknownWorker):
-            step_fleet(state, Subrequest("ghost", 0), cfg)
-
-    def test_subrequest_limit_redirects_the_next_request(self):
-        cfg = FleetConfig(n_benign=1, n_attack=0)
-        state = small_state(cfg)
-        actions = []
-        for _ in range(10_001):
-            acts = step_fleet(state, Subrequest("w-0", 0), cfg)
-            actions.extend(acts)
-        assert len(actions) == 1
-        assert isinstance(actions[0], Redirect)
-        assert actions[0].count == 10_001
-        assert state.workers["w-0"].subsequent_requests == 10_001
 
 
 class TestRunFleet:
+    def test_subrequest_limit_redirects_the_next_request(self):
+        assert run_fleet(redirect_fleet(12)).redirects == 0
+        assert run_fleet(redirect_fleet(11)).redirects == 2
+
+        report = run_fleet(redirect_fleet(9))
+        assert report.redirects == 6
+        # requests 10-12 of each worker arrive in interval 2, after the
+        # attack worker's isolation at the interval-0 boundary
+        assert [(e["interval"], e["worker_id"], e["action"]) for e in report.timeline] == [
+            (0, "attack-000", "isolate"),
+            *[(-1, "attack-000", "redirect")] * 3,
+            *[(-1, "worker-000", "redirect")] * 3,
+        ]
+
     def test_attack_isolated_quickly(self):
         cfg = FleetConfig(n_benign=5, n_attack=1, intervals=4, rng_seed=1)
         report = run_fleet(cfg)
@@ -92,6 +76,15 @@ class TestRunFleet:
     def test_isolated_workers_keep_serving(self):
         cfg = FleetConfig(n_benign=5, n_attack=1, intervals=6, rng_seed=4)
         report = run_fleet(cfg)
+        assert report.liveness_ok
+
+    def test_flag_in_the_penultimate_window_still_serves(self):
+        # one execution per interval: a worker isolated at the boundary after
+        # window intervals - 2 runs the last interval's execution isolated
+        cfg = FleetConfig(n_benign=5, n_attack=1, intervals=2,
+                          executions_per_interval=1, rng_seed=4)
+        report = run_fleet(cfg)
+        assert {"interval": 0, "worker_id": "attack-000", "action": "isolate"} in report.timeline
         assert report.liveness_ok
 
     def test_degraded_mode_with_zero_threshold(self):
@@ -136,6 +129,14 @@ class TestRunFleet:
         )
         assert attack_intervals == [0, 1, 2]
 
+    def test_verdicts_in_worker_name_order_past_999_workers(self):
+        # "worker-1000" sorts between "worker-100" and "worker-101"
+        cfg = FleetConfig(n_benign=1001, n_attack=0, intervals=1,
+                          executions_per_interval=1, rng_seed=13)
+        order = [entry["worker_id"] for entry in run_fleet(cfg).verdicts]
+        assert order == sorted(order)
+        assert order[101] == "worker-1000"
+
     def test_evasive_worker_ducks_threshold_detector(self):
         # 125 pages puts the mean just under the threshold; sample jitter
         # still crosses it, so a determined evader adds margin pages
@@ -161,10 +162,6 @@ class TestRunFleet:
         assert report.attack_workers_flagged == 1
         assert report.benign_workers_flagged == 0
 
-    def test_per_request_limits_hold(self):
-        cfg = FleetConfig(n_benign=10, n_attack=1, intervals=5, rng_seed=10)
-        run_fleet(cfg)  # step_fleet raises LimitViolation on any breach
-
     def test_fp_rate_matches_sweep_prediction(self):
         cfg = FleetConfig(n_benign=400, n_attack=0, intervals=5,
                           executions_per_interval=1, rng_seed=11)
@@ -187,3 +184,34 @@ class TestConfigValidation:
     def test_unknown_detector_kind(self):
         with pytest.raises(ValueError):
             DetectorSpec(kind="oracle")
+
+
+class TestPinnedReports:
+    """Exact report bytes of two small fleets, checked into tests/data."""
+
+    @pytest.mark.parametrize(
+        ("name", "cfg"),
+        [
+            (
+                # one attack and one benign isolation, 39 redirects
+                "fleet_threshold_report.json",
+                FleetConfig(
+                    n_benign=12,
+                    n_attack=1,
+                    intervals=4,
+                    subrequests_per_interval=2,
+                    rng_seed=9,
+                    detector=DetectorSpec(threshold=ThresholdConfig(subrequest_limit=5)),
+                ),
+            ),
+            (
+                "fleet_ks_report.json",
+                FleetConfig(n_benign=4, n_attack=1, intervals=3, rng_seed=9,
+                            detector=DetectorSpec(kind="ks")),
+            ),
+        ],
+    )
+    def test_report_bytes(self, name, cfg):
+        report = run_fleet(cfg)
+        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / name).read_text(encoding="utf-8")
