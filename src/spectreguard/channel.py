@@ -435,7 +435,6 @@ class LeakEstimate:
 def leakage_rate(
     amplification: int,
     requests_per_bit: int,
-    runtime_model: RuntimeModel | None = None,
     runtime_s: float | None = None,
     success_rate: float = 1.0,
 ) -> LeakEstimate:
@@ -443,7 +442,7 @@ def leakage_rate(
     if amplification < 1 or requests_per_bit < 1:
         raise ValueError("amplification and requests_per_bit must be >= 1")
     if runtime_s is None:
-        runtime_s = (runtime_model or RuntimeModel.fit_reference())(amplification)
+        runtime_s = RuntimeModel.fit_reference()(amplification)
     if runtime_s <= 0:
         raise ValueError("runtime must be positive")
     bits = 3600.0 / (requests_per_bit * runtime_s) * success_rate
@@ -456,13 +455,11 @@ def leakage_rate(
     )
 
 
-def leakage_table(
-    rows: Sequence[tuple[int, int, float, int]] = REFERENCE_ATTACK_ROWS,
-) -> list[LeakEstimate]:
+def leakage_table() -> list[LeakEstimate]:
     """Leak estimates for the reference rows using their exact runtimes."""
     return [
         leakage_rate(amplification, requests, runtime_s=runtime)
-        for amplification, requests, runtime, _reported in rows
+        for amplification, requests, runtime, _reported in REFERENCE_ATTACK_ROWS
     ]
 
 

@@ -250,77 +250,84 @@ def _cmd_channel(args) -> int:
 
 # --- fleet -------------------------------------------------------------------
 
+# Integer fleet config keys: default and minimum.
+_FLEET_INT_KEYS = {
+    "n_benign": (50, 0),
+    "n_attack": (1, 0),
+    "intervals": (6, 1),
+    "executions_per_interval": (2, 1),
+    "worker_mem_bytes": (1 << 20, 0),
+    "subrequests_per_interval": (0, 0),
+    "seed": (DEFAULT_SEED, 0),
+}
+
+
+def _config_value(key: str, value, minimum: float = 0, number: bool = False):
+    """A JSON integer (with ``number``, any JSON number) >= minimum; never a bool or NaN."""
+    if type(value) not in ((int, float) if number else (int,)) or not value >= minimum:
+        kind = "a number" if number else "an integer"
+        raise InputError(f"fleet config {key!r} must be {kind} >= {minimum}, got {value!r}")
+    return float(value) if number else value
+
+
+def _config_section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise InputError(f"fleet config {key!r} must be a JSON object")
+    return dict(section)
+
+
 def _fleet_config_from_json(data: dict, args) -> fleet_mod.FleetConfig:
-    known = {
-        "n_benign",
-        "n_attack",
-        "intervals",
-        "executions_per_interval",
-        "baseline_rps",
-        "worker_mem_bytes",
-        "subrequests_per_interval",
-        "seed",
-        "detector",
-        "attack",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(_FLEET_INT_KEYS) - {"baseline_rps", "detector", "attack"}
     if unknown:
         raise InputError(f"unknown fleet config keys: {sorted(unknown)}")
 
-    detector_data = dict(data.get("detector", {}))
+    detector_data = _config_section(data, "detector")
     kind = detector_data.pop("kind", "threshold")
-    threshold_value = detector_data.pop("branch_per_itlb", None)
-    stl_value = detector_data.pop("stl_reset", None)
+    threshold = detector_data.pop("branch_per_itlb", threshold_mod.BRANCH_THRESHOLD_DEFAULT)
+    stl_threshold = detector_data.pop("stl_reset", threshold_mod.STL_THRESHOLD_DEFAULT)
     alpha = detector_data.pop("alpha", ks_mod.DEFAULT_ALPHA)
     if detector_data:
         raise InputError(f"unknown detector config keys: {sorted(detector_data)}")
-
     # precedence: flag > file > default
     if args.threshold is not None:
-        threshold_value = args.threshold
-    threshold_kwargs = {}
-    if threshold_value is not None:
-        threshold_kwargs["branch_per_itlb_threshold"] = float(threshold_value)
-    if stl_value is not None:
-        threshold_kwargs["stl_reset_threshold"] = float(stl_value)
+        threshold = args.threshold
     detector = fleet_mod.DetectorSpec(
         kind=kind,
-        threshold=threshold_mod.ThresholdConfig(**threshold_kwargs),
-        alpha=float(alpha),
+        threshold=threshold_mod.ThresholdConfig(
+            branch_per_itlb_threshold=_config_value("branch_per_itlb", threshold, number=True),
+            stl_reset_threshold=_config_value("stl_reset", stl_threshold, number=True),
+        ),
+        alpha=_config_value("alpha", alpha, number=True),
     )
 
-    attack_data = dict(data.get("attack", {}))
+    attack_data = _config_section(data, "attack")
     variant = AttackVariant(attack_data.pop("variant", "pht"))
     amplification = attack_data.pop("amplification", None)
-    pages = attack_data.pop("pages", 0)
+    if amplification is not None:
+        amplification = _config_value("amplification", amplification, minimum=1)
+    pages = _config_value("pages", attack_data.pop("pages", 0))
     if attack_data:
         raise InputError(f"unknown attack config keys: {sorted(attack_data)}")
     if pages:
-        attack = fleet_mod.EvasiveWorkload(
-            pages=int(pages), variant=variant, amplification=amplification
-        )
+        attack = fleet_mod.EvasiveWorkload(pages, variant=variant, amplification=amplification)
     else:
         attack = fleet_mod.AttackWorkload(variant=variant, amplification=amplification)
 
-    seed = data.get("seed", DEFAULT_SEED)
+    ints = {
+        key: _config_value(key, data.get(key, default), minimum)
+        for key, (default, minimum) in _FLEET_INT_KEYS.items()
+    }
     if args.seed_given:
-        seed = args.seed
-
-    intervals = data.get("intervals", 6)
+        ints["seed"] = args.seed
     if args.intervals is not None:
-        intervals = args.intervals
-
+        ints["intervals"] = args.intervals
     return fleet_mod.FleetConfig(
-        n_benign=int(data.get("n_benign", 50)),
-        n_attack=int(data.get("n_attack", 1)),
-        intervals=int(intervals),
-        executions_per_interval=int(data.get("executions_per_interval", 2)),
+        rng_seed=ints.pop("seed"),
         detector=detector,
         attack=attack,
-        baseline_rps=float(data.get("baseline_rps", 1000.0)),
-        worker_mem_bytes=int(data.get("worker_mem_bytes", 1 << 20)),
-        subrequests_per_interval=int(data.get("subrequests_per_interval", 0)),
-        rng_seed=int(seed),
+        baseline_rps=_config_value("baseline_rps", data.get("baseline_rps", 1000.0), number=True),
+        **ints,
     )
 
 
@@ -356,6 +363,8 @@ def _cmd_fleet(args) -> int:
 # --- ks -------------------------------------------------------------------
 
 def _cmd_ks(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise InputError("alpha must be in (0, 1)")
     left = ks_mod.read_histogram_csv(args.subject)
     right = ks_mod.read_histogram_csv(args.reference)
     subject = ks_mod.top_branches(left, args.top_k)

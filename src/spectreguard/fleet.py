@@ -32,7 +32,7 @@ from .profiles import (
     make_benign_histogram,
 )
 from .threshold import ThresholdConfig, classify_threshold
-from .trace import DEFAULT_INTERVAL_NS, IntervalAverage, TraceBatch, fold_intervals
+from .trace import IntervalAverage, TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
@@ -113,13 +113,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Which detector the orchestrator runs at interval boundaries."""
+    """Which detector runs at interval boundaries; KS uses the packaged template."""
 
     kind: str = "threshold"  # "threshold" | "ks"
     threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
     alpha: float = _ks.DEFAULT_ALPHA
-    top_k: int = _ks.DEFAULT_TOP_K
-    template: _ks.BranchHistogram | None = None  # None = packaged template
 
     def __post_init__(self):
         if self.kind not in ("threshold", "ks"):
@@ -134,12 +132,10 @@ class FleetConfig:
     executions_per_interval: int = 2
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     attack: AttackWorkload | EvasiveWorkload = field(default_factory=AttackWorkload)
-    benign_profile: BenignProfile | None = None
     cost_model: CostModel = field(default_factory=CostModel)
     baseline_rps: float = 1000.0
     worker_mem_bytes: int = 1 << 20
     subrequests_per_interval: int = 0
-    interval_ns: int = DEFAULT_INTERVAL_NS
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -171,12 +167,11 @@ class WorkerRecord:
 def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
     if detector.kind == "threshold":
         return classify_threshold(avg, detector.threshold).suspect
-    template = detector.template if detector.template is not None else _ks.load_default_template()
     if isinstance(record.workload, BenignWorkload):
         hist = make_benign_histogram(record.histogram_rng)
     else:
         hist = make_attack_histogram(record.histogram_rng)
-    return _ks.classify_ks(hist, template, alpha=detector.alpha, k=detector.top_k).suspect
+    return _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha).suspect
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
 
     A worker's code in the trace is its rank in name order.
     """
-    profile = cfg.benign_profile or BenignProfile.default()
+    profile = BenignProfile.default()
     n_samples = cfg.intervals * cfg.executions_per_interval
 
     specs: list[tuple[str, Workload]] = []
@@ -263,26 +258,14 @@ def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
     children = np.random.SeedSequence(cfg.rng_seed).spawn(len(specs))
     for (worker_id, workload), child in zip(specs, children):
         trace_seed, hist_seed = child.spawn(2)
+        shape = dict(n=n_samples, seed=trace_seed, worker_id=worker_id,
+                     samples_per_window=cfg.executions_per_interval)
         if isinstance(workload, BenignWorkload):
-            batch = generate_benign(
-                profile,
-                n=n_samples,
-                seed=trace_seed,
-                worker_id=worker_id,
-                interval_ns=cfg.interval_ns,
-                samples_per_window=cfg.executions_per_interval,
-            )
+            batch = generate_benign(profile, **shape)
         else:
             pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
             batch, _hist = generate_attack(
-                workload.variant,
-                amplification=workload.amplification,
-                pages=pages,
-                n=n_samples,
-                seed=trace_seed,
-                worker_id=worker_id,
-                interval_ns=cfg.interval_ns,
-                samples_per_window=cfg.executions_per_interval,
+                workload.variant, amplification=workload.amplification, pages=pages, **shape
             )
         record = WorkerRecord(worker_id, workload, np.random.default_rng(hist_seed))
         workers.append((record, batch))
@@ -301,7 +284,7 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     workers, trace = _build_workers(cfg)
     # Windows are looked up by (window, worker), so the fold's emission
     # order, and with it the order of workers in the trace, is immaterial.
-    folded = fold_intervals(trace, cfg.interval_ns)
+    folded = fold_intervals(trace)
     due = {
         (window, avg.worker_id): avg
         for window, avg in zip(folded.window.tolist(), folded)

@@ -60,18 +60,16 @@ class BranchHistogram:
     """Per-branch misprediction counts; zero-count entries are not stored."""
 
     entries: dict[str, int]
-    total: int
 
     @classmethod
     def from_entries(cls, entries: dict[str, int]) -> "BranchHistogram":
         if not entries:
             raise EmptyHistogram("histogram has no branches")
-        for branch_id, count in entries.items():
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise HistogramError(
-                    f"branch {branch_id!r}: misprediction count must be an integer >= 1"
-                )
-        return cls(entries=dict(entries), total=sum(entries.values()))
+        counts = entries.values()
+        if set(map(type, counts)) != {int} or min(counts) < 1:
+            branch_id = next(b for b, c in entries.items() if type(c) is not int or c < 1)
+            raise HistogramError(f"branch {branch_id!r}: misprediction count must be an integer >= 1")
+        return cls(dict(entries))
 
 
 @dataclass(frozen=True)
@@ -86,23 +84,22 @@ class KsResult:
 class KsVerdict:
     suspect: bool  # p >= alpha: cannot reject "same distribution as template"
     ks: KsResult
-    alpha: float
     k_effective: int  # branches actually taken from the subject histogram
 
 
 def top_branches(hist: BranchHistogram, k: int) -> list[int]:
     """The k largest misprediction counts, descending.
 
+    ``classify_ks`` and the CLI default to k = ``DEFAULT_TOP_K`` (100).
     Histograms with fewer than k branches contribute all of them (the only
-    information-preserving option).  Ties break by branch id, ascending, so
-    the selection is deterministic.
+    information-preserving option).  Only counts are returned, so branch ids
+    play no part in the selection.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not hist.entries:
         raise EmptyHistogram("histogram has no branches")
-    ranked = sorted(hist.entries.items(), key=lambda item: (-item[1], item[0]))
-    return [count for _branch, count in ranked[:k]]
+    return sorted(hist.entries.values(), reverse=True)[:k]
 
 
 def _ecdf_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,7 +212,6 @@ def classify_ks(
     return KsVerdict(
         suspect=result.p_value >= alpha,
         ks=result,
-        alpha=alpha,
         k_effective=len(subject),
     )
 

@@ -61,6 +61,20 @@ BENIGN_SURVIVAL_TARGETS: dict[float, float] = {
     8192.0: 0.0026,
     65536.0: 0.0,
 }
+# Fixed shape of the benign mixture; calibration solves the other parameters.
+BENIGN_BODY_SIGMA = 0.55
+BENIGN_TAIL_WEIGHT = 0.0075
+
+# Misprediction histogram shapes (see make_attack_histogram, make_benign_histogram).
+ATTACK_TAIL_BRANCHES = 62
+DELAY_LOOP_MEAN = 1_200_000.0
+MISTRAIN_RATIO = 0.2
+TAIL_START = 30_000.0
+TAIL_DECAY = 0.85
+JITTER_SIGMA = 0.08
+BENIGN_MIN_BRANCHES = 140
+BENIGN_MAX_BRANCHES = 400
+BENIGN_COUNT_RANGE = (500.0, 20_000.0)
 
 
 class CalibrationInfeasible(Exception):
@@ -141,19 +155,14 @@ class BenignProfile:
     itlb_range: tuple[int, int] = (1_000, 100_000)
 
     @classmethod
-    def calibrate(
-        cls,
-        targets: dict[float, float] | None = None,
-        body_sigma: float = 0.55,
-        tail_weight: float = 0.0075,
-        **extra,
-    ) -> "BenignProfile":
+    def calibrate(cls, targets: dict[float, float] | None = None) -> "BenignProfile":
         """Solve mixture parameters from survival-curve targets.
 
         Expects three positive targets plus one zero target (the truncation
-        cutoff).  The tail component is fitted to the two largest positive
-        targets, the body to the smallest, with a short fixed-point loop to
-        account for cross-component mass.
+        cutoff).  With ``BENIGN_BODY_SIGMA`` and ``BENIGN_TAIL_WEIGHT`` fixed,
+        the tail component is fitted to the two largest positive targets, the
+        body to the smallest, with a short fixed-point loop to account for
+        cross-component mass.
         """
         targets = dict(BENIGN_SURVIVAL_TARGETS if targets is None else targets)
         zero_points = sorted(x for x, s in targets.items() if s == 0.0)
@@ -170,9 +179,7 @@ class BenignProfile:
             raise CalibrationInfeasible("survival targets must be strictly decreasing")
         if x3 >= cutoff:
             raise CalibrationInfeasible("positive targets must lie below the cutoff")
-        w = tail_weight
-        if not 0.0 < w < 1.0:
-            raise CalibrationInfeasible("tail weight must be in (0, 1)")
+        body_sigma, w = BENIGN_BODY_SIGMA, BENIGN_TAIL_WEIGHT
 
         def survival(mu: float, sigma: float, x: float) -> float:
             return 1.0 - _PHI.cdf((math.log(x) - mu) / sigma)
@@ -208,7 +215,6 @@ class BenignProfile:
             tail_sigma=tail_sigma,
             tail_weight=w,
             upper_cutoff=cutoff,
-            **extra,
         )
         for x, s in positive:
             achieved = profile.survival(x)
@@ -261,27 +267,22 @@ class AttackProfile:
     itlb_range: tuple[int, int] = (1_000, 10_000)
 
     @classmethod
-    def for_variant(cls, variant: AttackVariant | str, **overrides) -> "AttackProfile":
+    def for_variant(cls, variant: AttackVariant | str) -> "AttackProfile":
         variant = AttackVariant(variant)
-        return cls(
-            variant=variant,
-            branch_metric_full=VARIANT_BRANCH_METRIC[variant],
-            **overrides,
-        )
+        return cls(variant=variant, branch_metric_full=VARIANT_BRANCH_METRIC[variant])
 
     @property
     def metric_slope(self) -> float:
         return (self.branch_metric_full - METRIC_INTERCEPT) / self.full_amplification
 
-    def branch_metric(self, amplification: int | None = None, pages: int = 0,
-                      dilution: DilutionModel | None = None) -> float:
+    def branch_metric(self, amplification: int | None = None, pages: int = 0) -> float:
         """Mean branch/iTLB metric at the given amplification and page count."""
         a = self.full_amplification if amplification is None else amplification
         if a < 1:
             raise ValueError("amplification must be >= 1")
         metric = METRIC_INTERCEPT + self.metric_slope * a
         if pages:
-            metric = (dilution or DilutionModel()).diluted_metric(metric, pages)
+            metric = DilutionModel().diluted_metric(metric, pages)
         return metric
 
     def md_reset_metric(self, amplification: int | None = None) -> float:
@@ -293,11 +294,9 @@ class AttackProfile:
         return BENIGN_MD_MEAN + (STL_ATTACK_MD_MEAN - BENIGN_MD_MEAN) * scale
 
 
-def _window_timestamps(n: int, samples_per_window: int, interval_ns: int, start_ns: int) -> np.ndarray:
-    idx = np.arange(n)
-    window = idx // samples_per_window
-    slot = idx % samples_per_window
-    return start_ns + window * interval_ns + slot * (interval_ns // samples_per_window)
+def _window_timestamps(n: int, samples_per_window: int) -> np.ndarray:
+    window, slot = np.divmod(np.arange(n), samples_per_window)
+    return window * DEFAULT_INTERVAL_NS + slot * (DEFAULT_INTERVAL_NS // samples_per_window)
 
 
 def _log_uniform_ints(rng: np.random.Generator, low: int, high: int, size: int) -> np.ndarray:
@@ -334,9 +333,7 @@ def generate_benign(
     n: int,
     seed,
     worker_id: str = "bench-0",
-    interval_ns: int = DEFAULT_INTERVAL_NS,
     samples_per_window: int = 1,
-    start_ns: int = 0,
 ) -> TraceBatch:
     """Draw n benign snapshots; one per window unless samples_per_window > 1."""
     if n < 1:
@@ -346,7 +343,7 @@ def generate_benign(
     itlb = _log_uniform_ints(rng, *profile.itlb_range, n)
     return _assemble_snapshots(
         worker_id=worker_id,
-        timestamps=_window_timestamps(n, samples_per_window, interval_ns, start_ns),
+        timestamps=_window_timestamps(n, samples_per_window),
         itlb=itlb,
         branch_metric=metric,
         branch_miss_metric=metric * rng.uniform(0.005, 0.04, n),
@@ -364,12 +361,8 @@ def generate_attack(
     pages: int = 0,
     n: int = 500,
     seed=0,
-    profile: AttackProfile | None = None,
-    dilution: DilutionModel | None = None,
     worker_id: str = "attack-0",
-    interval_ns: int = DEFAULT_INTERVAL_NS,
     samples_per_window: int = 1,
-    start_ns: int = 0,
 ) -> tuple[TraceBatch, BranchHistogram]:
     """Draw n attack snapshots plus one recorded misprediction histogram.
 
@@ -381,16 +374,16 @@ def generate_attack(
         raise ValueError("n must be >= 1")
     if pages < 0:
         raise ValueError("pages must be >= 0")
-    profile = profile or AttackProfile.for_variant(variant)
+    profile = AttackProfile.for_variant(variant)
     rng = np.random.default_rng(seed)
 
-    branch_mean = profile.branch_metric(amplification, pages, dilution)
+    branch_mean = profile.branch_metric(amplification, pages)
     md_mean = profile.md_reset_metric(amplification)
     metric = _lognormal_mean_preserving(rng, branch_mean, profile.rel_spread, n)
     itlb = _log_uniform_ints(rng, *profile.itlb_range, n)
     snapshots = _assemble_snapshots(
         worker_id=worker_id,
-        timestamps=_window_timestamps(n, samples_per_window, interval_ns, start_ns),
+        timestamps=_window_timestamps(n, samples_per_window),
         itlb=itlb,
         # attack loops rarely miss after mistraining settles; stays below benign
         branch_miss_metric=_lognormal_mean_preserving(rng, 8.0, 0.3, n),
@@ -407,46 +400,45 @@ def generate_attack(
 
 # --- misprediction histogram shapes -------------------------------------
 
+# TAIL_START * TAIL_DECAY**i with Python's float power: numpy's power differs
+# from it in the last bit for some i, which could move a rounded count.
+_ATTACK_TAIL = np.array([TAIL_START * TAIL_DECAY**i for i in range(ATTACK_TAIL_BRANCHES)])
+
+
 def _branch_addresses(rng: np.random.Generator, count: int) -> list[str]:
     # virtual-address-like opaque ids, 16-byte aligned inside a text segment
     offsets = rng.choice(1 << 20, size=count, replace=False)
-    return [f"0x{0x5600_0000_0000 + 16 * int(off):012x}" for off in offsets]
+    return [f"0x{address:012x}" for address in (0x5600_0000_0000 + 16 * offsets).tolist()]
 
 
-def make_attack_histogram(
-    rng: np.random.Generator,
-    tail_branches: int = 62,
-    delay_loop_mean: float = 1_200_000.0,
-    mistrain_ratio: float = 0.2,
-    tail_start: float = 30_000.0,
-    tail_decay: float = 0.85,
-    jitter_sigma: float = 0.08,
-) -> BranchHistogram:
+def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
     """Histogram of one attack run: geometric decay topped by the delay loop.
 
-    Rank 1 is the transient-window delay loop, rank 2 the mistrained bounds
-    check; the remainder is runtime scaffolding.
+    Rank 1 is the transient-window delay loop (mean ``DELAY_LOOP_MEAN``),
+    rank 2 the mistrained bounds check (``MISTRAIN_RATIO`` of it, always
+    below it); the remaining ``ATTACK_TAIL_BRANCHES`` are runtime
+    scaffolding decaying by ``TAIL_DECAY`` from ``TAIL_START``.  Counts
+    carry log-normal jitter of sigma ``JITTER_SIGMA``.
     """
-    ids = _branch_addresses(rng, tail_branches + 2)
-    jitter = np.exp(rng.normal(0.0, jitter_sigma, tail_branches + 2))
-    delay = max(2, int(round(delay_loop_mean * jitter[0])))
-    mistrain = int(round(delay_loop_mean * mistrain_ratio * jitter[1]))
+    ids = _branch_addresses(rng, ATTACK_TAIL_BRANCHES + 2)
+    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, ATTACK_TAIL_BRANCHES + 2))
+    delay = max(2, int(round(DELAY_LOOP_MEAN * jitter[0])))
+    mistrain = int(round(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[1]))
     mistrain = min(mistrain, delay - 1)  # the delay loop always ranks first
-    counts = [delay, max(1, mistrain)]
-    for i in range(tail_branches):
-        counts.append(max(1, int(round(tail_start * tail_decay**i * jitter[i + 2]))))
+    tail = np.maximum(1, np.rint(_ATTACK_TAIL * jitter[2:])).astype(np.int64)
+    counts = [delay, max(1, mistrain), *tail.tolist()]
     return BranchHistogram.from_entries(dict(zip(ids, counts)))
 
 
-def make_benign_histogram(
-    rng: np.random.Generator,
-    min_branches: int = 140,
-    max_branches: int = 400,
-    count_range: tuple[float, float] = (500.0, 20_000.0),
-) -> BranchHistogram:
-    """Broad, flat misprediction spread typical of large benign programs."""
-    n = int(rng.integers(min_branches, max_branches + 1))
+def make_benign_histogram(rng: np.random.Generator) -> BranchHistogram:
+    """Broad, flat misprediction spread typical of large benign programs.
+
+    ``BENIGN_MIN_BRANCHES``..``BENIGN_MAX_BRANCHES`` branches, each with a
+    log-uniform count over ``BENIGN_COUNT_RANGE``.
+    """
+    n = int(rng.integers(BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES + 1))
     ids = _branch_addresses(rng, n)
-    counts = np.exp(rng.uniform(math.log(count_range[0]), math.log(count_range[1]), n))
-    entries = {ids[i]: max(1, int(round(counts[i]))) for i in range(n)}
-    return BranchHistogram.from_entries(entries)
+    low, high = BENIGN_COUNT_RANGE
+    counts = np.exp(rng.uniform(math.log(low), math.log(high), n))
+    counts = np.maximum(1, np.rint(counts)).astype(np.int64)
+    return BranchHistogram.from_entries(dict(zip(ids, counts.tolist())))

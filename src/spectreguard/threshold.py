@@ -137,13 +137,7 @@ class EvasionCost:
     leakage_bits_per_hour: float
 
 
-def evasion_cost(
-    target_metric: float,
-    attack_profile: AttackProfile,
-    dilution: DilutionModel | None = None,
-    runtime_model: "_channel.RuntimeModel | None" = None,
-    requests_at_unit_amplification: int = _channel.UNIT_AMPLIFICATION_REQUESTS,
-) -> EvasionCost:
+def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> EvasionCost:
     """Both evasion routes for one attack profile and target ratio.
 
     Page inflation dilutes the full-strength attack below the target;
@@ -153,8 +147,7 @@ def evasion_cost(
     """
     if target_metric <= 0:
         raise ValueError("target_metric must be positive")
-    dilution = dilution or DilutionModel()
-    runtime_model = runtime_model or _channel.RuntimeModel.fit_reference()
+    dilution = DilutionModel()
 
     # metric(a) < target  <=>  a < (target - intercept)/slope
     slope = attack_profile.metric_slope
@@ -169,8 +162,8 @@ def evasion_cost(
     full_metric = attack_profile.branch_metric()
     pages = dilution.pages_to_reach(full_metric, target_metric)
 
-    requests = max(1, round(requests_at_unit_amplification / amplification))
-    estimate = _channel.leakage_rate(amplification, requests, runtime_model=runtime_model)
+    requests = max(1, round(_channel.UNIT_AMPLIFICATION_REQUESTS / amplification))
+    estimate = _channel.leakage_rate(amplification, requests)
     return EvasionCost(
         target_metric=target_metric,
         code_pages=pages,

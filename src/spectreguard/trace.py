@@ -548,7 +548,6 @@ _ROW_FORMAT = "{" + ",".join(f'"{wire}":%s' for wire, _field in _WIRE_KEYS) + "}
 def emit_trace(
     snapshots: TraceBatch | Iterable[CounterSnapshot],
     destination: str | Path | TextIO,
-    header: bool = True,
 ) -> int:
     """Write snapshots as canonical JSONL; returns the number of records.
 
@@ -559,8 +558,7 @@ def emit_trace(
     quoted = [json.dumps(name) for name in batch.names]
 
     def _write(handle: TextIO) -> int:
-        if header:
-            handle.write(f"# schema: {TRACE_SCHEMA}\n")
+        handle.write(f"# schema: {TRACE_SCHEMA}\n")
         handle.writelines(
             _ROW_FORMAT % (quoted[w], *row)
             for w, row in zip(batch.worker.tolist(), batch.counts.tolist())

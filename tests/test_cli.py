@@ -166,6 +166,16 @@ class TestKsCommand:
         assert payload["p"] == 1.0
         assert payload["suspect"] is True
 
+    @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1"])
+    def test_alpha_outside_unit_interval_is_input_error(self, tmp_path, capsys, alpha):
+        hist = tmp_path / "h.csv"
+        run("gen", "--profile", "pht", "--n", "5", "--out", str(tmp_path / "t.jsonl"),
+            "--histogram-out", str(hist))
+        assert run("ks", str(hist), str(hist), "--alpha", alpha) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha must be in (0, 1)" in captured.err
+
 
 class TestErrors:
     def test_missing_trace_is_input_error(self, tmp_path):
@@ -192,6 +202,29 @@ class TestErrors:
         assert run("channel", flag, value, "--out", str(tmp_path / "g.csv")) == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("config,key", [
+        ({"n_benign": 2.7}, "n_benign"),
+        ({"n_benign": True}, "n_benign"),
+        ({"n_attack": "1"}, "n_attack"),
+        ({"intervals": 0}, "intervals"),
+        ({"seed": 1.5}, "seed"),
+        ({"attack": {"pages": 12.9}}, "pages"),
+        ({"attack": {"amplification": "10"}}, "amplification"),
+        ({"attack": {"amplification": 0}}, "amplification"),
+        ({"attack": {"amplification": 10.0}}, "amplification"),
+        ({"baseline_rps": "1000"}, "baseline_rps"),
+        ({"detector": {"branch_per_itlb": float("nan")}}, "branch_per_itlb"),
+        ({"detector": {"alpha": True}}, "alpha"),
+        ({"detector": 5}, "detector"),
+        ({"attack": ["pht"]}, "attack"),
+    ])
+    def test_fleet_config_value_types(self, tmp_path, capsys, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_benign": 2, "intervals": 2, **config}))
+        assert run("fleet", "--config", str(path), "--out", str(tmp_path / "r.json")) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_histogram_gen_requires_attack_profile(self, tmp_path):
         assert run("gen", "--profile", "benign", "--n", "5",

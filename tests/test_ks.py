@@ -13,6 +13,7 @@ from spectreguard.ks import (
     EmptyHistogram,
     EmptySample,
     ExactModeTooLarge,
+    HistogramError,
     HistogramFormatError,
     classify_ks,
     ks_two_sample,
@@ -66,13 +67,14 @@ def oracle_exact_p(a, b):
 # --- histogram type ----------------------------------------------------------
 
 class TestBranchHistogram:
-    def test_total_is_sum(self):
-        hist = BranchHistogram.from_entries({"a": 3, "b": 7})
-        assert hist.total == 10
-
     def test_zero_count_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(HistogramError):
             BranchHistogram.from_entries({"a": 0})
+
+    @pytest.mark.parametrize("bad", [True, 3.0, -1])
+    def test_bad_count_names_first_bad_branch(self, bad):
+        with pytest.raises(HistogramError, match="branch 'b'"):
+            BranchHistogram.from_entries({"a": 4, "b": bad, "c": 0})
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyHistogram):
@@ -200,7 +202,18 @@ class TestHistogramCsv:
         with pytest.raises(HistogramFormatError):
             read_histogram_csv(path)
 
+    def test_duplicate_branch_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("branch_id,mispredictions\nb1,5\nb2,3\nb1,7\n")
+        with pytest.raises(HistogramFormatError, match="duplicate branch id 'b1'"):
+            read_histogram_csv(path)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("branch_id,mispredictions\nb1,5\nb2,2.5\n")
+        with pytest.raises(HistogramFormatError, match="'2.5' is not an integer"):
+            read_histogram_csv(path)
+
     def test_packaged_template_loads(self):
         template = load_default_template()
         assert len(template.entries) >= 2
-        assert template.total == sum(template.entries.values())

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,16 @@ from spectreguard.profiles import (
     make_attack_histogram,
     make_benign_histogram,
 )
+from spectreguard import cli
 from spectreguard.trace import fold_intervals, normalize
+
+DATA = Path(__file__).parent / "data"
+# Written before the histogram generators went to array operations:
+# `gen --profile pht --n 10 --seed 1729 --histogram-out`, and a sha256 over
+# json.dumps([benign.entries, attack.entries]) with both histograms drawn,
+# benign first, from default_rng(s) for s in 0..199.
+PINNED_HISTOGRAM = DATA / "pinned_histogram.csv"
+PINNED_ENTRIES_SHA256 = DATA / "histogram_entries.sha256"
 
 
 def branch_metrics(snapshots):
@@ -149,3 +162,18 @@ class TestHistogramGenerators:
         hist = make_benign_histogram(np.random.default_rng(0))
         assert len(hist.entries) >= 140
         assert min(hist.entries.values()) >= 1
+
+    def test_gen_histogram_bytes(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert cli.main(["gen", "--profile", "pht", "--n", "10", "--seed", "1729",
+                         "--out", str(tmp_path / "t.jsonl"), "--histogram-out", str(out)]) == 0
+        assert out.read_bytes() == PINNED_HISTOGRAM.read_bytes()
+
+    def test_entries_pinned_over_seeds(self):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            benign = make_benign_histogram(rng)
+            attack = make_attack_histogram(rng)
+            digest.update(json.dumps([benign.entries, attack.entries]).encode())
+        assert digest.hexdigest() == PINNED_ENTRIES_SHA256.read_text().strip()
