@@ -122,16 +122,24 @@ def _cmd_gen(args) -> int:
 # --- detect ------------------------------------------------------------------
 
 def _verdict_lines_threshold(trace_path, cfg, interval_ns):
-    for avg in fold_intervals(ingest_trace(trace_path), interval_ns):
-        verdict = threshold_mod.classify_threshold(avg, cfg)
+    folded = fold_intervals(ingest_trace(trace_path), interval_ns)
+    suspect, stl, value = threshold_mod.classify_intervals(folded, cfg)
+    rules = (
+        (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold),
+        (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold),
+    )
+    columns = (folded.worker, folded.window, suspect, stl, value)
+    for w, k, flagged, by_stl, v in zip(*(column.tolist() for column in columns)):
+        metric, threshold = rules[by_stl]
         yield _SORTED_JSON(
             {
-                "worker_id": avg.worker_id,
-                "window_start_ns": avg.window_start_ns,
-                "suspect": verdict.suspect,
-                "triggering_metric": verdict.triggering_metric,
-                "value": verdict.value,
-                "threshold": verdict.threshold,
+                "worker_id": folded.names[w],
+                # Python ints: k * interval_ns can leave the int64 range.
+                "window_start_ns": k * interval_ns,
+                "suspect": flagged,
+                "triggering_metric": metric,
+                "value": v,
+                "threshold": threshold,
             }
         )
 

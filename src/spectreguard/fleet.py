@@ -3,11 +3,13 @@
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
 throughput, not availability.  The simulator folds the whole fleet's counter
-trace into 1-second interval averages once, then walks the interval
-boundaries: at boundary i each worker, in name order, has its window i-1
-classified by the configured detector (a suspect verdict isolates it at that
-boundary) and then runs interval i's script executions and subsequent
-requests.  Isolation cost is accounted with an affine throughput/memory model.
+trace into 1-second interval averages and classifies every window once.
+Window i closes at interval boundary i+1, so a worker whose first suspect
+window is i is isolated there and runs every later interval isolated.  That
+one number per worker fixes the verdict order, the isolate and redirect
+timeline and a (worker x boundary) placement matrix, from which the series
+and the safety checks are read.  Isolation cost is accounted with an affine
+throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
 byte-identical reports.
@@ -15,9 +17,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -31,16 +31,11 @@ from .profiles import (
     make_attack_histogram,
     make_benign_histogram,
 )
-from .threshold import ThresholdConfig, classify_threshold
-from .trace import IntervalAverage, TraceBatch, fold_intervals
+from .threshold import ThresholdConfig, classify_intervals
+from .trace import TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
-
-
-class Placement(str, Enum):
-    SHARED = "shared"
-    ISOLATED = "isolated"
 
 
 @dataclass(frozen=True)
@@ -147,33 +142,6 @@ class FleetConfig:
             raise ValueError("intervals and executions_per_interval must be >= 1")
 
 
-@dataclass
-class WorkerRecord:
-    """Mutable per-tenant runtime state.
-
-    Placement only ever moves Shared -> Isolated; there is no de-isolation
-    rule, so staying isolated is the conservative reading.
-    """
-
-    worker_id: str
-    workload: Workload
-    histogram_rng: np.random.Generator
-    placement: Placement = Placement.SHARED
-    subsequent_requests: int = 0
-    flagged_at_interval: int | None = None
-    served_after_isolation: int = 0
-
-
-def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
-    if detector.kind == "threshold":
-        return classify_threshold(avg, detector.threshold).suspect
-    if isinstance(record.workload, BenignWorkload):
-        hist = make_benign_histogram(record.histogram_rng)
-    else:
-        hist = make_attack_histogram(record.histogram_rng)
-    return _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha).suspect
-
-
 @dataclass(frozen=True)
 class SeriesPoint:
     t_sec: int
@@ -240,10 +208,11 @@ class FleetReport:
         }
 
 
-def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
-    """The workers in name order and the fleet's trace, one worker after another.
+def _build_fleet(cfg: FleetConfig) -> tuple[TraceBatch, np.ndarray, list[np.random.Generator]]:
+    """The fleet's trace, one worker after another, and per worker its benign
+    flag and histogram generator.
 
-    A worker's code in the trace is its rank in name order.
+    A worker's code in the trace, and its index here, is its rank in name order.
     """
     profile = BenignProfile.default()
     n_samples = cfg.intervals * cfg.executions_per_interval
@@ -254,138 +223,131 @@ def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
     for i in range(cfg.n_benign):
         specs.append((f"worker-{i:03d}", BenignWorkload()))
 
-    workers: list[tuple[WorkerRecord, TraceBatch]] = []
+    workers = []
     children = np.random.SeedSequence(cfg.rng_seed).spawn(len(specs))
     for (worker_id, workload), child in zip(specs, children):
         trace_seed, hist_seed = child.spawn(2)
         shape = dict(n=n_samples, seed=trace_seed, worker_id=worker_id,
                      samples_per_window=cfg.executions_per_interval)
-        if isinstance(workload, BenignWorkload):
+        is_benign = isinstance(workload, BenignWorkload)
+        if is_benign:
             batch = generate_benign(profile, **shape)
         else:
             pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
             batch, _hist = generate_attack(
                 workload.variant, amplification=workload.amplification, pages=pages, **shape
             )
-        record = WorkerRecord(worker_id, workload, np.random.default_rng(hist_seed))
-        workers.append((record, batch))
-    workers.sort(key=lambda pair: pair[0].worker_id)
+        workers.append((worker_id, is_benign, np.random.default_rng(hist_seed), batch))
+    workers.sort(key=lambda worker: worker[0])
+    names, benign, histogram_rngs, batches = zip(*workers)
 
     fleet = TraceBatch(
-        tuple(record.worker_id for record, _batch in workers),
-        np.repeat(np.arange(len(workers)), n_samples),
-        np.concatenate([batch.counts for _record, batch in workers]),
+        names,
+        np.repeat(np.arange(len(names)), n_samples),
+        np.concatenate([batch.counts for batch in batches]),
     )
-    return [record for record, _batch in workers], fleet
+    return fleet, np.array(benign), list(histogram_rngs)
 
 
 def run_fleet(cfg: FleetConfig) -> FleetReport:
-    """Fold the fleet's trace, walk the interval boundaries, account costs."""
-    workers, trace = _build_workers(cfg)
-    # Windows are looked up by (window, worker), so the fold's emission
-    # order, and with it the order of workers in the trace, is immaterial.
+    """Classify the folded fleet once, derive isolations and costs from it."""
+    trace, benign, histogram_rngs = _build_fleet(cfg)
+    names, intervals = trace.names, cfg.intervals
+    n_workers = len(names)
     folded = fold_intervals(trace)
-    due = {
-        (window, avg.worker_id): avg
-        for window, avg in zip(folded.window.tolist(), folded)
-    }
-    subrequest_limit = cfg.detector.threshold.subrequest_limit
+    # Verdicts are reported by (interval, worker code).
+    order = np.lexsort((folded.worker, folded.window))
+    worker, window = folded.worker[order], folded.window[order]
+    if cfg.detector.kind == "threshold":
+        suspect = classify_intervals(folded, cfg.detector.threshold)[0][order]
+    else:
+        # Each window draws a histogram from its worker's own generator, in
+        # window order.
+        template = _ks.load_default_template()
+        suspect = np.array([
+            _ks.classify_ks(
+                (make_benign_histogram if benign[w] else make_attack_histogram)(histogram_rngs[w]),
+                template,
+                alpha=cfg.detector.alpha,
+            ).suspect
+            for w in worker.tolist()
+        ], dtype=bool)
 
-    verdicts: list[dict] = []
+    flags = np.zeros((n_workers, intervals), dtype=bool)
+    flags[worker, window] = suspect
+    # first[w]: the worker's first suspect window, or `intervals` if none.
+    first = np.where(flags.any(axis=1), flags.argmax(axis=1), intervals)
+    # isolated[w, b]: worker w runs isolated after boundary b.  A worker only
+    # ever moves from shared to isolated; there is no de-isolation rule.
+    isolated = np.zeros((n_workers, intervals + 1), dtype=bool)
+    isolated[:, 1:] = np.logical_or.accumulate(flags, axis=1)
+
+    # Subsequent requests past the limit are redirected, counted per boundary.
+    limit = cfg.detector.threshold.subrequest_limit
+    over = np.diff(np.maximum(cfg.subrequests_per_interval * np.arange(intervals + 1), limit))
+    first_at = first.tolist()
     timeline: list[dict] = []
-    benign_averages = benign_suspect_averages = 0
-    post_isolation_shared_events = 0
-    redirects = 0
-
-    for boundary in range(cfg.intervals + 1):
-        for record in workers:
-            # Settle the window that closed at this boundary before running
-            # the next interval, so a worker flagged here runs it isolated.
-            avg = due.get((boundary - 1, record.worker_id))
-            if avg is not None:
-                interval = boundary - 1
-                suspect = _is_suspect(cfg.detector, record, avg)
-                verdicts.append(
-                    {"interval": interval, "worker_id": record.worker_id, "suspect": suspect}
-                )
-                if isinstance(record.workload, BenignWorkload):
-                    benign_averages += 1
-                    benign_suspect_averages += suspect
-                if suspect and record.placement is Placement.SHARED:
-                    record.placement = Placement.ISOLATED
-                    record.flagged_at_interval = interval
-                    timeline.append(
-                        {"interval": interval, "worker_id": record.worker_id, "action": "isolate"}
-                    )
-            if boundary == cfg.intervals:
-                continue
-            if record.placement is Placement.ISOLATED:
-                record.served_after_isolation += cfg.executions_per_interval
-            elif record.flagged_at_interval is not None:
-                post_isolation_shared_events += cfg.executions_per_interval  # must stay 0
-            before = record.subsequent_requests
-            record.subsequent_requests += cfg.subrequests_per_interval
-            over = max(0, record.subsequent_requests - max(before, subrequest_limit))
+    for boundary, redirect in enumerate([*over.tolist(), 0]):
+        closed = boundary - 1  # the window that closed at this boundary
+        for w in range(n_workers) if redirect else np.flatnonzero(first == closed).tolist():
+            if first_at[w] == closed:
+                timeline.append({"interval": closed, "worker_id": names[w], "action": "isolate"})
             timeline.extend(
-                {"interval": -1, "worker_id": record.worker_id, "action": "redirect"}
-                for _ in range(over)
+                {"interval": -1, "worker_id": names[w], "action": "redirect"}
+                for _ in range(redirect)
             )
-            redirects += over
 
-    n_workers = len(workers)
-    benign_ids = {r.worker_id for r in workers if isinstance(r.workload, BenignWorkload)}
-    flagged = {r.worker_id: r.flagged_at_interval for r in workers if r.flagged_at_interval is not None}
-    latency = {
-        w: interval + 1  # windows close one interval after they start filling
-        for w, interval in flagged.items()
-        if w not in benign_ids
-    }
-
-    isolations_by_interval = Counter(flagged.values())
-    isolated_running = 0
-    series: list[SeriesPoint] = []
-    for interval in range(cfg.intervals):
-        isolated_running += isolations_by_interval[interval]
-        series.append(
-            SeriesPoint(
-                t_sec=interval + 1,
-                throughput_rps=cfg.cost_model.throughput_rps(
-                    cfg.baseline_rps, isolated_running, n_workers
-                ),
-                memory_bytes=cfg.cost_model.memory_bytes(
-                    cfg.worker_mem_bytes, isolated_running, n_workers
-                ),
-                isolated_count=isolated_running,
-            )
+    isolated_count = isolated.sum(axis=0).tolist()
+    series = tuple(
+        SeriesPoint(
+            t_sec=boundary,
+            throughput_rps=cfg.cost_model.throughput_rps(
+                cfg.baseline_rps, isolated_count[boundary], n_workers
+            ),
+            memory_bytes=cfg.cost_model.memory_bytes(
+                cfg.worker_mem_bytes, isolated_count[boundary], n_workers
+            ),
+            isolated_count=isolated_count[boundary],
         )
-
-    isolated_total = sum(1 for r in workers if r.placement is Placement.ISOLATED)
-    liveness_ok = all(
-        r.served_after_isolation > 0
-        for r in workers
-        if r.placement is Placement.ISOLATED and (r.flagged_at_interval or 0) < cfg.intervals - 1
+        for boundary in range(1, intervals + 1)
     )
+    # Intervals a flagged worker ran shared after its flag: must stay 0.
+    after_flag = first[:, None] < np.arange(intervals)
+    shared_after_flag = int(np.count_nonzero(~isolated[:, :-1] & after_flag))
+    # Every worker flagged before the last window ran isolated at least once.
+    liveness_ok = bool(isolated[:, :-1].any(axis=1)[first < intervals - 1].all())
 
+    flagged = first < intervals
+    benign_window = benign[worker]
+    benign_windows = int(np.count_nonzero(benign_window))
+    isolated_total = isolated_count[-1]
     return FleetReport(
         seed=cfg.rng_seed,
         mode=DEGRADED_MODE if isolated_total == n_workers else SELECTIVE_MODE,
         n_workers=n_workers,
         n_benign=cfg.n_benign,
         n_attack=cfg.n_attack,
-        intervals=cfg.intervals,
+        intervals=intervals,
         isolated_total=isolated_total,
-        benign_workers_flagged=sum(1 for w in flagged if w in benign_ids),
-        attack_workers_flagged=sum(1 for w in flagged if w not in benign_ids),
+        benign_workers_flagged=int(np.count_nonzero(flagged & benign)),
+        attack_workers_flagged=int(np.count_nonzero(flagged & ~benign)),
         benign_interval_fp_rate=(
-            benign_suspect_averages / benign_averages if benign_averages else 0.0
+            int(np.count_nonzero(suspect & benign_window)) / benign_windows
+            if benign_windows else 0.0
         ),
-        detection_latency_intervals=latency,
-        verdicts=tuple(verdicts),
+        # windows close one interval after they start filling
+        detection_latency_intervals={
+            names[w]: first_at[w] + 1 for w in np.flatnonzero(flagged & ~benign).tolist()
+        },
+        verdicts=tuple(
+            {"interval": k, "worker_id": names[w], "suspect": s}
+            for k, w, s in zip(window.tolist(), worker.tolist(), suspect.tolist())
+        ),
         timeline=tuple(timeline),
-        redirects=redirects,
-        post_isolation_shared_events=post_isolation_shared_events,
+        redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals - limit),
+        post_isolation_shared_events=cfg.executions_per_interval * shared_after_flag,
         liveness_ok=liveness_ok,
-        series=tuple(series),
+        series=series,
         baseline_rps=cfg.baseline_rps,
         detection_factor=1.0 - cfg.cost_model.detection_overhead_rel,
     )

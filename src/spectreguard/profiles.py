@@ -55,6 +55,22 @@ METRIC_INTERCEPT = METRIC_AT_AMP_1 - METRIC_SLOPE
 # variant when deriving per-variant slopes.
 FULL_AMPLIFICATION = 1318
 
+# Per-execution spread of the generated counters.  The attack metric is a
+# mean-preserving log-normal with ATTACK_REL_SPREAD around its mean.
+BENIGN_MD_SIGMA = 0.15
+BENIGN_ITLB_RANGE = (1_000, 100_000)
+ATTACK_REL_SPREAD = 0.05
+ATTACK_MD_SIGMA = 0.05
+ATTACK_ITLB_RANGE = (1_000, 10_000)
+
+# Code-page inflation for threshold evasion: each additionally touched code
+# page contributes one iTLB access and BRANCHES_PER_PAGE executed branches
+# per bit.  Calibrated so a full-strength PHT attack needs exactly 125 extra
+# pages (125 * 4 KiB = 500 KB of code) to push its ratio below 4096.
+PAGE_BYTES = 4096
+BRANCHES_PER_PAGE = 740.0
+ITLB_PER_BIT = 1.0
+
 BENIGN_SURVIVAL_TARGETS: dict[float, float] = {
     1024.0: 0.2141,
     4096.0: 0.0061,
@@ -96,41 +112,25 @@ VARIANT_BRANCH_METRIC = {
 }
 
 
-@dataclass(frozen=True)
-class DilutionModel:
-    """Code-page inflation model for threshold evasion.
+def diluted_metric(metric: float, pages: int) -> float:
+    """Branch/iTLB metric after touching ``pages`` extra code pages."""
+    if pages < 0:
+        raise ValueError("pages must be >= 0")
+    return (metric * ITLB_PER_BIT + pages * BRANCHES_PER_PAGE) / (ITLB_PER_BIT + pages)
 
-    Each additionally touched code page contributes one iTLB access and a
-    small number of executed branches per bit.  Defaults are calibrated so a
-    full-strength PHT attack needs exactly 125 extra pages (125 * 4 KiB =
-    500 KB of code) to push its ratio below the 4096 threshold.
+
+def pages_to_reach(metric: float, target: float) -> int | None:
+    """Minimum page count with diluted metric strictly below target.
+
+    Returns None when dilution cannot reach the target (the per-page
+    branch cost already meets or exceeds it).
     """
-
-    page_bytes: int = 4096
-    branches_per_page: float = 740.0
-    itlb_per_bit: float = 1.0
-
-    def diluted_metric(self, metric: float, pages: int) -> float:
-        if pages < 0:
-            raise ValueError("pages must be >= 0")
-        t = self.itlb_per_bit
-        return (metric * t + pages * self.branches_per_page) / (t + pages)
-
-    def pages_to_reach(self, metric: float, target: float) -> int | None:
-        """Minimum page count with diluted metric strictly below target.
-
-        Returns None when dilution cannot reach the target (the per-page
-        branch cost already meets or exceeds it).
-        """
-        if metric < target:
-            return 0
-        if self.branches_per_page >= target:
-            return None
-        bound = (metric - target) * self.itlb_per_bit / (target - self.branches_per_page)
-        return math.floor(bound) + 1
-
-    def code_bytes(self, pages: int) -> int:
-        return pages * self.page_bytes
+    if metric < target:
+        return 0
+    if BRANCHES_PER_PAGE >= target:
+        return None
+    bound = (metric - target) * ITLB_PER_BIT / (target - BRANCHES_PER_PAGE)
+    return math.floor(bound) + 1
 
 
 def _lognormal_mean_preserving(
@@ -150,9 +150,6 @@ class BenignProfile:
     tail_sigma: float
     tail_weight: float
     upper_cutoff: float
-    md_reset_mean: float = BENIGN_MD_MEAN
-    md_reset_sigma: float = 0.15
-    itlb_range: tuple[int, int] = (1_000, 100_000)
 
     @classmethod
     def calibrate(cls, targets: dict[float, float] | None = None) -> "BenignProfile":
@@ -261,10 +258,6 @@ class AttackProfile:
 
     variant: AttackVariant
     branch_metric_full: float
-    full_amplification: int = FULL_AMPLIFICATION
-    rel_spread: float = 0.05
-    md_sigma: float = 0.05
-    itlb_range: tuple[int, int] = (1_000, 10_000)
 
     @classmethod
     def for_variant(cls, variant: AttackVariant | str) -> "AttackProfile":
@@ -273,24 +266,22 @@ class AttackProfile:
 
     @property
     def metric_slope(self) -> float:
-        return (self.branch_metric_full - METRIC_INTERCEPT) / self.full_amplification
+        return (self.branch_metric_full - METRIC_INTERCEPT) / FULL_AMPLIFICATION
 
     def branch_metric(self, amplification: int | None = None, pages: int = 0) -> float:
         """Mean branch/iTLB metric at the given amplification and page count."""
-        a = self.full_amplification if amplification is None else amplification
+        a = FULL_AMPLIFICATION if amplification is None else amplification
         if a < 1:
             raise ValueError("amplification must be >= 1")
         metric = METRIC_INTERCEPT + self.metric_slope * a
-        if pages:
-            metric = DilutionModel().diluted_metric(metric, pages)
-        return metric
+        return diluted_metric(metric, pages) if pages else metric
 
     def md_reset_metric(self, amplification: int | None = None) -> float:
         """Mean history-reset metric; only the STL variant drives it above benign."""
         if self.variant is not AttackVariant.STL:
             return BENIGN_MD_MEAN
-        a = self.full_amplification if amplification is None else amplification
-        scale = min(1.0, a / self.full_amplification)
+        a = FULL_AMPLIFICATION if amplification is None else amplification
+        scale = min(1.0, a / FULL_AMPLIFICATION)
         return BENIGN_MD_MEAN + (STL_ATTACK_MD_MEAN - BENIGN_MD_MEAN) * scale
 
 
@@ -340,7 +331,7 @@ def generate_benign(
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     metric = profile.sample_branch_metric(rng, n)
-    itlb = _log_uniform_ints(rng, *profile.itlb_range, n)
+    itlb = _log_uniform_ints(rng, *BENIGN_ITLB_RANGE, n)
     return _assemble_snapshots(
         worker_id=worker_id,
         timestamps=_window_timestamps(n, samples_per_window),
@@ -351,7 +342,7 @@ def generate_benign(
         cache_miss_ratio=rng.uniform(0.05, 0.30, n),
         l1d_metric=_lognormal_mean_preserving(rng, 300.0, 0.5, n),
         l1d_miss_ratio=rng.uniform(0.01, 0.10, n),
-        md_metric=_lognormal_mean_preserving(rng, profile.md_reset_mean, profile.md_reset_sigma, n),
+        md_metric=_lognormal_mean_preserving(rng, BENIGN_MD_MEAN, BENIGN_MD_SIGMA, n),
     )
 
 
@@ -379,8 +370,8 @@ def generate_attack(
 
     branch_mean = profile.branch_metric(amplification, pages)
     md_mean = profile.md_reset_metric(amplification)
-    metric = _lognormal_mean_preserving(rng, branch_mean, profile.rel_spread, n)
-    itlb = _log_uniform_ints(rng, *profile.itlb_range, n)
+    metric = _lognormal_mean_preserving(rng, branch_mean, ATTACK_REL_SPREAD, n)
+    itlb = _log_uniform_ints(rng, *ATTACK_ITLB_RANGE, n)
     snapshots = _assemble_snapshots(
         worker_id=worker_id,
         timestamps=_window_timestamps(n, samples_per_window),
@@ -392,7 +383,7 @@ def generate_attack(
         cache_miss_ratio=rng.uniform(0.05, 0.20, n),
         l1d_metric=_lognormal_mean_preserving(rng, 600.0, 0.4, n),
         l1d_miss_ratio=rng.uniform(0.02, 0.10, n),
-        md_metric=_lognormal_mean_preserving(rng, md_mean, profile.md_sigma, n),
+        md_metric=_lognormal_mean_preserving(rng, md_mean, ATTACK_MD_SIGMA, n),
     )
     histogram = make_attack_histogram(rng)
     return snapshots, histogram

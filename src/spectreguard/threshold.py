@@ -7,8 +7,11 @@ below the branch threshold but drives the memory-disambiguation history-reset
 counter far above ordinary workloads.
 
 Rules are OR-ed, branch rule first, so the triggering metric is
-deterministic.  Flagging costs isolation, not termination, which is why a
-sub-percent false-positive rate is acceptable.
+deterministic.  ``classify_intervals`` applies them to every window of an
+``IntervalBatch`` at once; ``detect`` and the fleet simulator use it.
+``classify_threshold`` classifies one ``IntervalAverage`` and is the
+reference the column form is tested against.  Flagging costs isolation, not
+termination, which is why a sub-percent false-positive rate is acceptable.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from . import channel as _channel
 from .profiles import (
     BENIGN_MD_MEAN,
     METRIC_INTERCEPT,
+    PAGE_BYTES,
     STL_ATTACK_MD_MEAN,
     AttackProfile,
-    DilutionModel,
+    pages_to_reach,
 )
 
 BRANCH_THRESHOLD_DEFAULT = 4096.0
@@ -55,8 +59,9 @@ class ThresholdConfig:
 
     def __post_init__(self):
         # 0 is allowed: it degrades the fleet to strict process isolation.
-        if self.branch_per_itlb_threshold < 0 or self.stl_reset_threshold < 0:
-            raise ValueError("thresholds must be >= 0")
+        # `not >= 0` also rejects NaN, which would switch a rule off silently.
+        if not (self.branch_per_itlb_threshold >= 0 and self.stl_reset_threshold >= 0):
+            raise ValueError("thresholds must be >= 0, not NaN")
         if self.subrequest_limit < 1:
             raise ValueError("subrequest_limit must be >= 1")
 
@@ -95,6 +100,22 @@ def classify_threshold(avg: IntervalAverage, cfg: ThresholdConfig) -> ThresholdV
     )
 
 
+def classify_intervals(
+    batch: IntervalBatch, cfg: ThresholdConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``classify_threshold`` over every window of a batch, as columns.
+
+    Returns (suspect, stl, value): whether each window is flagged, whether
+    the STL rule flagged it (the branch rule is checked first), and the
+    triggering value, which is the branch metric unless the STL rule fired.
+    """
+    branch = batch.metric("branch_instructions")
+    md = batch.metric("mem_disambiguation_resets")
+    branch_hit = branch >= cfg.branch_per_itlb_threshold
+    stl = ~branch_hit & (md >= cfg.stl_reset_threshold)
+    return branch_hit | stl, stl, np.where(stl, md, branch)
+
+
 def sweep_thresholds(
     benign_averages: IntervalBatch | Sequence[IntervalAverage],
     thresholds: Sequence[float],
@@ -108,8 +129,10 @@ def sweep_thresholds(
     if len(benign_averages) == 0:
         raise EmptyPopulation("benign population is empty")
     thresholds = list(thresholds)
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly ascending")
+    if any(math.isnan(t) for t in thresholds) or any(
+        b <= a for a, b in zip(thresholds, thresholds[1:])
+    ):
+        raise ValueError("thresholds must be strictly ascending numbers, not NaN")
     if isinstance(benign_averages, IntervalBatch):
         branch = benign_averages.metric("branch_instructions")
     else:
@@ -147,8 +170,6 @@ def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> Evasion
     """
     if target_metric <= 0:
         raise ValueError("target_metric must be positive")
-    dilution = DilutionModel()
-
     # metric(a) < target  <=>  a < (target - intercept)/slope
     slope = attack_profile.metric_slope
     bound = (target_metric - METRIC_INTERCEPT) / slope
@@ -160,14 +181,14 @@ def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> Evasion
         )
 
     full_metric = attack_profile.branch_metric()
-    pages = dilution.pages_to_reach(full_metric, target_metric)
+    pages = pages_to_reach(full_metric, target_metric)
 
     requests = max(1, round(_channel.UNIT_AMPLIFICATION_REQUESTS / amplification))
     estimate = _channel.leakage_rate(amplification, requests)
     return EvasionCost(
         target_metric=target_metric,
         code_pages=pages,
-        code_bytes=None if pages is None else dilution.code_bytes(pages),
+        code_bytes=None if pages is None else pages * PAGE_BYTES,
         amplification=amplification,
         requests_per_bit=requests,
         leakage_bits_per_hour=estimate.bits_per_hour,

@@ -1,0 +1,213 @@
+"""Reference fleet simulator: one mutable record per worker, one boundary loop.
+
+This is the per-worker state machine that ``spectreguard.fleet.run_fleet``
+replaced with a single classification of the folded fleet.  It walks the
+interval boundaries; at boundary i each worker, in name order, has its
+window i-1 classified (a suspect verdict isolates it there) and then runs
+interval i's executions and subsequent requests.  Tests require both
+simulators to give equal reports.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from spectreguard import ks as _ks
+from spectreguard.fleet import (
+    DEGRADED_MODE,
+    SELECTIVE_MODE,
+    BenignWorkload,
+    DetectorSpec,
+    EvasiveWorkload,
+    FleetConfig,
+    FleetReport,
+    SeriesPoint,
+    Workload,
+)
+from spectreguard.profiles import (
+    BenignProfile,
+    generate_attack,
+    generate_benign,
+    make_attack_histogram,
+    make_benign_histogram,
+)
+from spectreguard.threshold import classify_threshold
+from spectreguard.trace import IntervalAverage, TraceBatch, fold_intervals
+
+
+class Placement(str, Enum):
+    SHARED = "shared"
+    ISOLATED = "isolated"
+
+
+@dataclass
+class WorkerRecord:
+    """Mutable per-tenant runtime state; placement only moves Shared -> Isolated."""
+
+    worker_id: str
+    workload: Workload
+    histogram_rng: np.random.Generator
+    placement: Placement = Placement.SHARED
+    subsequent_requests: int = 0
+    flagged_at_interval: int | None = None
+    served_after_isolation: int = 0
+
+
+def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
+    if detector.kind == "threshold":
+        return classify_threshold(avg, detector.threshold).suspect
+    if isinstance(record.workload, BenignWorkload):
+        hist = make_benign_histogram(record.histogram_rng)
+    else:
+        hist = make_attack_histogram(record.histogram_rng)
+    return _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha).suspect
+
+
+def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
+    """The workers in name order and the fleet's trace, one worker after another."""
+    profile = BenignProfile.default()
+    n_samples = cfg.intervals * cfg.executions_per_interval
+
+    specs: list[tuple[str, Workload]] = []
+    for i in range(cfg.n_attack):
+        specs.append((f"attack-{i:03d}", cfg.attack))
+    for i in range(cfg.n_benign):
+        specs.append((f"worker-{i:03d}", BenignWorkload()))
+
+    workers: list[tuple[WorkerRecord, TraceBatch]] = []
+    children = np.random.SeedSequence(cfg.rng_seed).spawn(len(specs))
+    for (worker_id, workload), child in zip(specs, children):
+        trace_seed, hist_seed = child.spawn(2)
+        shape = dict(n=n_samples, seed=trace_seed, worker_id=worker_id,
+                     samples_per_window=cfg.executions_per_interval)
+        if isinstance(workload, BenignWorkload):
+            batch = generate_benign(profile, **shape)
+        else:
+            pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
+            batch, _hist = generate_attack(
+                workload.variant, amplification=workload.amplification, pages=pages, **shape
+            )
+        record = WorkerRecord(worker_id, workload, np.random.default_rng(hist_seed))
+        workers.append((record, batch))
+    workers.sort(key=lambda pair: pair[0].worker_id)
+
+    fleet = TraceBatch(
+        tuple(record.worker_id for record, _batch in workers),
+        np.repeat(np.arange(len(workers)), n_samples),
+        np.concatenate([batch.counts for _record, batch in workers]),
+    )
+    return [record for record, _batch in workers], fleet
+
+
+def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
+    """Fold the fleet's trace, walk the interval boundaries, account costs."""
+    workers, trace = _build_workers(cfg)
+    folded = fold_intervals(trace)
+    due = {
+        (window, avg.worker_id): avg
+        for window, avg in zip(folded.window.tolist(), folded)
+    }
+    subrequest_limit = cfg.detector.threshold.subrequest_limit
+
+    verdicts: list[dict] = []
+    timeline: list[dict] = []
+    benign_averages = benign_suspect_averages = 0
+    post_isolation_shared_events = 0
+    redirects = 0
+
+    for boundary in range(cfg.intervals + 1):
+        for record in workers:
+            # Settle the window that closed at this boundary before running
+            # the next interval, so a worker flagged here runs it isolated.
+            avg = due.get((boundary - 1, record.worker_id))
+            if avg is not None:
+                interval = boundary - 1
+                suspect = _is_suspect(cfg.detector, record, avg)
+                verdicts.append(
+                    {"interval": interval, "worker_id": record.worker_id, "suspect": suspect}
+                )
+                if isinstance(record.workload, BenignWorkload):
+                    benign_averages += 1
+                    benign_suspect_averages += suspect
+                if suspect and record.placement is Placement.SHARED:
+                    record.placement = Placement.ISOLATED
+                    record.flagged_at_interval = interval
+                    timeline.append(
+                        {"interval": interval, "worker_id": record.worker_id, "action": "isolate"}
+                    )
+            if boundary == cfg.intervals:
+                continue
+            if record.placement is Placement.ISOLATED:
+                record.served_after_isolation += cfg.executions_per_interval
+            elif record.flagged_at_interval is not None:
+                post_isolation_shared_events += cfg.executions_per_interval
+            before = record.subsequent_requests
+            record.subsequent_requests += cfg.subrequests_per_interval
+            over = max(0, record.subsequent_requests - max(before, subrequest_limit))
+            timeline.extend(
+                {"interval": -1, "worker_id": record.worker_id, "action": "redirect"}
+                for _ in range(over)
+            )
+            redirects += over
+
+    n_workers = len(workers)
+    benign_ids = {r.worker_id for r in workers if isinstance(r.workload, BenignWorkload)}
+    flagged = {r.worker_id: r.flagged_at_interval for r in workers if r.flagged_at_interval is not None}
+    latency = {
+        w: interval + 1  # windows close one interval after they start filling
+        for w, interval in flagged.items()
+        if w not in benign_ids
+    }
+
+    isolations_by_interval = Counter(flagged.values())
+    isolated_running = 0
+    series: list[SeriesPoint] = []
+    for interval in range(cfg.intervals):
+        isolated_running += isolations_by_interval[interval]
+        series.append(
+            SeriesPoint(
+                t_sec=interval + 1,
+                throughput_rps=cfg.cost_model.throughput_rps(
+                    cfg.baseline_rps, isolated_running, n_workers
+                ),
+                memory_bytes=cfg.cost_model.memory_bytes(
+                    cfg.worker_mem_bytes, isolated_running, n_workers
+                ),
+                isolated_count=isolated_running,
+            )
+        )
+
+    isolated_total = sum(1 for r in workers if r.placement is Placement.ISOLATED)
+    liveness_ok = all(
+        r.served_after_isolation > 0
+        for r in workers
+        if r.placement is Placement.ISOLATED and (r.flagged_at_interval or 0) < cfg.intervals - 1
+    )
+
+    return FleetReport(
+        seed=cfg.rng_seed,
+        mode=DEGRADED_MODE if isolated_total == n_workers else SELECTIVE_MODE,
+        n_workers=n_workers,
+        n_benign=cfg.n_benign,
+        n_attack=cfg.n_attack,
+        intervals=cfg.intervals,
+        isolated_total=isolated_total,
+        benign_workers_flagged=sum(1 for w in flagged if w in benign_ids),
+        attack_workers_flagged=sum(1 for w in flagged if w not in benign_ids),
+        benign_interval_fp_rate=(
+            benign_suspect_averages / benign_averages if benign_averages else 0.0
+        ),
+        detection_latency_intervals=latency,
+        verdicts=tuple(verdicts),
+        timeline=tuple(timeline),
+        redirects=redirects,
+        post_isolation_shared_events=post_isolation_shared_events,
+        liveness_ok=liveness_ok,
+        series=tuple(series),
+        baseline_rps=cfg.baseline_rps,
+        detection_factor=1.0 - cfg.cost_model.detection_overhead_rel,
+    )

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from spectreguard import cli
-from spectreguard.trace import ingest_trace
+from spectreguard.threshold import ThresholdConfig, classify_threshold
+from spectreguard.trace import fold_intervals, ingest_trace
 
 
 PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
@@ -99,6 +100,55 @@ class TestPinnedArtifacts:
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--trace", str(PINNED_TRACE), "--out", str(out)) == 0
         assert out.read_bytes() == PINNED_SWEEP.encode()
+
+
+def trace_line(worker_id, ts_ns, itlb, br_insn, md_reset):
+    record = {"worker_id": worker_id, "ts_ns": ts_ns, "itlb": itlb, "br_insn": br_insn,
+              "br_miss": 0, "llc_ref": 0, "llc_miss": 0, "l1d_acc": 0, "l1d_miss": 0,
+              "md_reset": md_reset}
+    return json.dumps(record) + "\n"
+
+
+# Escaped and non-ASCII worker names, and timestamps at both int64 ends.
+EDGE_TRACE = "".join([
+    trace_line('q"uote\\back', -(2**63), 3, 10, 7),
+    trace_line('q"uote\\back', -(2**63) + 5, 7, 40_000, 7),
+    trace_line("\u65e5\u672c-\U0001f600", 2**63 - 1, 1, 4096, 99_999),
+    trace_line("tab\tname", 0, 2, 1, 1),
+    trace_line("tab\tname", 2**63 - 1, 3, 12_288, 1),
+])
+
+
+class TestDetectLines:
+    """detect's column path writes what the per-window objects would."""
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--threshold", "inf"], ["--interval-ns", "7"], ["--stl-threshold", "0"],
+    ])
+    def test_lines_equal_per_window_encoding(self, tmp_path, extra):
+        trace = tmp_path / "edge.jsonl"
+        trace.write_text(EDGE_TRACE, encoding="utf-8")
+        out = tmp_path / "v.jsonl"
+        assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
+
+        args = dict(zip(extra[::2], extra[1::2]))
+        cfg = ThresholdConfig(
+            branch_per_itlb_threshold=float(args.get("--threshold", 4096.0)),
+            stl_reset_threshold=float(args.get("--stl-threshold", ThresholdConfig().stl_reset_threshold)),
+        )
+        expected = ["# schema: verdicts-v1"]
+        for avg in fold_intervals(ingest_trace(trace), int(args.get("--interval-ns", 10**9))):
+            verdict = classify_threshold(avg, cfg)
+            expected.append(cli._SORTED_JSON({
+                "worker_id": avg.worker_id,
+                "window_start_ns": avg.window_start_ns,
+                "suspect": verdict.suspect,
+                "triggering_metric": verdict.triggering_metric,
+                "value": verdict.value,
+                "threshold": verdict.threshold,
+            }))
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+        assert len(expected) == 1 + (5 if "--interval-ns" in args else 4)
 
 
 class TestSweep:
@@ -225,6 +275,18 @@ class TestErrors:
         assert run("fleet", "--config", str(path), "--out", str(tmp_path / "r.json")) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--threshold", "nan"],
+        ["detect", "--stl-threshold", "nan"],
+        ["sweep", "--thresholds", "1,nan,2"],
+        ["sweep", "--thresholds", "nan"],
+    ])
+    def test_nan_threshold_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--trace", str(PINNED_TRACE), "--out", str(out)) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_histogram_gen_requires_attack_profile(self, tmp_path):
         assert run("gen", "--profile", "benign", "--n", "5",

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from fleet_reference import run_fleet_reference
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
+    AttackWorkload,
     DetectorSpec,
     EvasiveWorkload,
     FleetConfig,
@@ -174,6 +176,53 @@ class TestRunFleet:
         n = cfg.n_benign * cfg.intervals
         se = (predicted * (1 - predicted) / n) ** 0.5
         assert abs(report.benign_interval_fp_rate - predicted) <= 2 * se + 1e-9
+
+
+def oracle_fleet(kind="threshold", limit=10_000, executions=2, branch=4096.0, **overrides):
+    # 3 subsequent requests per worker per interval: 12 per worker in all.
+    # At amplification 12 the attack metric sits near 4096, so its first
+    # suspect window varies between attack workers.
+    fields = dict(
+        n_benign=6,
+        n_attack=3,
+        intervals=4,
+        executions_per_interval=executions,
+        subrequests_per_interval=3,
+        rng_seed=31 + executions,
+        attack=AttackWorkload(amplification=12),
+        detector=DetectorSpec(
+            kind=kind,
+            threshold=ThresholdConfig(branch_per_itlb_threshold=branch, subrequest_limit=limit),
+        ),
+    )
+    return FleetConfig(**{**fields, **overrides})
+
+
+ORACLE_GRID = [
+    *(
+        pytest.param(oracle_fleet(kind, limit, executions),
+                     id=f"{kind}-limit{limit}-executions{executions}")
+        for kind in ("threshold", "ks")
+        for limit in (1, 11, 12, 13)  # 1, below, equal to and above the total
+        for executions in (1, 3)
+    ),
+    pytest.param(oracle_fleet(branch=0.0, limit=7), id="degraded"),
+    pytest.param(oracle_fleet(branch=1024.0, limit=7), id="benign-false-positives"),
+    pytest.param(oracle_fleet(attack=EvasiveWorkload(pages=130)), id="evasive-threshold"),
+    pytest.param(oracle_fleet("ks", attack=EvasiveWorkload(pages=130)), id="evasive-ks"),
+    pytest.param(oracle_fleet(n_benign=1001, intervals=2, executions_per_interval=1, limit=5),
+                 id="threshold-1004-workers"),
+    pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions_per_interval=1),
+                 id="ks-1004-workers"),
+]
+
+
+class TestReferenceLoop:
+    """run_fleet against the per-worker boundary loop it replaced."""
+
+    @pytest.mark.parametrize("cfg", ORACLE_GRID)
+    def test_reports_equal(self, cfg):
+        assert run_fleet(cfg).to_json_dict() == run_fleet_reference(cfg).to_json_dict()
 
 
 class TestConfigValidation:

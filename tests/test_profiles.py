@@ -19,11 +19,11 @@ from spectreguard.profiles import (
     AttackVariant,
     BenignProfile,
     CalibrationInfeasible,
-    DilutionModel,
     generate_attack,
     generate_benign,
     make_attack_histogram,
     make_benign_histogram,
+    pages_to_reach,
 )
 from spectreguard import cli
 from spectreguard.trace import fold_intervals, normalize
@@ -99,7 +99,7 @@ class TestAttackMetricLaw:
     def test_dilution_anchor(self):
         pht = AttackProfile.for_variant("pht")
         assert pht.branch_metric(pages=125) < 4096.0
-        assert DilutionModel().pages_to_reach(pht.branch_metric(), 4096.0) == 125
+        assert pages_to_reach(pht.branch_metric(), 4096.0) == 125
 
     def test_md_metric_only_for_stl(self):
         assert AttackProfile.for_variant("stl").md_reset_metric() == pytest.approx(

@@ -4,23 +4,29 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spectreguard.profiles import (
     BENIGN_MD_MEAN,
     STL_ATTACK_MD_MEAN,
     AttackProfile,
-    DilutionModel,
+    diluted_metric,
+    pages_to_reach,
 )
 from spectreguard.threshold import (
+    BRANCH_METRIC_NAME,
+    STL_METRIC_NAME,
     EmptyPopulation,
     ThresholdConfig,
     UnreachableTarget,
+    classify_intervals,
     classify_threshold,
     evasion_cost,
     sweep_thresholds,
 )
-from spectreguard.trace import IntervalAverage, NormalizedMetrics
+from spectreguard.trace import METRIC_FIELDS, IntervalAverage, IntervalBatch, NormalizedMetrics
 
 
 def make_avg(branch=100.0, md=100.0, worker="w0", window=0):
@@ -55,6 +61,12 @@ class TestThresholdConfig:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             ThresholdConfig(branch_per_itlb_threshold=-1.0)
+
+    @pytest.mark.parametrize("field", ["branch_per_itlb_threshold", "stl_reset_threshold"])
+    def test_nan_threshold_rejected(self, field):
+        # NaN compares false with every value, so it would switch its rule off
+        with pytest.raises(ValueError):
+            ThresholdConfig(**{field: math.nan})
 
 
 class TestClassify:
@@ -93,6 +105,71 @@ class TestClassify:
         assert not low.suspect and high.suspect
 
 
+def batch_of(rows):
+    """An IntervalBatch of (branch, md) window means, other metrics fixed."""
+    means = np.ones((len(rows), len(METRIC_FIELDS)))
+    means[:, METRIC_FIELDS.index("branch_instructions")] = [b for b, _md in rows]
+    means[:, METRIC_FIELDS.index("mem_disambiguation_resets")] = [md for _b, md in rows]
+    n = len(rows)
+    return IntervalBatch(
+        names=("w0",),
+        worker=np.zeros(n, dtype=np.intp),
+        window=np.arange(n),
+        interval_ns=1,
+        sample_count=np.ones(n, dtype=np.int64),
+        means=means,
+        dropped_zero_itlb=0,
+    )
+
+
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, math.inf, 4096.0, 4877.155802862976]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+@st.composite
+def windows_and_config(draw):
+    cfg = ThresholdConfig(
+        branch_per_itlb_threshold=draw(THRESHOLDS), stl_reset_threshold=draw(THRESHOLDS)
+    )
+    # values at, just below and just above each threshold, plus free draws
+    near = [
+        v
+        for t in (cfg.branch_per_itlb_threshold, cfg.stl_reset_threshold)
+        for v in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))
+    ]
+    value = st.one_of(st.sampled_from(near), st.floats(min_value=0.0, max_value=1e7))
+    rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=20))
+    return rows, cfg
+
+
+class TestClassifyIntervals:
+    """The column classify against the per-window oracle classify_threshold."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(windows_and_config())
+    # exactly at both thresholds; thresholds 0 and inf; STL rule only
+    @example(([(4096.0, 4877.155802862976)], ThresholdConfig()))
+    @example(([(0.0, 0.0), (5.0, 1.0)], ThresholdConfig(0.0, 0.0)))
+    @example(([(1e300, 1e300)], ThresholdConfig(math.inf, math.inf)))
+    @example(([(982.2, 8993.98), (982.2, 10.0)], ThresholdConfig()))
+    def test_matches_classify_threshold_on_every_row(self, case):
+        rows, cfg = case
+        batch = batch_of(rows)
+        suspect, stl, value = classify_intervals(batch, cfg)
+        for i, avg in enumerate(batch):
+            oracle = classify_threshold(avg, cfg)
+            metric = STL_METRIC_NAME if stl[i] else BRANCH_METRIC_NAME
+            threshold = cfg.stl_reset_threshold if stl[i] else cfg.branch_per_itlb_threshold
+            assert (bool(suspect[i]), metric, float(value[i]), threshold) == (
+                oracle.suspect,
+                oracle.triggering_metric,
+                oracle.value,
+                oracle.threshold,
+            )
+
+
 class TestSweep:
     def test_population_below_min_threshold(self):
         avgs = [make_avg(branch=b) for b in (10.0, 20.0, 30.0)]
@@ -121,6 +198,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_thresholds([make_avg()], [2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "thresholds", [[1.0, math.nan, 2.0], [math.nan], [math.nan, 1.0], [1.0, math.nan]]
+    )
+    def test_nan_thresholds_rejected(self, thresholds):
+        with pytest.raises(ValueError):
+            sweep_thresholds([make_avg()], thresholds)
+
 
 class TestEvasion:
     def test_page_inflation_anchor(self):
@@ -144,11 +228,10 @@ class TestEvasion:
             evasion_cost(500.0, AttackProfile.for_variant("pht"))
 
     def test_dilution_model_boundaries(self):
-        model = DilutionModel()
         full = AttackProfile.for_variant("pht").branch_metric()
-        assert model.diluted_metric(full, 125) < 4096.0
-        assert model.diluted_metric(full, 124) >= 4096.0
+        assert diluted_metric(full, 125) < 4096.0
+        assert diluted_metric(full, 124) >= 4096.0
 
     def test_dilution_cannot_pass_per_page_cost(self):
-        model = DilutionModel(branches_per_page=740.0)
-        assert model.pages_to_reach(423171.54, 700.0) is None
+        # each page adds 740 branches per iTLB access
+        assert pages_to_reach(423171.54, 700.0) is None
