@@ -8,7 +8,9 @@ compares two histogram files.
 
 Every command is pure given its inputs and ``--seed`` (default 1729, never
 wall-clock entropy); artifacts are written atomically (temp file + rename)
-and start with a ``# schema: <name>-v1`` header line.
+and start with a ``# schema: <name>-v1`` header line, except the fleet
+report: a JSON object whose ``schema`` is ``fleet-report-v2`` and whose
+``detector`` object is the detector's config-file section.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal invariant violation.
 """
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -41,7 +44,7 @@ VERDICTS_SCHEMA = "verdicts-v1"
 LEAKAGE_SCHEMA = "leakage-v1"
 SUCCESS_GRID_SCHEMA = "success-grid-v1"
 FLEET_SERIES_SCHEMA = "fleet-series-v1"
-FLEET_REPORT_SCHEMA = "fleet-report-v1"
+FLEET_REPORT_SCHEMA = "fleet-report-v2"
 
 # json.dumps(..., sort_keys=True) without building an encoder per record.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
@@ -121,26 +124,32 @@ def _cmd_gen(args) -> int:
 
 # --- detect ------------------------------------------------------------------
 
+# One verdict as _SORTED_JSON writes it: keys sorted, ", " and ": " separators.
+_VERDICT_LINE = (
+    '{"suspect": %s, "threshold": %s, "triggering_metric": %s, "value": %r, '
+    '"window_start_ns": %d, "worker_id": %s}\n'
+)
+
+
 def _verdict_lines_threshold(trace_path, cfg, interval_ns):
     folded = fold_intervals(ingest_trace(trace_path), interval_ns)
     suspect, stl, value = threshold_mod.classify_intervals(folded, cfg)
-    rules = (
-        (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold),
-        (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold),
-    )
+    # (threshold, metric) text per rule, indexed by the STL-rule flag.  A
+    # threshold is >= 0 and not NaN, so json writes it as repr or Infinity.
+    rules = [
+        ("Infinity" if threshold == math.inf else repr(threshold), json.dumps(metric))
+        for metric, threshold in (
+            (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold),
+            (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold),
+        )
+    ]
+    quoted = [json.dumps(name) for name in folded.names]
+    # Window means of int64 counts are finite, so %r writes what json does.
     columns = (folded.worker, folded.window, suspect, stl, value)
     for w, k, flagged, by_stl, v in zip(*(column.tolist() for column in columns)):
-        metric, threshold = rules[by_stl]
-        yield _SORTED_JSON(
-            {
-                "worker_id": folded.names[w],
-                # Python ints: k * interval_ns can leave the int64 range.
-                "window_start_ns": k * interval_ns,
-                "suspect": flagged,
-                "triggering_metric": metric,
-                "value": v,
-                "threshold": threshold,
-            }
+        # Python ints: k * interval_ns can leave the int64 range.
+        yield _VERDICT_LINE % (
+            "true" if flagged else "false", *rules[by_stl], v, k * interval_ns, quoted[w]
         )
 
 
@@ -158,7 +167,7 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
                 "m": verdict.ks.m,
                 "k_effective": verdict.k_effective,
             }
-        )
+        ) + "\n"
 
 
 def _cmd_detect(args) -> int:
@@ -182,10 +191,7 @@ def _cmd_detect(args) -> int:
             else ks_mod.load_default_template()
         )
         lines = _verdict_lines_ks(paths, template, args.alpha, args.top_k)
-    _atomic_write(
-        args.out,
-        itertools.chain([f"# schema: {VERDICTS_SCHEMA}\n"], (line + "\n" for line in lines)),
-    )
+    _atomic_write(args.out, itertools.chain([f"# schema: {VERDICTS_SCHEMA}\n"], lines))
     return EXIT_OK
 
 
@@ -220,6 +226,8 @@ def _positive_ints(flag: str, text: str) -> list[int]:
         raise InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
     if min(values) < 1:
         raise InputError(f"{flag}: values must be >= 1, got {text!r}")
+    if len(set(values)) != len(values):
+        raise InputError(f"{flag}: values must not repeat, got {text!r}")
     return values
 
 
@@ -350,7 +358,18 @@ def _cmd_fleet(args) -> int:
             raise InputError("fleet config must be a JSON object")
     cfg = _fleet_config_from_json(data, args)
     report = fleet_mod.run_fleet(cfg)
-    payload = {"schema": FLEET_REPORT_SCHEMA, **report.to_json_dict()}
+    detector = cfg.detector
+    payload = {
+        "schema": FLEET_REPORT_SCHEMA,
+        # The detector in config-file form, so the block can be fed back.
+        "detector": {
+            "kind": detector.kind,
+            "branch_per_itlb": detector.threshold.branch_per_itlb_threshold,
+            "stl_reset": detector.threshold.stl_reset_threshold,
+            "alpha": detector.alpha,
+        },
+        **report.to_json_dict(),
+    }
     _atomic_write(args.out, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
     if args.series_out:
         rows = (

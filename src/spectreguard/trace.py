@@ -14,7 +14,11 @@ Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes them, and ``fold_intervals`` folds one into an
-``IntervalBatch`` of window means.  ``CounterSnapshot`` stays the per-record
+``IntervalBatch`` of window means.  ``ingest_trace`` reads lines in exactly
+``emit_trace``'s form by one regex match each and parses all their integers
+in one bulk step; any other line goes through the JSON decoder
+(``_parse_line``), which stays the reference for what a line means and which
+error it raises.  ``CounterSnapshot`` stays the per-record
 wire type: a batch iterates snapshots and an interval batch iterates
 ``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
 time; it is the reference oracle the batch fold is tested against.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -502,10 +507,45 @@ def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
     return worker, values
 
 
+# One record in exactly emit_trace's row form: keys in canonical order, no
+# whitespace, a worker name of printable ASCII without a quote or backslash
+# (so the JSON string is the name itself), and integers of at most 18 digits
+# with no leading zeros (so every value fits in int64).  Group 2 is the row's
+# ``,"ts_ns":...`` tail up to the closing brace.  It is compiled on first use
+# (and kept by re's cache), so importing the module costs no compile.
+_INT = "-?(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_ROW = (
+    r'\{"worker_id":"([ !#-\[\]-~]*)"('
+    + "".join(f',"{wire}":{_INT}' for wire in _COLUMN_WIRE)
+    + r")\}\n?"
+)
+# The bytes of the tail keys, once "l1d_" (the only digit in a key) is cut.
+_KEY_BYTES = bytes(set("".join(_COLUMN_WIRE).replace("l1d_", "").encode() + b'":'))
+
+
+def _parse_tails(tails: list[str]) -> np.ndarray:
+    """The (n, 9) counts of canonical row tails, in one bulk parse.
+
+    A tail holds only ``,"key":`` prefixes and integers, so cutting "l1d_"
+    and deleting the other key bytes leaves ``,v,v,...``.  The regex keeps
+    every integer in int64 range, where np.fromstring is exact (outside it,
+    it would saturate).
+    """
+    text = "".join(tails).encode("ascii").replace(b"l1d_", b"").translate(None, _KEY_BYTES)
+    return np.fromstring(text[1:], dtype=np.int64, sep=",").reshape(-1, len(_COLUMN_WIRE))
+
+
 def ingest_trace(path: str | Path) -> TraceBatch:
     """Read and validate a JSONL trace file into a batch, in file order.
 
     Blank lines and ``#`` comment lines (used for schema headers) are skipped.
+    Lines in exactly ``emit_trace``'s row form (canonical key order, no
+    whitespace, a printable-ASCII worker name without quotes or backslashes,
+    integers of at most 18 digits) take a fast path: one regex match per
+    line, then one bulk parse of all their integers.  Every other line goes
+    through the JSON decoder, so a line either path reads gives the same
+    record, and a bad line gives the same error.
+
     Raises ParseError (bad JSON, duplicate, unknown or missing keys, wrong
     types, integers outside int64) with the offending line number, or
     InvariantViolation with the offending field name and line number.  When
@@ -513,28 +553,44 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     """
     codes: dict[str, int] = {}
     worker: list[int] = []
-    rows: list[tuple[int, ...]] = []
     lines: list[int] = []
+    tails: list[str] = []
+    # The records the JSON decoder read: their index among all records, and
+    # their values.
+    decoded_at: list[int] = []
+    decoded: list[tuple[int, ...]] = []
     error = None
+    match_row = re.compile(_CANONICAL_ROW).fullmatch
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                name, values = _parse_line(line_number, stripped)
-            except ParseError as exc:
-                error = exc
-                break
+            match = match_row(line)
+            if match is not None:
+                name, tail = match.groups()
+                tails.append(tail)
+            else:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    name, values = _parse_line(line_number, stripped)
+                except ParseError as exc:
+                    error = exc
+                    break
+                decoded_at.append(len(worker))
+                decoded.append(values)
             worker.append(codes.setdefault(name, len(codes)))
-            rows.append(values)
             lines.append(line_number)
+    fast = np.ones(len(worker), dtype=bool)
+    fast[decoded_at] = False
+    counts = np.empty((len(worker), len(_COLUMN_WIRE)), dtype=np.int64)
+    counts[fast] = _parse_tails(tails)
+    counts[~fast] = np.array(decoded, dtype=np.int64).reshape(-1, len(_COLUMN_WIRE))
     # The invariants of the lines before a parse error are checked first,
     # so the first bad line in file order is the one reported.
     batch = TraceBatch(
         tuple(codes),
         np.array(worker, dtype=np.intp),
-        np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMN_WIRE)),
+        counts,
         np.array(lines, dtype=np.int64),
     )
     if error is not None:

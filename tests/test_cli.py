@@ -119,6 +119,27 @@ EDGE_TRACE = "".join([
 ])
 
 
+def per_window_lines(trace, extra):
+    """detect's output for ``extra`` flags, from the per-window objects."""
+    args = dict(zip(extra[::2], extra[1::2]))
+    cfg = ThresholdConfig(
+        branch_per_itlb_threshold=float(args.get("--threshold", 4096.0)),
+        stl_reset_threshold=float(args.get("--stl-threshold", ThresholdConfig().stl_reset_threshold)),
+    )
+    expected = ["# schema: verdicts-v1"]
+    for avg in fold_intervals(ingest_trace(trace), int(args.get("--interval-ns", 10**9))):
+        verdict = classify_threshold(avg, cfg)
+        expected.append(cli._SORTED_JSON({
+            "worker_id": avg.worker_id,
+            "window_start_ns": avg.window_start_ns,
+            "suspect": verdict.suspect,
+            "triggering_metric": verdict.triggering_metric,
+            "value": verdict.value,
+            "threshold": verdict.threshold,
+        }))
+    return expected
+
+
 class TestDetectLines:
     """detect's column path writes what the per-window objects would."""
 
@@ -130,25 +151,24 @@ class TestDetectLines:
         trace.write_text(EDGE_TRACE, encoding="utf-8")
         out = tmp_path / "v.jsonl"
         assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
-
-        args = dict(zip(extra[::2], extra[1::2]))
-        cfg = ThresholdConfig(
-            branch_per_itlb_threshold=float(args.get("--threshold", 4096.0)),
-            stl_reset_threshold=float(args.get("--stl-threshold", ThresholdConfig().stl_reset_threshold)),
-        )
-        expected = ["# schema: verdicts-v1"]
-        for avg in fold_intervals(ingest_trace(trace), int(args.get("--interval-ns", 10**9))):
-            verdict = classify_threshold(avg, cfg)
-            expected.append(cli._SORTED_JSON({
-                "worker_id": avg.worker_id,
-                "window_start_ns": avg.window_start_ns,
-                "suspect": verdict.suspect,
-                "triggering_metric": verdict.triggering_metric,
-                "value": verdict.value,
-                "threshold": verdict.threshold,
-            }))
+        expected = per_window_lines(trace, extra)
         assert out.read_text(encoding="utf-8").splitlines() == expected
-        assert len(expected) == 1 + (5 if "--interval-ns" in args else 4)
+        assert len(expected) == 1 + (5 if "--interval-ns" in extra else 4)
+
+    def test_floats_that_need_17_digits(self, tmp_path):
+        # The window mean (0.1 + 0.2) / 2 and the STL threshold each need 17
+        # significant digits; the branch threshold is written as Infinity.
+        trace = tmp_path / "edge.jsonl"
+        trace.write_text(EDGE_TRACE + trace_line("w17", 0, 10, 1, 0)
+                         + trace_line("w17", 1, 10, 2, 0), encoding="utf-8")
+        extra = ["--threshold", "inf", "--stl-threshold", "0.30000000000000004"]
+        out = tmp_path / "v.jsonl"
+        assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.splitlines() == per_window_lines(trace, extra)
+        assert '"threshold": Infinity, "triggering_metric": "branch_per_itlb", ' \
+               '"value": 0.15000000000000002' in text
+        assert '"threshold": 0.30000000000000004, "triggering_metric": "md_reset_per_itlb"' in text
 
 
 class TestSweep:
@@ -194,9 +214,42 @@ class TestFleetCommand:
         assert run("fleet", "--config", str(config), "--seed", "4",
                    "--out", str(report_path), "--series-out", str(series_path)) == 0
         report = json.loads(report_path.read_text())
-        assert report["schema"] == "fleet-report-v1"
+        assert report["schema"] == "fleet-report-v2"
         assert report["seed"] == 4  # flag overrides file default
         assert read_lines(series_path)[0] == "# schema: fleet-series-v1"
+
+    def test_report_names_its_detector(self, tmp_path):
+        fleet = {"n_benign": 20, "n_attack": 2, "intervals": 6, "seed": 9}
+        detectors, reports = {}, {}
+        for kind in ("threshold", "ks"):
+            detectors[kind] = {"kind": kind, "branch_per_itlb": 5000.0, "stl_reset": 6000.0,
+                               "alpha": 0.05}
+            config = tmp_path / f"{kind}.json"
+            config.write_text(json.dumps({**fleet, "detector": detectors[kind]}))
+            out = tmp_path / f"{kind}-report.json"
+            assert run("fleet", "--config", str(config), "--out", str(out)) == 0
+            reports[kind] = out.read_text()
+            assert json.loads(reports[kind])["detector"] == detectors[kind]
+        assert reports["threshold"] != reports["ks"]
+        # the block is config-file form: fed back, it gives the same report
+        config = tmp_path / "again.json"
+        config.write_text(json.dumps({**fleet, "detector": json.loads(reports["ks"])["detector"]}))
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "again.json")) == 0
+        assert (tmp_path / "again.json").read_text() == reports["ks"]
+
+    def test_report_body_is_the_pinned_report(self, tmp_path):
+        # Without schema and detector the payload is FleetReport.to_json_dict.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n_benign": 4, "n_attack": 1, "intervals": 3, "seed": 9, "detector": {"kind": "ks"}}
+        ))
+        out = tmp_path / "r.json"
+        assert run("fleet", "--config", str(config), "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload.pop("schema") == "fleet-report-v2"
+        payload.pop("detector")
+        pinned = Path(__file__).parent / "data" / "fleet_ks_report.json"
+        assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == pinned.read_text()
 
     def test_unknown_config_key_is_input_error(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -246,7 +299,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--requests", "0"), ("--requests", "1,-5"), ("--amplifications", "0"),
-        ("--amplifications", "ten"),
+        ("--amplifications", "ten"), ("--amplifications", "1,1"), ("--requests", "5,6,5"),
     ])
     def test_channel_grid_rejects_bad_counts(self, tmp_path, capsys, flag, value):
         assert run("channel", flag, value, "--out", str(tmp_path / "g.csv")) == 1

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectreguard.profiles import BenignProfile, generate_attack, generate_benign
+from spectreguard import trace
+from spectreguard.profiles import AttackVariant, BenignProfile, generate_attack, generate_benign
 from spectreguard.trace import (
     CounterSnapshot,
     IntervalFolder,
     InvariantViolation,
     OutOfOrderTimestamp,
     ParseError,
+    TraceBatch,
+    TraceError,
     ZeroDenominator,
     emit_trace,
     fold_intervals,
@@ -396,3 +399,173 @@ class TestIngestRobustness:
             ingest_trace(path)
         assert err.value.line_number == 2
         assert text in str(err.value)
+
+
+def _reference_ingest(path):
+    """ingest_trace with every record through the JSON decoder (_parse_line)."""
+    codes, worker, rows, lines = {}, [], [], []
+    error = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                name, values = trace._parse_line(line_number, stripped)
+            except ParseError as exc:
+                error = exc
+                break
+            worker.append(codes.setdefault(name, len(codes)))
+            rows.append(values)
+            lines.append(line_number)
+    batch = TraceBatch(
+        tuple(codes),
+        np.array(worker, dtype=np.intp),
+        np.array(rows, dtype=np.int64).reshape(-1, 9),
+        np.array(lines, dtype=np.int64),
+    )
+    if error is not None:
+        raise error
+    return batch
+
+
+def _outcome(read, path):
+    """Every column of the batch read, or the type and message of its error."""
+    try:
+        batch = read(path)
+    except TraceError as exc:
+        return type(exc), str(exc)
+    return (batch.names, batch.worker.dtype, batch.worker.tolist(), batch.counts.dtype,
+            batch.counts.tolist(), batch.line.tolist())
+
+
+WIRE = list(snap().to_wire())
+INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**18 - 1, -(10**18 - 1),
+               10**18, 10**19, 10**20 - 1, 0]
+# Value texts that are not canonical integers, or are at the 18-digit limit.
+TOKENS = ["-0", "00", "007", "-01", "1.5", "1e3", "1.0", "-0.0", "true", "false", "null",
+          '"5"', "1\u0661", "999999999999999999", "1000000000000000000",
+          "99999999999999999999", str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)]
+FAST_NAMES = ["w0", "tenant-007", "a b", "", "~!#$[]{}:,", "12"]
+SLOW_NAMES = ['q"uote', "back\\slash", "caf\u00e9", "\U0001f600", "tab\tname", "del\x7f"]
+
+
+def _canonical(record, **dumps):
+    return json.dumps(record, separators=(",", ":"), **dumps)
+
+
+def _with_value(record, key, text):
+    """The canonical line of ``record`` with the value of ``key`` written as ``text``."""
+    return _canonical(record).replace(f'"{key}":{record[key]}', f'"{key}":{text}', 1)
+
+
+BAD_LINES = ["{not json", "[]", "null", '"w0"', "{}", "{",
+             # a raw tab in a name is invalid JSON
+             _canonical(snap(worker="a\tb").to_wire()).replace("\\t", "\t")]
+
+
+@st.composite
+def trace_lines(draw):
+    """One line of a trace file: mostly records in emit_trace's canonical form,
+    else a record in another encoding, a bad line, or a blank or comment."""
+    kind = draw(st.sampled_from(
+        ["canonical"] * 12 + ["spaced", "reordered", "raw_utf8", "blank", "comment",
+                              "duplicate", "token", "bad"]
+    ))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# schema: trace-v1", "  # note", "#"]))
+    if kind == "bad":
+        return draw(st.sampled_from(BAD_LINES))
+    name = draw(st.sampled_from(FAST_NAMES + SLOW_NAMES))
+    values = draw(st.lists(st.integers(0, 10**7), min_size=9, max_size=9))
+    if draw(st.integers(0, 2)) == 0:  # one value at an int64 or digit-count edge
+        values[draw(st.integers(0, 8))] = draw(st.sampled_from(INT64_EDGES))
+    if draw(st.integers(0, 9)):  # mostly keep the counter invariants
+        values[1:] = [min(abs(v), 2**63 - 1) for v in values[1:]]
+        for misses, total in ((3, 2), (5, 4), (7, 6)):
+            values[misses] = min(values[misses], values[total])
+    record = dict(zip(WIRE, [name, *values]))
+    if kind == "canonical":
+        return _canonical(record)
+    if kind == "spaced":
+        return json.dumps(record)
+    if kind == "reordered":
+        return _canonical(dict(reversed(record.items())))
+    if kind == "raw_utf8":
+        return _canonical(record, ensure_ascii=False)
+    if kind == "duplicate":
+        key = draw(st.sampled_from(WIRE))
+        return _canonical(record)[:-1] + f',"{key}":{json.dumps(record[key])}}}'
+    return _with_value(record, draw(st.sampled_from(WIRE[1:])), draw(st.sampled_from(TOKENS)))
+
+
+class TestIngestPaths:
+    """ingest_trace's canonical fast path and its decoder fallback read every
+    file exactly as the decoder alone does: same batch, or same error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(trace_lines(), max_size=12),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_matches_decoder_reference(self, tmp_path_factory, lines, eol, final_eol):
+        path = tmp_path_factory.mktemp("ingest") / "t.jsonl"
+        text = eol.join(lines) + (eol if final_eol and lines else "")
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
+
+    @pytest.mark.parametrize("line", [
+        *(_with_value(snap().to_wire(), key, token)
+          for key, token in zip(WIRE[1:] * 2, TOKENS)),
+        *(_canonical(snap(worker=name).to_wire(), ensure_ascii=ascii)
+          for name in FAST_NAMES + SLOW_NAMES for ascii in (True, False)),
+        *BAD_LINES,
+    ])
+    def test_lines_match_decoder_reference(self, tmp_path, line):
+        path = _write_lines(tmp_path / "t.jsonl", _canonical(snap().to_wire()), line)
+        assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
+
+    @pytest.mark.parametrize("lines", [
+        # a bad line after an invariant violation: the violation is reported
+        [_wire_line(), _wire_line(itlb=-1), "{not json"],
+        [_with_value(snap().to_wire(), "itlb", -1), "{not json"],
+        [_with_value(snap().to_wire(), "br_miss", 10**6), _wire_line(l1d_acc=2**64)],
+        # 18 digits take the fast path, 19 the decoder; both in range
+        [_canonical(snap(ts=ts).to_wire()) for ts in (10**18 - 1, 2**63 - 1, -(2**63))],
+    ])
+    def test_files_match_decoder_reference(self, tmp_path, lines):
+        path = _write_lines(tmp_path / "t.jsonl", *lines)
+        assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
+
+    def test_canonical_traces_never_reach_the_decoder(self, tmp_path, monkeypatch):
+        def decoder(line_number, line):
+            raise AssertionError(f"line {line_number} took the decoder: {line}")
+
+        batches = [generate_benign(BenignProfile.default(), 500, seed=3)]
+        batches += [generate_attack(v, n=200, seed=4, samples_per_window=3)[0]
+                    for v in AttackVariant]
+        paths = []
+        for i, batch in enumerate(batches):
+            paths.append(tmp_path / f"gen-{i}.jsonl")
+            emit_trace(batch, paths[-1])
+        # A mixed-tenant trace written row by row, as the benchmark writes it.
+        names = [f"tenant-{i:03d}" for i in range(12)]
+        names += [f"attack-{v.value}" for v in AttackVariant]
+        counts = np.random.default_rng(5).integers(0, 10**12, size=(300, 9))
+        counts[:, [3, 5, 7]] = counts[:, [2, 4, 6]] // 7  # misses <= totals
+        paths.append(tmp_path / "mixed.jsonl")
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.write("# schema: trace-v1\n")
+            for i, row in enumerate(counts.tolist()):
+                fields = ",".join(f'"{k}":{v}' for k, v in zip(WIRE[1:], row))
+                handle.write(f'{{"worker_id":"{names[i % len(names)]}",{fields}}}\n')
+
+        expected = [_outcome(_reference_ingest, path) for path in paths]
+        monkeypatch.setattr(trace, "_parse_line", decoder)
+        assert [_outcome(ingest_trace, path) for path in paths] == expected
+        for batch, path in zip(batches, paths):
+            assert ingest_trace(path) == batch
+        assert ingest_trace(paths[-1]).counts.tolist() == counts.tolist()
