@@ -3,7 +3,8 @@
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
 throughput, not availability.  The simulator folds the whole fleet's counter
-trace into 1-second interval averages and classifies every window once.
+trace into 1-second interval averages and classifies every window in one batch
+(threshold rule on the columns, or one KS screen of every window's counts).
 Window i closes at interval boundary i+1, so a worker whose first suspect
 window is i is isolated there and runs every later interval isolated.  That
 one number per worker fixes the verdict order, the isolate and redirect
@@ -26,10 +27,10 @@ from . import ks as _ks
 from .profiles import (
     AttackVariant,
     BenignProfile,
+    draw_attack_histogram,
+    draw_benign_histogram,
     generate_attack,
     generate_benign,
-    make_attack_histogram,
-    make_benign_histogram,
 )
 from .threshold import ThresholdConfig, classify_intervals
 from .trace import TraceBatch, fold_intervals
@@ -261,17 +262,10 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     if cfg.detector.kind == "threshold":
         suspect = classify_intervals(folded, cfg.detector.threshold)[0][order]
     else:
-        # Each window draws a histogram from its worker's own generator, in
-        # window order.
-        template = _ks.load_default_template()
-        suspect = np.array([
-            _ks.classify_ks(
-                (make_benign_histogram if benign[w] else make_attack_histogram)(histogram_rngs[w]),
-                template,
-                alpha=cfg.detector.alpha,
-            ).suspect
-            for w in worker.tolist()
-        ], dtype=bool)
+        # Each window draws its histogram's counts from its worker's generator, in window order.
+        counts = ((draw_benign_histogram if benign[w] else draw_attack_histogram)(histogram_rngs[w])[1]
+                  for w in worker.tolist())
+        suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
 
     flags = np.zeros((n_workers, intervals), dtype=bool)
     flags[worker, window] = suspect

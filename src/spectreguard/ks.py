@@ -6,8 +6,8 @@ hottest branches against a recorded attack template: a high p-value means the
 "drawn from the same distribution as the template" hypothesis cannot be
 rejected, so the program is flagged as a suspect.
 
-The template is data, not code (see ``data/attack_template.csv``); operators
-can substitute their own recording.
+One distance kernel serves one pair (``ks_two_sample``) and the fleet's batch
+(``screen_counts``).  The template is data (``data/attack_template.csv``).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,22 +101,33 @@ def top_branches(hist: BranchHistogram, k: int) -> list[int]:
     return sorted(hist.entries.values(), reverse=True)[:k]
 
 
-def _ecdf_distance(a: np.ndarray, b: np.ndarray) -> float:
-    # Discrete data: the supremum is attained at observed support points.
-    support = np.concatenate([a, b])
-    cdf_a = np.searchsorted(np.sort(a), support, side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), support, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+def _ecdf_distance(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """sup |ECDF_row - ECDF_reference| for each row of a 2-D array.
+
+    Discrete data: the supremum is attained at observed points, so each row is
+    merged with the reference and the ECDFs are compared at the last of each run
+    of equal values.  Rows and reference sorted ascending merge fastest."""
+    n, m = rows.shape[1], reference.size
+    merged = np.concatenate((rows, np.broadcast_to(reference, (len(rows), m))), axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    values = np.take_along_axis(merged, order, axis=1)
+    from_row = order < n
+    gap = np.abs(np.cumsum(from_row, axis=1) / n - np.cumsum(~from_row, axis=1) / m)
+    gap[:, :-1][values[:, 1:] == values[:, :-1]] = 0.0
+    return gap.max(axis=1)
 
 
 def kolmogorov_survival(lam: float) -> float:
     """Two-sided Kolmogorov limiting survival function Q(lam).
 
-    Series 2*sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), truncated at 100 terms
-    or when a term drops below 1e-12 in magnitude.
-    """
+    For lam >= 0.4: 2*sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), cut at 100 terms
+    or a term below 1e-12.  Below 0.4, where that cut errs by up to 2.5e-14 (by
+    up to 1 below lam = 0.04), the dual series, exact there from its first term:
+    1 - sqrt(2 pi)/lam * sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 lam^2))."""
     if lam <= 1e-8:
         return 1.0
+    if lam < 0.4:
+        return 1.0 - math.sqrt(2 * math.pi) / lam * math.exp(-((math.pi / lam) ** 2) / 8)
     total = 0.0
     sign = 1.0
     for j in range(1, 101):
@@ -130,35 +140,16 @@ def kolmogorov_survival(lam: float) -> float:
 
 
 def _exact_p_value(a: Sequence[int], b: Sequence[int]) -> float:
-    """Permutation p-value by full enumeration of label assignments.
-
-    Distances are compared as exact rationals, so ties between mathematically
-    equal distances are never missed to rounding.
-    """
+    """Permutation p-value by full enumeration of label assignments.  Distances
+    are compared as the integers n*m*D, so no tie is missed to rounding."""
     n, m = len(a), len(b)
-    pooled = list(a) + list(b)
-    indices = range(n + m)
-
-    def distance(a_idx: frozenset[int]) -> Fraction:
-        sample_a = sorted(pooled[i] for i in a_idx)
-        sample_b = sorted(pooled[i] for i in indices if i not in a_idx)
-        best = Fraction(0)
-        for value in pooled:
-            below_a = sum(1 for x in sample_a if x <= value)
-            below_b = sum(1 for x in sample_b if x <= value)
-            gap = abs(Fraction(below_a, n) - Fraction(below_b, m))
-            if gap > best:
-                best = gap
-        return best
-
-    observed = distance(frozenset(range(n)))
-    hits = 0
-    total = 0
-    for chosen in combinations(indices, n):
-        total += 1
-        if distance(frozenset(chosen)) >= observed:
-            hits += 1
-    return hits / total
+    pooled = np.array([*a, *b])
+    # in_a[i, j]: assignment i puts pooled value j in sample a (row 0 as observed)
+    in_a = np.zeros((math.comb(n + m, n), n + m), dtype=np.int64)
+    np.put_along_axis(in_a, np.array(list(combinations(range(n + m), n))), 1, axis=1)
+    at_or_below = (pooled[:, None] <= pooled).astype(np.int64)
+    scaled = np.abs((in_a @ at_or_below) * m - ((1 - in_a) @ at_or_below) * n).max(axis=1)
+    return int(np.count_nonzero(scaled >= scaled[0])) / len(scaled)
 
 
 def ks_two_sample(
@@ -175,10 +166,9 @@ def ks_two_sample(
     if mode not in ("asymptotic", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    arr_a = np.asarray(a, dtype=np.float64)
-    arr_b = np.asarray(b, dtype=np.float64)
-    n, m = arr_a.size, arr_b.size
-    statistic = _ecdf_distance(arr_a, arr_b)
+    n, m = len(a), len(b)
+    rows, reference = np.array([a], dtype=np.float64), np.asarray(b, dtype=np.float64)
+    statistic = float(_ecdf_distance(rows, reference)[0])
 
     if mode == "exact":
         if n + m > EXACT_MODE_MAX_POOLED:
@@ -214,6 +204,33 @@ def classify_ks(
         ks=result,
         k_effective=len(subject),
     )
+
+
+SCREEN_BLOCK = 128  # samples per block in screen_counts: under 1 MB at any count
+
+
+def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram,
+                  k: int = DEFAULT_TOP_K) -> np.ndarray:
+    """Asymptotic KS p-value of each sample's top k counts against the template's.
+
+    The batch form of ``classify_ks`` (suspect iff p >= alpha), with its p-values:
+    the template is ranked once, and each block of ``SCREEN_BLOCK`` samples
+    takes one kernel call per distinct size."""
+    reference = np.sort(top_branches(template, k))
+    p_values: list[float] = []
+    samples = iter(samples)
+    while tops := [np.sort(counts)[-k:] for counts in islice(samples, SCREEN_BLOCK)]:
+        sizes = [top.size for top in tops]
+        if 0 in sizes:
+            raise EmptySample("every sample must be non-empty")
+        block = np.empty(len(tops))
+        for n in set(sizes):
+            at = [i for i, size in enumerate(sizes) if size == n]
+            scale = math.sqrt(n * reference.size / (n + reference.size))
+            distances = _ecdf_distance(np.stack([tops[i] for i in at]), reference)
+            block[at] = [kolmogorov_survival(d * scale) for d in distances.tolist()]
+        p_values += block.tolist()
+    return np.array(p_values)
 
 
 def read_histogram_csv(path: str | Path) -> BranchHistogram:

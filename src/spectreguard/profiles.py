@@ -396,14 +396,8 @@ def generate_attack(
 _ATTACK_TAIL = np.array([TAIL_START * TAIL_DECAY**i for i in range(ATTACK_TAIL_BRANCHES)])
 
 
-def _branch_addresses(rng: np.random.Generator, count: int) -> list[str]:
-    # virtual-address-like opaque ids, 16-byte aligned inside a text segment
-    offsets = rng.choice(1 << 20, size=count, replace=False)
-    return [f"0x{address:012x}" for address in (0x5600_0000_0000 + 16 * offsets).tolist()]
-
-
-def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """Histogram of one attack run: geometric decay topped by the delay loop.
+def draw_attack_histogram(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One attack run's branch offsets and counts: decay topped by the delay loop.
 
     Rank 1 is the transient-window delay loop (mean ``DELAY_LOOP_MEAN``),
     rank 2 the mistrained bounds check (``MISTRAIN_RATIO`` of it, always
@@ -411,25 +405,39 @@ def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
     scaffolding decaying by ``TAIL_DECAY`` from ``TAIL_START``.  Counts
     carry log-normal jitter of sigma ``JITTER_SIGMA``.
     """
-    ids = _branch_addresses(rng, ATTACK_TAIL_BRANCHES + 2)
+    offsets = rng.choice(1 << 20, size=ATTACK_TAIL_BRANCHES + 2, replace=False)
     jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, ATTACK_TAIL_BRANCHES + 2))
     delay = max(2, int(round(DELAY_LOOP_MEAN * jitter[0])))
     mistrain = int(round(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[1]))
     mistrain = min(mistrain, delay - 1)  # the delay loop always ranks first
     tail = np.maximum(1, np.rint(_ATTACK_TAIL * jitter[2:])).astype(np.int64)
-    counts = [delay, max(1, mistrain), *tail.tolist()]
-    return BranchHistogram.from_entries(dict(zip(ids, counts)))
+    return offsets, np.concatenate(([delay, max(1, mistrain)], tail))
 
 
-def make_benign_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """Broad, flat misprediction spread typical of large benign programs.
+def draw_benign_histogram(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Branch offsets and counts of a broad, flat spread typical of benign programs.
 
     ``BENIGN_MIN_BRANCHES``..``BENIGN_MAX_BRANCHES`` branches, each with a
     log-uniform count over ``BENIGN_COUNT_RANGE``.
     """
     n = int(rng.integers(BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES + 1))
-    ids = _branch_addresses(rng, n)
+    offsets = rng.choice(1 << 20, size=n, replace=False)
     low, high = BENIGN_COUNT_RANGE
     counts = np.exp(rng.uniform(math.log(low), math.log(high), n))
-    counts = np.maximum(1, np.rint(counts)).astype(np.int64)
+    return offsets, np.maximum(1, np.rint(counts)).astype(np.int64)
+
+
+def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:
+    # virtual-address-like opaque ids, 16-byte aligned inside a text segment
+    ids = [f"0x{address:012x}" for address in (0x5600_0000_0000 + 16 * offsets).tolist()]
     return BranchHistogram.from_entries(dict(zip(ids, counts.tolist())))
+
+
+def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
+    """One ``draw_attack_histogram``, with its offsets as branch ids."""
+    return _histogram(*draw_attack_histogram(rng))
+
+
+def make_benign_histogram(rng: np.random.Generator) -> BranchHistogram:
+    """One ``draw_benign_histogram``, with its offsets as branch ids."""
+    return _histogram(*draw_benign_histogram(rng))

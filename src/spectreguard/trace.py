@@ -510,14 +510,14 @@ def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
 # One record in exactly emit_trace's row form: keys in canonical order, no
 # whitespace, a worker name of printable ASCII without a quote or backslash
 # (so the JSON string is the name itself), and integers of at most 18 digits
-# with no leading zeros (so every value fits in int64).  Group 2 is the row's
-# ``,"ts_ns":...`` tail up to the closing brace.  It is compiled on first use
-# (and kept by re's cache), so importing the module costs no compile.
+# with no leading zeros (so every value fits in int64), ending "\n" or "\r\n".
+# Group 2 is the ``,"ts_ns":...`` tail up to the closing brace.  It is compiled
+# on first use (and kept by re's cache), so importing the module costs no compile.
 _INT = "-?(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_ROW = (
     r'\{"worker_id":"([ !#-\[\]-~]*)"('
     + "".join(f',"{wire}":{_INT}' for wire in _COLUMN_WIRE)
-    + r")\}\n?"
+    + r")\}\r?\n?"
 )
 # The bytes of the tail keys, once "l1d_" (the only digit in a key) is cut.
 _KEY_BYTES = bytes(set("".join(_COLUMN_WIRE).replace("l1d_", "").encode() + b'":'))
@@ -561,7 +561,8 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     decoded: list[tuple[int, ...]] = []
     error = None
     match_row = re.compile(_CANONICAL_ROW).fullmatch
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
             match = match_row(line)
             if match is not None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fleet_reference import run_fleet_reference
+from spectreguard import fleet, ks
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
@@ -223,6 +224,20 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("cfg", ORACLE_GRID)
     def test_reports_equal(self, cfg):
         assert run_fleet(cfg).to_json_dict() == run_fleet_reference(cfg).to_json_dict()
+
+    def test_ks_fleet_screens_counts_without_building_histograms(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the KS fleet left its batch path")
+
+        cfg = oracle_fleet("ks", n_benign=40, intervals=5)
+        expected = run_fleet_reference(cfg).to_json_dict()
+        assert expected["attack_workers_flagged"] == cfg.n_attack  # the screen has suspects
+        # raising=False: the fleet imports neither generator and must not call them.
+        for name in ("make_benign_histogram", "make_attack_histogram"):
+            monkeypatch.setattr(fleet, name, forbidden, raising=False)
+        monkeypatch.setattr(ks, "classify_ks", forbidden)
+        monkeypatch.setattr(ks, "ks_two_sample", forbidden)
+        assert run_fleet(cfg).to_json_dict() == expected
 
 
 class TestConfigValidation:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectreguard import cli, ks
 from spectreguard.ks import (
     BranchHistogram,
     EmptyHistogram,
@@ -16,9 +20,11 @@ from spectreguard.ks import (
     HistogramError,
     HistogramFormatError,
     classify_ks,
+    kolmogorov_survival,
     ks_two_sample,
     load_default_template,
     read_histogram_csv,
+    screen_counts,
     top_branches,
     write_histogram_csv,
 )
@@ -37,6 +43,22 @@ def oracle_distance(a, b):
         if gap > best:
             best = gap
     return best
+
+
+def pair_ecdf_distance(a, b):
+    """The one-pair ECDF distance kernel that the row-batched one replaced."""
+    support = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), support, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), support, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def dual_survival(lam):
+    """Q(lam) from the dual (theta-function) series, summed until its terms
+    underflow to 0 (the last is about exp(-3000))."""
+    head = sum(math.exp(-(((2 * k - 1) * math.pi / lam) ** 2) / 8)
+               for k in range(1, 2 + int(25 * lam)))
+    return 1.0 - math.sqrt(2 * math.pi) / lam * head
 
 
 def oracle_exact_p(a, b):
@@ -125,6 +147,16 @@ class TestKsTwoSample:
     def test_exact_mode_tiny_example(self):
         result = ks_two_sample([1, 2, 3], [2, 3, 4], mode="exact")
         assert result.p_value == oracle_exact_p([1, 2, 3], [2, 3, 4])
+        assert type(result.p_value) is float and type(result.statistic) is float
+
+    def test_exact_mode_on_the_command_line(self, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, counts in zip(paths, ([5, 3, 3, 1], [4, 3, 2, 2, 1, 1])):
+            write_histogram_csv(BranchHistogram.from_entries(
+                {f"b{i}": c for i, c in enumerate(counts)}), path)
+        assert cli.main(["ks", *map(str, paths), "--exact"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["p"] == oracle_exact_p([5, 3, 3, 1], [4, 3, 2, 2, 1, 1])
 
     def test_exact_mode_size_cap(self):
         with pytest.raises(ExactModeTooLarge):
@@ -217,3 +249,82 @@ class TestHistogramCsv:
     def test_packaged_template_loads(self):
         template = load_default_template()
         assert len(template.entries) >= 2
+
+
+# --- row-batched kernel and batch screen ---------------------------------------
+
+# Small alphabets force ties within and across samples.
+counts = st.integers(1, 6) | st.integers(1, 10**7)
+sample = st.lists(counts, min_size=1, max_size=40)
+
+
+class TestBatchKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.lists(counts, min_size=n, max_size=n), min_size=1, max_size=6)), sample,
+        st.booleans())
+    def test_rows_equal_the_pair_kernel_bit_for_bit(self, rows, reference, presorted):
+        rows = np.array(rows, dtype=np.int64)
+        reference = np.array(reference, dtype=np.int64)
+        if presorted:
+            rows, reference = np.sort(rows, axis=1), np.sort(reference)
+        batched = ks._ecdf_distance(rows, reference).tolist()
+        assert batched == [pair_ecdf_distance(row, reference) for row in rows]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(sample, min_size=1, max_size=8), sample, st.integers(1, 45))
+    def test_screen_equals_one_pair_tests(self, samples, reference, k):
+        # Mixed sample lengths, and k both above and below them.
+        template = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(reference)})
+        p_values = screen_counts([np.array(s) for s in samples], template, k=k).tolist()
+        ref = np.array(top_branches(template, k), dtype=np.float64)
+        for s, p in zip(samples, p_values):
+            top = np.array(sorted(s, reverse=True)[:k], dtype=np.float64)
+            d = pair_ecdf_distance(top, ref)
+            assert p == kolmogorov_survival(d * math.sqrt(top.size * ref.size / (top.size + ref.size)))
+            hist = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(s)})
+            assert p == classify_ks(hist, template, k=k).ks.p_value
+
+    def test_fleet_shaped_batch_matches_classify_ks(self):
+        # Several blocks, both sample sizes in each, read once from a generator.
+        rng = np.random.default_rng(8)
+        hists = [(make_benign_histogram if i % 3 else make_attack_histogram)(rng)
+                 for i in range(2 * ks.SCREEN_BLOCK + 5)]
+        template = load_default_template()
+        p_values = screen_counts((np.array(list(h.entries.values())) for h in hists), template)
+        assert p_values.tolist() == [classify_ks(h, template).ks.p_value for h in hists]
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(EmptySample):
+            screen_counts([np.array([3]), np.array([], dtype=np.int64)], load_default_template())
+
+
+class TestKolmogorovSurvival:
+    GRID = np.arange(0.0, 3.0, 1e-4).tolist()
+
+    def test_non_increasing_on_a_dense_grid(self):
+        q = [kolmogorov_survival(lam) for lam in self.GRID]
+        assert all(later <= earlier for earlier, later in zip(q, q[1:]))
+        assert q[0] == 1.0 and 0.0 < q[-1] < 1e-7
+
+    def test_matches_the_dual_series(self):
+        for lam in self.GRID[1:]:
+            tolerance = 1e-12 if lam < 0.4 else 1e-14  # where the dual series is used
+            assert abs(kolmogorov_survival(lam) - dual_survival(lam)) <= tolerance, lam
+
+    @pytest.mark.parametrize("lam", [1e-7, 0.005, 0.01, 0.05])
+    def test_small_lambda_is_one(self, lam):
+        assert kolmogorov_survival(lam) == 1.0
+
+    def test_near_identical_large_samples_are_suspect(self, tmp_path, capsys):
+        # D = 1/20000, so lam = 0.005; a truncated alternating series gave p = 0.397.
+        paths = []
+        for shift in (1, 2):
+            paths.append(tmp_path / f"h{shift}.csv")
+            write_histogram_csv(BranchHistogram.from_entries(
+                {f"0x{i:012x}": i + shift for i in range(20_000)}), paths[-1])
+        assert cli.main(["ks", *map(str, paths), "--top-k", "20000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["d"] == pytest.approx(1 / 20_000, rel=1e-9)
+        assert payload["p"] == 1.0
+        assert payload["suspect"] is True

@@ -19,6 +19,8 @@ from spectreguard.profiles import (
     AttackVariant,
     BenignProfile,
     CalibrationInfeasible,
+    draw_attack_histogram,
+    draw_benign_histogram,
     generate_attack,
     generate_benign,
     make_attack_histogram,
@@ -177,3 +179,15 @@ class TestHistogramGenerators:
             attack = make_attack_histogram(rng)
             digest.update(json.dumps([benign.entries, attack.entries]).encode())
         assert digest.hexdigest() == PINNED_ENTRIES_SHA256.read_text().strip()
+
+    def test_draws_match_histograms_and_advance_the_generator_alike(self):
+        # The fleet screens the counts of a draw and never builds the histogram.
+        pairs = [(draw_benign_histogram, make_benign_histogram),
+                 (draw_attack_histogram, make_attack_histogram)]
+        for seed in range(300):
+            drawn, made = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draw, make in [*pairs, *reversed(pairs)]:
+                counts = draw(drawn)[1]
+                assert counts.dtype == np.int64
+                assert counts.tolist() == list(make(made).entries.values())
+                assert drawn.bit_generator.state == made.bit_generator.state

@@ -405,7 +405,7 @@ def _reference_ingest(path):
     """ingest_trace with every record through the JSON decoder (_parse_line)."""
     codes, worker, rows, lines = {}, [], [], []
     error = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -470,12 +470,12 @@ def trace_lines(draw):
     else a record in another encoding, a bad line, or a blank or comment."""
     kind = draw(st.sampled_from(
         ["canonical"] * 12 + ["spaced", "reordered", "raw_utf8", "blank", "comment",
-                              "duplicate", "token", "bad"]
+                              "duplicate", "token", "bad", "carriage_return"]
     ))
     if kind == "blank":
-        return draw(st.sampled_from(["", "   ", "\t"]))
+        return draw(st.sampled_from(["", "   ", "\t", "\r"]))
     if kind == "comment":
-        return draw(st.sampled_from(["# schema: trace-v1", "  # note", "#"]))
+        return draw(st.sampled_from(["# schema: trace-v1", "  # note", "#", "# a\rb"]))
     if kind == "bad":
         return draw(st.sampled_from(BAD_LINES))
     name = draw(st.sampled_from(FAST_NAMES + SLOW_NAMES))
@@ -495,10 +495,46 @@ def trace_lines(draw):
         return _canonical(dict(reversed(record.items())))
     if kind == "raw_utf8":
         return _canonical(record, ensure_ascii=False)
+    if kind == "carriage_return":  # JSON whitespace, not a line end
+        return _canonical(record).replace(',"', ',\r"', draw(st.integers(1, 9)))
     if kind == "duplicate":
         key = draw(st.sampled_from(WIRE))
         return _canonical(record)[:-1] + f',"{key}":{json.dumps(record[key])}}}'
     return _with_value(record, draw(st.sampled_from(WIRE[1:])), draw(st.sampled_from(TOKENS)))
+
+
+class TestLineEnds:
+    """A line ends at "\n" alone: a bare "\r" is JSON whitespace."""
+
+    LINE = _canonical(snap().to_wire())
+
+    def test_carriage_return_inside_a_record(self, tmp_path):
+        path = tmp_path / "cr.jsonl"
+        record = self.LINE.replace(',"ts_ns"', ',\r"ts_ns"')
+        path.write_bytes(f"{record}\n{self.LINE}\n".encode())
+        batch = ingest_trace(path)
+        assert batch.counts.tolist() == [list(snap().to_wire().values())[1:]] * 2
+        assert batch.line.tolist() == [1, 2]
+
+    def test_carriage_return_inside_a_comment(self, tmp_path):
+        path = tmp_path / "comment.jsonl"
+        path.write_bytes(f"# a\rb\n{self.LINE}\n{{bad\n".encode())
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert err.value.line_number == 3
+        path.write_bytes(f"# a\rb\n{self.LINE}\n".encode())
+        assert ingest_trace(path).line.tolist() == [2]
+
+    def test_crlf_rows_take_the_fast_path(self, tmp_path, monkeypatch):
+        def decoder(line_number, line):
+            raise AssertionError(f"line {line_number} took the decoder: {line}")
+
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        emit_trace(generate_attack("pht", n=40, seed=6, samples_per_window=2)[0], lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        expected = _outcome(ingest_trace, lf)
+        monkeypatch.setattr(trace, "_parse_line", decoder)
+        assert _outcome(ingest_trace, crlf) == expected
 
 
 class TestIngestPaths:
