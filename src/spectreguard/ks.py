@@ -209,17 +209,16 @@ def classify_ks(
 SCREEN_BLOCK = 128  # samples per block in screen_counts: under 1 MB at any count
 
 
-def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram,
-                  k: int = DEFAULT_TOP_K) -> np.ndarray:
-    """Asymptotic KS p-value of each sample's top k counts against the template's.
+def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram) -> np.ndarray:
+    """Asymptotic KS p-value of each sample's top ``DEFAULT_TOP_K`` counts against the template's.
 
     The batch form of ``classify_ks`` (suspect iff p >= alpha), with its p-values:
     the template is ranked once, and each block of ``SCREEN_BLOCK`` samples
     takes one kernel call per distinct size."""
-    reference = np.sort(top_branches(template, k))
+    reference = np.sort(top_branches(template, DEFAULT_TOP_K))
     p_values: list[float] = []
     samples = iter(samples)
-    while tops := [np.sort(counts)[-k:] for counts in islice(samples, SCREEN_BLOCK)]:
+    while tops := [np.sort(counts)[-DEFAULT_TOP_K:] for counts in islice(samples, SCREEN_BLOCK)]:
         sizes = [top.size for top in tops]
         if 0 in sizes:
             raise EmptySample("every sample must be non-empty")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fleet_reference import run_fleet_reference
-from spectreguard import fleet, ks
+from spectreguard import ks, profiles
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
@@ -232,12 +232,15 @@ class TestReferenceLoop:
         cfg = oracle_fleet("ks", n_benign=40, intervals=5)
         expected = run_fleet_reference(cfg).to_json_dict()
         assert expected["attack_workers_flagged"] == cfg.n_attack  # the screen has suspects
-        # raising=False: the fleet imports neither generator and must not call them.
-        for name in ("make_benign_histogram", "make_attack_histogram"):
-            monkeypatch.setattr(fleet, name, forbidden, raising=False)
+        # Every BranchHistogram a generator builds goes through profiles._histogram.
+        built = []
+        histogram = profiles._histogram
+        monkeypatch.setattr(profiles, "_histogram", lambda *a: built.append(1) or histogram(*a))
         monkeypatch.setattr(ks, "classify_ks", forbidden)
         monkeypatch.setattr(ks, "ks_two_sample", forbidden)
         assert run_fleet(cfg).to_json_dict() == expected
+        # One recorded histogram per attacker (generate_attack), none per window.
+        assert len(built) == cfg.n_attack
 
 
 class TestConfigValidation:

@@ -256,6 +256,8 @@ class TestHistogramCsv:
 # Small alphabets force ties within and across samples.
 counts = st.integers(1, 6) | st.integers(1, 10**7)
 sample = st.lists(counts, min_size=1, max_size=40)
+# Lengths drawn evenly from 1..150, so samples fall on both sides of DEFAULT_TOP_K.
+long_sample = st.integers(1, 150).flatmap(lambda n: st.lists(counts, min_size=n, max_size=n))
 
 
 class TestBatchKernel:
@@ -271,19 +273,19 @@ class TestBatchKernel:
         batched = ks._ecdf_distance(rows, reference).tolist()
         assert batched == [pair_ecdf_distance(row, reference) for row in rows]
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(st.lists(sample, min_size=1, max_size=8), sample, st.integers(1, 45))
-    def test_screen_equals_one_pair_tests(self, samples, reference, k):
-        # Mixed sample lengths, and k both above and below them.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(long_sample, min_size=1, max_size=6), long_sample)
+    def test_screen_equals_one_pair_tests(self, samples, reference):
+        # Mixed sample lengths, some shorter and some longer than the top k.
         template = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(reference)})
-        p_values = screen_counts([np.array(s) for s in samples], template, k=k).tolist()
-        ref = np.array(top_branches(template, k), dtype=np.float64)
+        p_values = screen_counts([np.array(s) for s in samples], template).tolist()
+        ref = np.array(top_branches(template, ks.DEFAULT_TOP_K), dtype=np.float64)
         for s, p in zip(samples, p_values):
-            top = np.array(sorted(s, reverse=True)[:k], dtype=np.float64)
+            top = np.array(sorted(s, reverse=True)[:ks.DEFAULT_TOP_K], dtype=np.float64)
             d = pair_ecdf_distance(top, ref)
             assert p == kolmogorov_survival(d * math.sqrt(top.size * ref.size / (top.size + ref.size)))
             hist = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(s)})
-            assert p == classify_ks(hist, template, k=k).ks.p_value
+            assert p == classify_ks(hist, template).ks.p_value
 
     def test_fleet_shaped_batch_matches_classify_ks(self):
         # Several blocks, both sample sizes in each, read once from a generator.
