@@ -2,9 +2,10 @@
 
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
-throughput, not availability.  The simulator folds the whole fleet's counter
-trace into 1-second interval averages and classifies every window in one batch
-(threshold rule on the columns, or one KS screen of every window's counts).
+throughput, not availability.  The simulator draws every worker's counters
+into one trace, with one counter-arithmetic pass over all benign workers,
+folds it into 1-second interval averages and classifies every window in one
+batch (threshold rule on the columns, or one KS screen of every window's counts).
 Window i closes at interval boundary i+1, so a worker whose first suspect
 window is i is isolated there and runs every later interval isolated.  That
 one number per worker fixes the verdict order, the isolate and redirect
@@ -19,29 +20,27 @@ byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from . import ks as _ks
 from .profiles import (
+    _BENIGN_DRAWS,
+    _COLUMNS,
     AttackVariant,
     BenignProfile,
+    _attack_counts,
+    _benign_counts,
+    _benign_draws,
+    _window_timestamps,
     draw_attack_histogram,
     draw_benign_histogram,
-    generate_attack,
-    generate_benign,
 )
 from .threshold import ThresholdConfig, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
-
-
-@dataclass(frozen=True)
-class BenignWorkload:
-    kind: str = "benign"
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class EvasiveWorkload:
     variant: AttackVariant = AttackVariant.PHT
     amplification: int | None = None
     kind: str = "evasive"
-
-
-Workload = Union[BenignWorkload, AttackWorkload, EvasiveWorkload]
 
 
 @dataclass(frozen=True)
@@ -211,43 +207,39 @@ class FleetReport:
 
 def _build_fleet(cfg: FleetConfig) -> tuple[TraceBatch, np.ndarray, list[np.random.Generator]]:
     """The fleet's trace, one worker after another, and per worker its benign
-    flag and histogram generator.
+    flag and (KS fleets only) histogram generator.
 
-    A worker's code in the trace, and its index here, is its rank in name order.
+    Worker i of the spec order (attackers, then benign workers) draws its trace
+    from spawn key (i, 0) of the config seed, its histograms from (i, 1).  Its
+    code in the trace, and its index here, is its rank in name order, where
+    every ``attack-`` name precedes every ``worker-`` name.
     """
     profile = BenignProfile.default()
     n_samples = cfg.intervals * cfg.executions_per_interval
+    specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
+    specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
+    order = sorted(range(len(specs)), key=specs.__getitem__)
 
-    specs: list[tuple[str, Workload]] = []
-    for i in range(cfg.n_attack):
-        specs.append((f"attack-{i:03d}", cfg.attack))
-    for i in range(cfg.n_benign):
-        specs.append((f"worker-{i:03d}", BenignWorkload()))
+    def rng(i: int, j: int) -> np.random.Generator:
+        # the state of SeedSequence(seed).spawn(len(specs))[i].spawn(2)[j]
+        return np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(i, j)))
 
-    workers = []
-    children = np.random.SeedSequence(cfg.rng_seed).spawn(len(specs))
-    for (worker_id, workload), child in zip(specs, children):
-        trace_seed, hist_seed = child.spawn(2)
-        shape = dict(n=n_samples, seed=trace_seed, worker_id=worker_id,
-                     samples_per_window=cfg.executions_per_interval)
-        is_benign = isinstance(workload, BenignWorkload)
-        if is_benign:
-            batch = generate_benign(profile, **shape)
+    attack = cfg.attack
+    pages = attack.pages if isinstance(attack, EvasiveWorkload) else 0
+    counts = np.empty((len(order), n_samples, _COLUMNS), dtype=np.int64)
+    draws = np.empty((_BENIGN_DRAWS, cfg.n_benign, n_samples))
+    for rank, i in enumerate(order):
+        if i < cfg.n_attack:
+            _attack_counts(counts[rank], rng(i, 0), attack.variant, attack.amplification, pages)
         else:
-            pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
-            batch, _hist = generate_attack(
-                workload.variant, amplification=workload.amplification, pages=pages, **shape
-            )
-        workers.append((worker_id, is_benign, np.random.default_rng(hist_seed), batch))
-    workers.sort(key=lambda worker: worker[0])
-    names, benign, histogram_rngs, batches = zip(*workers)
+            _benign_draws(draws[:, rank - cfg.n_attack], profile, rng(i, 0))
+    _benign_counts(counts[cfg.n_attack:].reshape(-1, _COLUMNS), draws.reshape(_BENIGN_DRAWS, -1))
+    counts[:, :, 0] = _window_timestamps(n_samples, cfg.executions_per_interval)
 
-    fleet = TraceBatch(
-        names,
-        np.repeat(np.arange(len(names)), n_samples),
-        np.concatenate([batch.counts for batch in batches]),
-    )
-    return fleet, np.array(benign), list(histogram_rngs)
+    fleet = TraceBatch(tuple(specs[i] for i in order), np.repeat(np.arange(len(order)), n_samples),
+                       counts.reshape(-1, _COLUMNS))
+    histogram_rngs = [rng(i, 1) for i in order] if cfg.detector.kind == "ks" else []
+    return fleet, np.array(order) >= cfg.n_attack, histogram_rngs
 
 
 def run_fleet(cfg: FleetConfig) -> FleetReport:

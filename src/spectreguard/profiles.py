@@ -11,6 +11,11 @@ Two generator families live here:
   measured reduced-amplification points (604.71 at factor 1, 3492.41 at
   factor 10) and at the per-variant full-strength means.
 
+A benign trace is made in two parts: ``_benign_draws`` makes one worker's rng
+draws, and ``_benign_counts`` turns the draws of any number of workers, laid
+side by side, into counters in one pass.  ``generate_benign`` calls both for
+one worker; the fleet calls them for all its benign workers at once.
+
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
 calibration above caps the attainable benign deviation, so the synthetic
@@ -27,7 +32,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .ks import BranchHistogram
-from .trace import DEFAULT_INTERVAL_NS, TraceBatch
+from .trace import DEFAULT_INTERVAL_NS, METRIC_FIELDS, TraceBatch
 
 _PHI = NormalDist()
 
@@ -133,11 +138,14 @@ def pages_to_reach(metric: float, target: float) -> int | None:
     return math.floor(bound) + 1
 
 
-def _lognormal_mean_preserving(
-    rng: np.random.Generator, mean: float, sigma: float, size: int
-) -> np.ndarray:
-    # E[mean * exp(N(-sigma^2/2, sigma))] == mean
-    return mean * np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size))
+def _log_of_unit_mean(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    # N(-sigma^2/2, sigma), so that E[exp(draw)] == 1
+    return rng.normal(-0.5 * sigma * sigma, sigma, size)
+
+
+def _lognormal_mean_preserving(rng: np.random.Generator, mean: float, sigma: float,
+                               size: int) -> np.ndarray:
+    return mean * np.exp(_log_of_unit_mean(rng, sigma, size))
 
 
 @dataclass(frozen=True)
@@ -294,29 +302,45 @@ def _log_uniform_ints(rng: np.random.Generator, low: int, high: int, size: int) 
     return np.exp(rng.uniform(math.log(low), math.log(high), size)).astype(np.int64)
 
 
-def _assemble_snapshots(
-    worker_id: str,
-    timestamps: np.ndarray,
-    itlb: np.ndarray,
-    branch_metric: np.ndarray,
-    branch_miss_metric: np.ndarray,
-    cache_ref_metric: np.ndarray,
-    cache_miss_ratio: np.ndarray,
-    l1d_metric: np.ndarray,
-    l1d_miss_ratio: np.ndarray,
-    md_metric: np.ndarray,
-) -> TraceBatch:
-    branch = np.rint(branch_metric * itlb).astype(np.int64)
-    misses = np.minimum(branch, np.rint(branch_miss_metric * itlb).astype(np.int64))
-    llc = np.rint(cache_ref_metric * itlb).astype(np.int64)
-    llc_miss = np.rint(cache_miss_ratio * llc).astype(np.int64)
-    l1d = np.rint(l1d_metric * itlb).astype(np.int64)
-    l1d_miss = np.rint(l1d_miss_ratio * l1d).astype(np.int64)
-    md = np.rint(md_metric * itlb).astype(np.int64)
-    counts = np.column_stack(
-        (timestamps, itlb, branch, misses, llc, llc_miss, l1d, l1d_miss, md)
-    ).astype(np.int64, copy=False)
-    return TraceBatch((worker_id,), np.zeros(len(counts), dtype=np.intp), counts)
+# Columns of TraceBatch.counts: the timestamp, iTLB accesses, METRIC_FIELDS.
+_COLUMNS = 2 + len(METRIC_FIELDS)
+
+
+def _fill_counts(out: np.ndarray, itlb: np.ndarray, *metrics: np.ndarray) -> None:
+    """Write every counter but the timestamp into out, from per-iTLB metrics and miss ratios."""
+    branch, branch_miss, cache_ref, cache_miss_ratio, l1d, l1d_miss_ratio, md = metrics
+    out[:, 1] = itlb
+    out[:, 2] = np.rint(branch * itlb)
+    out[:, 3] = np.minimum(out[:, 2], np.rint(branch_miss * itlb))
+    out[:, 4] = np.rint(cache_ref * itlb)
+    out[:, 5] = np.rint(cache_miss_ratio * out[:, 4])
+    out[:, 6] = np.rint(l1d * itlb)
+    out[:, 7] = np.rint(l1d_miss_ratio * out[:, 6])
+    out[:, 8] = np.rint(md * itlb)
+
+
+_BENIGN_DRAWS = 8  # rows of one record's benign draws
+
+
+def _benign_draws(out: np.ndarray, profile: BenignProfile, rng: np.random.Generator) -> None:
+    """One worker's benign draws into out, one record per column; see _benign_counts."""
+    n = out.shape[1]
+    out[0] = profile.sample_branch_metric(rng, n)
+    out[1] = rng.uniform(math.log(BENIGN_ITLB_RANGE[0]), math.log(BENIGN_ITLB_RANGE[1]), n)
+    out[2] = rng.uniform(0.005, 0.04, n)
+    out[3] = _log_of_unit_mean(rng, 0.5, n)
+    out[4] = rng.uniform(0.05, 0.30, n)
+    out[5] = _log_of_unit_mean(rng, 0.5, n)
+    out[6] = rng.uniform(0.01, 0.10, n)
+    out[7] = _log_of_unit_mean(rng, BENIGN_MD_SIGMA, n)
+
+
+def _benign_counts(out: np.ndarray, draws: np.ndarray) -> None:
+    """The counters of any number of workers' benign draws, laid side by side."""
+    metric, log_itlb, miss, cache_ref, cache_miss, l1d, l1d_miss, md = draws
+    _fill_counts(out, np.exp(log_itlb).astype(np.int64), metric, metric * miss,
+                 30.0 * np.exp(cache_ref), cache_miss, 300.0 * np.exp(l1d), l1d_miss,
+                 BENIGN_MD_MEAN * np.exp(md))
 
 
 def generate_benign(
@@ -329,21 +353,27 @@ def generate_benign(
     """Draw n benign snapshots; one per window unless samples_per_window > 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    metric = profile.sample_branch_metric(rng, n)
-    itlb = _log_uniform_ints(rng, *BENIGN_ITLB_RANGE, n)
-    return _assemble_snapshots(
-        worker_id=worker_id,
-        timestamps=_window_timestamps(n, samples_per_window),
-        itlb=itlb,
-        branch_metric=metric,
-        branch_miss_metric=metric * rng.uniform(0.005, 0.04, n),
-        cache_ref_metric=_lognormal_mean_preserving(rng, 30.0, 0.5, n),
-        cache_miss_ratio=rng.uniform(0.05, 0.30, n),
-        l1d_metric=_lognormal_mean_preserving(rng, 300.0, 0.5, n),
-        l1d_miss_ratio=rng.uniform(0.01, 0.10, n),
-        md_metric=_lognormal_mean_preserving(rng, BENIGN_MD_MEAN, BENIGN_MD_SIGMA, n),
-    )
+    draws = np.empty((_BENIGN_DRAWS, n))
+    _benign_draws(draws, profile, np.random.default_rng(seed))
+    counts = np.empty((n, _COLUMNS), dtype=np.int64)
+    _benign_counts(counts, draws)
+    counts[:, 0] = _window_timestamps(n, samples_per_window)
+    return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts)
+
+
+def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVariant | str,
+                   amplification: int | None, pages: int) -> None:
+    """One attack worker's counters, all but the timestamp, into out."""
+    profile, n = AttackProfile.for_variant(variant), len(out)
+    branch_mean = profile.branch_metric(amplification, pages)
+    md_mean = profile.md_reset_metric(amplification)
+    metric = _lognormal_mean_preserving(rng, branch_mean, ATTACK_REL_SPREAD, n)
+    itlb = _log_uniform_ints(rng, *ATTACK_ITLB_RANGE, n)
+    # Branch misses: attack loops rarely miss after mistraining settles; stays below benign.
+    _fill_counts(out, itlb, metric, _lognormal_mean_preserving(rng, 8.0, 0.3, n),
+                 _lognormal_mean_preserving(rng, 12.0, 0.4, n), rng.uniform(0.05, 0.20, n),
+                 _lognormal_mean_preserving(rng, 600.0, 0.4, n), rng.uniform(0.02, 0.10, n),
+                 _lognormal_mean_preserving(rng, md_mean, ATTACK_MD_SIGMA, n))
 
 
 def generate_attack(
@@ -363,30 +393,11 @@ def generate_attack(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if pages < 0:
-        raise ValueError("pages must be >= 0")
-    profile = AttackProfile.for_variant(variant)
     rng = np.random.default_rng(seed)
-
-    branch_mean = profile.branch_metric(amplification, pages)
-    md_mean = profile.md_reset_metric(amplification)
-    metric = _lognormal_mean_preserving(rng, branch_mean, ATTACK_REL_SPREAD, n)
-    itlb = _log_uniform_ints(rng, *ATTACK_ITLB_RANGE, n)
-    snapshots = _assemble_snapshots(
-        worker_id=worker_id,
-        timestamps=_window_timestamps(n, samples_per_window),
-        itlb=itlb,
-        # attack loops rarely miss after mistraining settles; stays below benign
-        branch_miss_metric=_lognormal_mean_preserving(rng, 8.0, 0.3, n),
-        branch_metric=metric,
-        cache_ref_metric=_lognormal_mean_preserving(rng, 12.0, 0.4, n),
-        cache_miss_ratio=rng.uniform(0.05, 0.20, n),
-        l1d_metric=_lognormal_mean_preserving(rng, 600.0, 0.4, n),
-        l1d_miss_ratio=rng.uniform(0.02, 0.10, n),
-        md_metric=_lognormal_mean_preserving(rng, md_mean, ATTACK_MD_SIGMA, n),
-    )
-    histogram = make_attack_histogram(rng)
-    return snapshots, histogram
+    counts = np.empty((n, _COLUMNS), dtype=np.int64)
+    _attack_counts(counts, rng, variant, amplification, pages)  # rejects pages < 0
+    counts[:, 0] = _window_timestamps(n, samples_per_window)
+    return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts), make_attack_histogram(rng)
 
 
 # --- misprediction histogram shapes -------------------------------------

@@ -20,13 +20,12 @@ from spectreguard import ks as _ks
 from spectreguard.fleet import (
     DEGRADED_MODE,
     SELECTIVE_MODE,
-    BenignWorkload,
+    AttackWorkload,
     DetectorSpec,
     EvasiveWorkload,
     FleetConfig,
     FleetReport,
     SeriesPoint,
-    Workload,
 )
 from spectreguard.profiles import (
     BenignProfile,
@@ -37,6 +36,14 @@ from spectreguard.profiles import (
 )
 from spectreguard.threshold import classify_threshold
 from spectreguard.trace import IntervalAverage, TraceBatch, fold_intervals
+
+
+@dataclass(frozen=True)
+class BenignWorkload:
+    kind: str = "benign"
+
+
+Workload = BenignWorkload | AttackWorkload | EvasiveWorkload
 
 
 class Placement(str, Enum):

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fleet_reference import run_fleet_reference
-from spectreguard import ks, profiles
+from fleet_reference import BenignWorkload, run_fleet_reference
+from fleet_reference import _build_workers as build_reference_workers
+from spectreguard import fleet, ks, profiles
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
@@ -20,7 +22,7 @@ from spectreguard.fleet import (
 )
 from spectreguard.profiles import BenignProfile, generate_benign
 from spectreguard.threshold import ThresholdConfig, sweep_thresholds
-from spectreguard.trace import fold_intervals
+from spectreguard.trace import TraceBatch, fold_intervals
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,8 +241,46 @@ class TestReferenceLoop:
         monkeypatch.setattr(ks, "classify_ks", forbidden)
         monkeypatch.setattr(ks, "ks_two_sample", forbidden)
         assert run_fleet(cfg).to_json_dict() == expected
-        # One recorded histogram per attacker (generate_attack), none per window.
-        assert len(built) == cfg.n_attack
+        # None per window, and none per attacker: the fleet takes the attack
+        # counter columns without generate_attack's recorded histogram.
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *(pytest.param(oracle_fleet(executions=e), id=f"executions{e}") for e in range(1, 6)),
+            pytest.param(oracle_fleet(attack=EvasiveWorkload(pages=130)), id="evasive"),
+            # "worker-1000" sorts between "worker-100" and "worker-101"
+            pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions=1),
+                         id="ks-1004-workers"),
+        ],
+    )
+    def test_batched_trace_equals_per_worker_generators(self, cfg):
+        # The reference draws each worker by generate_benign or generate_attack,
+        # seeded from the SeedSequence spawn tree.
+        records, expected = build_reference_workers(cfg)
+        trace, benign, histogram_rngs = fleet._build_fleet(cfg)
+        assert trace.names == expected.names
+        assert np.array_equal(trace.worker, expected.worker)
+        assert np.array_equal(trace.counts, expected.counts)
+        assert benign.tolist() == [isinstance(r.workload, BenignWorkload) for r in records]
+        if cfg.detector.kind == "ks":
+            assert [g.bit_generator.state for g in histogram_rngs] == [
+                r.histogram_rng.bit_generator.state for r in records
+            ]
+        else:  # threshold fleets never read a histogram generator
+            assert histogram_rngs == []
+
+    @pytest.mark.parametrize("kind", ["threshold", "ks"])
+    def test_fleet_trace_is_validated_once(self, kind, monkeypatch):
+        validated = []
+        post_init = TraceBatch.__post_init__
+        monkeypatch.setattr(TraceBatch, "__post_init__",
+                            lambda batch: validated.append(len(batch)) or post_init(batch))
+        cfg = oracle_fleet(kind, n_benign=40, executions=3)
+        run_fleet(cfg)
+        n_workers = cfg.n_benign + cfg.n_attack
+        assert validated == [n_workers * cfg.intervals * cfg.executions_per_interval]
 
 
 class TestConfigValidation:
@@ -270,6 +310,13 @@ class TestPinnedReports:
                     rng_seed=9,
                     detector=DetectorSpec(threshold=ThresholdConfig(subrequest_limit=5)),
                 ),
+            ),
+            (
+                # four executions per window, so every window takes the exact
+                # sum kernel; two attack and two benign isolations
+                "fleet_threshold_e4_report.json",
+                FleetConfig(n_benign=30, n_attack=2, intervals=5, executions_per_interval=4,
+                            subrequests_per_interval=2, rng_seed=8),
             ),
             (
                 "fleet_ks_report.json",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from spectreguard.profiles import (
     pages_to_reach,
 )
 from spectreguard import cli
-from spectreguard.trace import fold_intervals, normalize
+from spectreguard.trace import emit_trace, fold_intervals, normalize
 
 DATA = Path(__file__).parent / "data"
 # Written before the histogram generators went to array operations:
@@ -153,6 +154,41 @@ class TestGenerateAttack:
         averages = list(fold_intervals(iter(snaps)))
         assert len(averages) == 10
         assert all(a.sample_count == 4 for a in averages)
+
+
+# sha256 of emit_trace's text for each generator call below, written before
+# generate_benign was split into per-worker draws and one counter-arithmetic
+# pass, and before the fleet took the attack counter columns alone.
+PINNED_TRACE_SHA256 = {
+    "benign": "2b8506dd5bcff5c8b3cc14b6fd7abb59d4035716ead65f33ce8fec8e3a7ce3b9",
+    "pht": "053a93cfb7183950021be232cb650f987dfad1d80f44e791632e3003bcb289d3",
+    "btb": "d948d4e4dd95017ca625e39b5b30dcaf89f8769afa0b400ff4b6b480ea691e88",
+    "stl": "8adf773cd2f2c7e0af0ac2cbba98394ff070eb973fe052374968cc54dba4f791",
+    "rsb": "d92fa2c5a4419d37375cd4ff4111b3af763a92e536cf9a3c5a0b76d6c4e222bb",
+}
+
+
+class TestPinnedTraces:
+    """The generators make the same rng calls, in the same order, as ever."""
+
+    @pytest.mark.parametrize(
+        ("name", "make"),
+        [
+            ("benign", lambda: generate_benign(BenignProfile.default(), 600, seed=7,
+                                               worker_id="b", samples_per_window=3)),
+            *(
+                (variant, lambda v=variant, a=a, p=p: generate_attack(
+                    v, amplification=a, pages=p, n=200, seed=11, worker_id="a",
+                    samples_per_window=4)[0])
+                for variant, a, p in (("pht", None, 0), ("btb", 9, 3), ("stl", 50, 0),
+                                      ("rsb", None, 40))
+            ),
+        ],
+    )
+    def test_trace_bytes(self, name, make):
+        text = io.StringIO()
+        emit_trace(make(), text)
+        assert hashlib.sha256(text.getvalue().encode()).hexdigest() == PINNED_TRACE_SHA256[name]
 
 
 class TestHistogramGenerators:
