@@ -24,18 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ks as _ks
-from .profiles import (
-    _BENIGN_DRAWS,
-    _COLUMNS,
-    AttackVariant,
-    BenignProfile,
-    _attack_counts,
-    _benign_counts,
-    _benign_draws,
-    _window_timestamps,
-    draw_attack_histogram,
-    draw_benign_histogram,
-)
+from .profiles import AttackVariant, _fleet_counts, draw_attack_histogram, draw_benign_histogram
 from .threshold import ThresholdConfig, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
@@ -214,7 +203,6 @@ def _build_fleet(cfg: FleetConfig) -> tuple[TraceBatch, np.ndarray, list[np.rand
     code in the trace, and its index here, is its rank in name order, where
     every ``attack-`` name precedes every ``worker-`` name.
     """
-    profile = BenignProfile.default()
     n_samples = cfg.intervals * cfg.executions_per_interval
     specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
     specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
@@ -226,18 +214,10 @@ def _build_fleet(cfg: FleetConfig) -> tuple[TraceBatch, np.ndarray, list[np.rand
 
     attack = cfg.attack
     pages = attack.pages if isinstance(attack, EvasiveWorkload) else 0
-    counts = np.empty((len(order), n_samples, _COLUMNS), dtype=np.int64)
-    draws = np.empty((_BENIGN_DRAWS, cfg.n_benign, n_samples))
-    for rank, i in enumerate(order):
-        if i < cfg.n_attack:
-            _attack_counts(counts[rank], rng(i, 0), attack.variant, attack.amplification, pages)
-        else:
-            _benign_draws(draws[:, rank - cfg.n_attack], profile, rng(i, 0))
-    _benign_counts(counts[cfg.n_attack:].reshape(-1, _COLUMNS), draws.reshape(_BENIGN_DRAWS, -1))
-    counts[:, :, 0] = _window_timestamps(n_samples, cfg.executions_per_interval)
-
+    counts = _fleet_counts((rng(i, 0) for i in order), cfg.n_attack, cfg.n_benign, n_samples,
+                           cfg.executions_per_interval, (attack.variant, attack.amplification, pages))
     fleet = TraceBatch(tuple(specs[i] for i in order), np.repeat(np.arange(len(order)), n_samples),
-                       counts.reshape(-1, _COLUMNS))
+                       counts)
     histogram_rngs = [rng(i, 1) for i in order] if cfg.detector.kind == "ks" else []
     return fleet, np.array(order) >= cfg.n_attack, histogram_rngs
 

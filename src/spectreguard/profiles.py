@@ -14,7 +14,8 @@ Two generator families live here:
 A benign trace is made in two parts: ``_benign_draws`` makes one worker's rng
 draws, and ``_benign_counts`` turns the draws of any number of workers, laid
 side by side, into counters in one pass.  ``generate_benign`` calls both for
-one worker; the fleet calls them for all its benign workers at once.
+one worker; ``_fleet_counts`` builds a whole fleet's counters with them, one
+worker's draws after another and one arithmetic pass.
 
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
@@ -26,6 +27,7 @@ calibration is the binding requirement.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -374,6 +376,24 @@ def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVar
                  _lognormal_mean_preserving(rng, 12.0, 0.4, n), rng.uniform(0.05, 0.20, n),
                  _lognormal_mean_preserving(rng, 600.0, 0.4, n), rng.uniform(0.02, 0.10, n),
                  _lognormal_mean_preserving(rng, md_mean, ATTACK_MD_SIGMA, n))
+
+
+def _fleet_counts(rngs: Iterator[np.random.Generator], n_attack: int, n_benign: int, n: int,
+                  samples_per_window: int, attack: tuple) -> np.ndarray:
+    """The counters of n_attack attack workers, then n_benign default benign
+    workers, n records each, one worker after another; each worker draws from
+    the next generator of rngs.  attack is (variant, amplification, pages).
+    The benign counter arithmetic runs once, over every benign worker's draws."""
+    profile = BenignProfile.default()
+    counts = np.empty((n_attack + n_benign, n, _COLUMNS), dtype=np.int64)
+    draws = np.empty((_BENIGN_DRAWS, n_benign, n))
+    for out in counts[:n_attack]:
+        _attack_counts(out, next(rngs), *attack)
+    for worker in range(n_benign):
+        _benign_draws(draws[:, worker], profile, next(rngs))
+    _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), draws.reshape(_BENIGN_DRAWS, -1))
+    counts[:, :, 0] = _window_timestamps(n, samples_per_window)
+    return counts.reshape(-1, _COLUMNS)
 
 
 def generate_attack(

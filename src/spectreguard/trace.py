@@ -14,15 +14,14 @@ Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes them, and ``fold_intervals`` folds one into an
-``IntervalBatch`` of window means, whose sums a numpy kernel rounds exactly as
-``math.fsum`` does.  ``ingest_trace`` reads lines in exactly ``emit_trace``'s
-form by one regex match each and parses all their integers in one bulk step;
-any other line goes through the JSON decoder (``_parse_line``), which stays
-the reference for what a line means and which error it raises.
-``CounterSnapshot`` stays the per-record wire type: a batch iterates
-snapshots and an interval batch iterates ``IntervalAverage``s.  The streaming
-``IntervalFolder`` folds one record at a time, summing with ``math.fsum``; it
-is the reference oracle the batch fold is tested against.
+``IntervalBatch`` of window means.  ``ingest_trace`` reads lines in exactly
+``emit_trace``'s form by one regex match each and parses all their integers
+in one bulk step; any other line goes through the JSON decoder
+(``_parse_line``), which stays the reference for what a line means and which
+error it raises.  ``CounterSnapshot`` stays the per-record
+wire type: a batch iterates snapshots and an interval batch iterates
+``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
+time; it is the reference oracle the batch fold is tested against.
 
 Fold order rule, shared by both paths: a worker's window is emitted when that
 worker's first record of a later window arrives, in file order; windows still
@@ -377,48 +376,6 @@ class IntervalFolder:
         )
 
 
-def _fsum_rows(values: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-D array of finite floats, bit for bit.
-
-    Rows become exact expansions (columns of partials) that merge pairwise
-    up a tree by TwoSum grow steps; zero partials are compacted away once
-    every expansion is at least half zeros.  Then ``math.fsum``'s final
-    rounding: add the partials from the top while that is exact, and round a
-    half-way case toward the sign of the next nonzero partial.
-    """
-    rows, width = values.shape
-    padded = 1 << (width - 1).bit_length()  # zeros leave every sum unchanged
-    partials = np.hstack((values, np.zeros((rows, padded - width)))).reshape(1, -1)
-    while partials.shape[1] > rows:
-        odd, partials = partials[:, 1::2], partials[:, 0::2]
-        for x in odd:  # grow each expansion by x
-            grown = []
-            for y in partials:
-                hi = x + y
-                b = hi - x
-                grown.append((x - (hi - b)) + (y - b))  # the exact error of hi
-                x = hi
-            partials = np.array([*grown, x])
-        used = max(1, np.count_nonzero(partials, axis=0).max())
-        if 2 * used <= len(partials):
-            order = np.argsort(partials != 0, axis=0, kind="stable")
-            partials = np.take_along_axis(partials, order, axis=0)[-used:]
-
-    hi, lo, below = np.zeros((3, rows))
-    exact, pending = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
-    for y in partials[::-1]:
-        below = np.where(pending, y, below)  # pending: inexact, next partial unseen
-        pending &= y == 0
-        s = hi + y
-        e = y - (s - hi)
-        hi, lo = np.where(exact, s, hi), np.where(exact, e, lo)
-        pending |= exact & (e != 0)
-        exact &= e == 0
-    up = hi + 2 * lo
-    halfway = (below != 0) & (np.signbit(lo) == np.signbit(below)) & (up - hi == 2 * lo)
-    return np.where(halfway, up, hi)
-
-
 def _as_batch(records: TraceBatch | Iterable[CounterSnapshot]) -> TraceBatch:
     return records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
 
@@ -432,11 +389,10 @@ def fold_intervals(
     Records are stably sorted by worker, so each worker's records keep their
     file order; a timestamp regression raises OutOfOrderTimestamp for the
     first offending record in file order.  Zero-iTLB samples are dropped and
-    counted.  Window sums are correctly rounded, bit for bit ``math.fsum``,
-    so means do not depend on the order of samples within a window: one IEEE
-    addition for at most two samples; wider windows, grouped by the power of
-    two that holds their count and zero-padded, go one metric column at a
-    time through the numpy kernel ``_fsum_rows``, not a loop per window.
+    counted.  Window sums are correctly rounded (``math.fsum``), so means do
+    not depend on the order of samples within a window: a window of at most
+    two samples takes one IEEE addition, which is already correctly rounded;
+    a wider one takes ``math.fsum`` of slices of one contiguous metric column.
     """
     _check_interval(interval_ns)
     batch = _as_batch(records)
@@ -476,14 +432,12 @@ def fold_intervals(
     count = sample_count[emitted]
     offsets = np.cumsum(count) - count
     sums = np.add.reduceat(normalized, offsets, axis=0)
-    # Wider windows go to the exact kernel in buckets: count in (2**(b-1), 2**b].
-    for b in range(2, (int(count.max(initial=0)) - 1).bit_length() + 1):
-        bucket = np.flatnonzero((count > 1 << (b - 1)) & (count <= 1 << b))
-        slot = np.arange(1 << b)
-        pad = slot >= count[bucket, None]
-        take = np.where(pad, 0, offsets[bucket, None] + slot)
-        for col, column in enumerate(normalized.T):
-            sums[bucket, col] = _fsum_rows(np.where(pad, 0.0, column[take]))
+    # memoryview slices: no array or list is made per window
+    wide = np.flatnonzero(count > 2)
+    bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
+    for col in range(normalized.shape[1]):
+        values = memoryview(np.ascontiguousarray(normalized[:, col]))
+        sums[wide, col] = [math.fsum(values[a:b]) for a, b in bounds]
 
     # Closed windows in the file order of their closing records, then the
     # open ones by (window, worker name).
