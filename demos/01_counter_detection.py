@@ -10,14 +10,9 @@ caught by the history-reset rule instead.
 
 import numpy as np
 
-from spectreguard import (
-    BenignProfile,
-    ThresholdConfig,
-    classify_threshold,
-    fold_intervals,
-    generate_attack,
-    generate_benign,
-)
+from spectreguard.profiles import BenignProfile, generate_attack, generate_benign
+from spectreguard.threshold import ThresholdConfig, classify_threshold
+from spectreguard.trace import fold_intervals
 
 cfg = ThresholdConfig()
 print(f"branch threshold: {cfg.branch_per_itlb_threshold:.0f} per iTLB access")

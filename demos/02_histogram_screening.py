@@ -11,7 +11,7 @@ test on the top branches turns that contrast into a p-value: high p means
 
 import numpy as np
 
-from spectreguard import classify_ks, load_default_template, top_branches
+from spectreguard.ks import classify_ks, load_default_template, top_branches
 from spectreguard.profiles import make_attack_histogram, make_benign_histogram
 
 template = load_default_template()

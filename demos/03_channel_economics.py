@@ -10,13 +10,9 @@ and prices the two ways of ducking the branch/iTLB threshold.
     python3 demos/03_channel_economics.py   (takes under 1 s: budgeting is exact)
 """
 
-from spectreguard import (
-    AttackProfile,
-    evasion_cost,
-    js_worker_params,
-    leakage_table,
-    required_requests,
-)
+from spectreguard.channel import js_worker_params, leakage_table, required_requests
+from spectreguard.profiles import AttackProfile
+from spectreguard.threshold import evasion_cost
 
 print("measured-runtime leakage table (3600 / (requests x runtime)):")
 print(f"{'amplification':>14} {'requests':>9} {'runtime':>9} {'bits/hour':>10}")

@@ -10,7 +10,8 @@ process isolation in the worst case.
     python3 demos/04_isolation_fleet.py
 """
 
-from spectreguard import DetectorSpec, FleetConfig, ThresholdConfig, run_fleet
+from spectreguard.fleet import DetectorSpec, FleetConfig, run_fleet
+from spectreguard.threshold import ThresholdConfig
 
 cfg = FleetConfig(n_benign=50, n_attack=1, intervals=6, rng_seed=20)
 report = run_fleet(cfg)

@@ -28,10 +28,6 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from . import channel as channel_mod
-from . import fleet as fleet_mod
 from . import ks as ks_mod
 from . import threshold as threshold_mod
 from .profiles import AttackVariant, BenignProfile, generate_attack, generate_benign
@@ -232,36 +228,41 @@ def _positive_ints(flag: str, text: str) -> list[int]:
 
 
 def _cmd_channel(args) -> int:
-    params = channel_mod.js_worker_params()
-    if args.table:
+    # The channel model loads only for this command, so main cannot catch its errors.
+    from . import channel as channel_mod
+
+    try:
+        if args.table:
+            rows = (
+                f"{est.amplification},{est.requests_per_bit},"
+                f"{_float(est.script_runtime_s * 1000.0)},{_float(est.bits_per_hour)}"
+                for est in channel_mod.leakage_table()
+            )
+            _atomic_write(
+                args.out,
+                _csv_lines(
+                    LEAKAGE_SCHEMA,
+                    "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
+                    rows,
+                ),
+            )
+            return EXIT_OK
+
+        amplifications = _positive_ints("--amplifications", args.amplifications)
+        requests = _positive_ints("--requests", args.requests)
+        grid = channel_mod.success_rate_curve(amplifications, requests, channel_mod.js_worker_params())
         rows = (
-            f"{est.amplification},{est.requests_per_bit},"
-            f"{_float(est.script_runtime_s * 1000.0)},{_float(est.bits_per_hour)}"
-            for est in channel_mod.leakage_table()
+            f"{a},{n},{_float(grid[i, j])}"
+            for i, a in enumerate(amplifications)
+            for j, n in enumerate(requests)
         )
         _atomic_write(
             args.out,
-            _csv_lines(
-                LEAKAGE_SCHEMA,
-                "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
-                rows,
-            ),
+            _csv_lines(SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows),
         )
         return EXIT_OK
-
-    amplifications = _positive_ints("--amplifications", args.amplifications)
-    requests = _positive_ints("--requests", args.requests)
-    grid = channel_mod.success_rate_curve(amplifications, requests, params)
-    rows = (
-        f"{a},{n},{_float(grid[i, j])}"
-        for i, a in enumerate(amplifications)
-        for j, n in enumerate(requests)
-    )
-    _atomic_write(
-        args.out,
-        _csv_lines(SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows),
-    )
-    return EXIT_OK
+    except channel_mod.ChannelError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # --- fleet -------------------------------------------------------------------
@@ -293,7 +294,9 @@ def _config_section(data: dict, key: str) -> dict:
     return dict(section)
 
 
-def _fleet_config_from_json(data: dict, args) -> fleet_mod.FleetConfig:
+def _fleet_config_from_json(data: dict, args):
+    from . import fleet as fleet_mod
+
     unknown = set(data) - set(_FLEET_INT_KEYS) - {"baseline_rps", "detector", "attack"}
     if unknown:
         raise InputError(f"unknown fleet config keys: {sorted(unknown)}")
@@ -334,7 +337,7 @@ def _fleet_config_from_json(data: dict, args) -> fleet_mod.FleetConfig:
         key: _config_value(key, data.get(key, default), minimum)
         for key, (default, minimum) in _FLEET_INT_KEYS.items()
     }
-    if args.seed_given:
+    if args.seed is not None:
         ints["seed"] = args.seed
     if args.intervals is not None:
         ints["intervals"] = args.intervals
@@ -348,6 +351,8 @@ def _fleet_config_from_json(data: dict, args) -> fleet_mod.FleetConfig:
 
 
 def _cmd_fleet(args) -> int:
+    from . import fleet as fleet_mod
+
     data = {}
     if args.config:
         try:
@@ -459,7 +464,8 @@ def _build_parser() -> _Parser:
 
     fleet = sub.add_parser("fleet", help="run the fleet simulator")
     fleet.add_argument("--config", default=None, help="JSON config file")
-    fleet.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    fleet.add_argument("--seed", type=int, default=None,
+                       help=f"overrides the config's seed (default {DEFAULT_SEED})")
     fleet.add_argument("--threshold", type=float, default=None)
     fleet.add_argument("--intervals", type=int, default=None)
     fleet.add_argument("--out", required=True)
@@ -491,13 +497,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
         return _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TraceError, ks_mod.HistogramError, threshold_mod.UnreachableTarget,
-            channel_mod.ChannelError, OSError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

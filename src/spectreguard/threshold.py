@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .trace import IntervalAverage, IntervalBatch
-from . import channel as _channel
 from .profiles import (
     BENIGN_MD_MEAN,
     METRIC_INTERCEPT,
@@ -183,8 +182,10 @@ def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> Evasion
     full_metric = attack_profile.branch_metric()
     pages = pages_to_reach(full_metric, target_metric)
 
-    requests = max(1, round(_channel.UNIT_AMPLIFICATION_REQUESTS / amplification))
-    estimate = _channel.leakage_rate(amplification, requests)
+    # Imported here, so loading the detector does not load the channel model.
+    from .channel import UNIT_AMPLIFICATION_REQUESTS, leakage_rate
+    requests = max(1, round(UNIT_AMPLIFICATION_REQUESTS / amplification))
+    estimate = leakage_rate(amplification, requests)
     return EvasionCost(
         target_metric=target_metric,
         code_pages=pages,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spectreguard import cli
+from spectreguard import channel, cli
 from spectreguard.threshold import ThresholdConfig, classify_threshold
 from spectreguard.trace import fold_intervals, ingest_trace
 
@@ -251,6 +251,21 @@ class TestFleetCommand:
         pinned = Path(__file__).parent / "data" / "fleet_ks_report.json"
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == pinned.read_text()
 
+    def test_abbreviated_seed_flag_overrides_config(self, tmp_path):
+        # argparse takes a unique prefix, so --see sets the same seed as --seed.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_benign": 6, "n_attack": 1, "intervals": 3, "seed": 5}))
+        reports = {}
+        for name, flags in {"config": [], "see": ["--see", "9"], "seed": ["--seed", "9"],
+                            "seed=": ["--seed=9"]}.items():
+            out = tmp_path / f"{name}.json"
+            assert run("fleet", "--config", str(config), *flags, "--out", str(out)) == 0
+            reports[name] = out.read_text()
+        assert reports["see"] == reports["seed"] == reports["seed="]
+        assert json.loads(reports["see"])["seed"] == 9
+        assert reports["config"] != reports["see"]
+        assert json.loads(reports["config"])["seed"] == 5
+
     def test_unknown_config_key_is_input_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n_workers": 5}))
@@ -304,6 +319,21 @@ class TestErrors:
     def test_channel_grid_rejects_bad_counts(self, tmp_path, capsys, flag, value):
         assert run("channel", flag, value, "--out", str(tmp_path / "g.csv")) == 1
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("name,argv", [
+        ("success_rate_curve", ["--amplifications", "10", "--requests", "1"]),
+        ("leakage_table", ["--table"]),
+    ])
+    def test_channel_error_is_input_error(self, tmp_path, capsys, monkeypatch, name, argv):
+        # cli loads the channel model only in the channel command, so main's
+        # catch cannot name ChannelError; the command maps it to exit 1.
+        def unreachable(*args, **kwargs):
+            raise channel.Unreachable("x")
+
+        monkeypatch.setattr(channel, name, unreachable)
+        assert run("channel", *argv, "--out", str(tmp_path / "g.csv")) == 1
+        assert capsys.readouterr().err == "error: x\n"
         assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("config,key", [
