@@ -24,14 +24,14 @@ print(f"{'sample':>12} {'branches':>9} {'D':>7} {'p':>10} {'suspect':>8}")
 for i in range(5):
     hist = make_attack_histogram(np.random.default_rng(1000 + i))
     verdict = classify_ks(hist, template)
-    print(f"{'attack-' + str(i):>12} {verdict.k_effective:>9} "
+    print(f"{'attack-' + str(i):>12} {verdict.ks.n:>9} "
           f"{verdict.ks.statistic:>7.3f} {verdict.ks.p_value:>10.2e} "
           f"{str(verdict.suspect):>8}")
 
 for i in range(5):
     hist = make_benign_histogram(np.random.default_rng(2000 + i))
     verdict = classify_ks(hist, template)
-    print(f"{'benign-' + str(i):>12} {verdict.k_effective:>9} "
+    print(f"{'benign-' + str(i):>12} {verdict.ks.n:>9} "
           f"{verdict.ks.statistic:>7.3f} {verdict.ks.p_value:>10.2e} "
           f"{str(verdict.suspect):>8}")
 

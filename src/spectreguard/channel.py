@@ -13,9 +13,9 @@ Readings are Gaussian truncated to the timer tick, so calibration and request
 budgeting are exact closed forms: the box-test threshold from population
 quantiles, one-shot accuracies from the normal CDF, and the majority vote as
 a binomial tail.  They draw no random numbers; ``required_requests`` still
-accepts ``rng_seed`` for compatibility and ignores it.  The simulator
-(``simulate_bit_batch``, ``sample_bit_set``, ``box_test``) takes an explicit
-seed and stays as the reference the closed forms are tested against.
+accepts ``rng_seed`` for compatibility and ignores it.  The sampler
+``simulate_bit_batch`` and ``box_test`` take explicit draws and stay as the
+reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-CYCLES_PER_GHZ_NS = 1.0  # 1 GHz == 1 cycle/ns
 
 # Measured reference rows for the in-sandbox attack:
 # (amplification, requests per bit, script runtime in seconds, leaked bits/hour).
@@ -40,6 +38,10 @@ REFERENCE_ATTACK_ROWS: tuple[tuple[int, int, float, int], ...] = (
     (10_000, 25, 1.813, 79),
     (250_000, 1, 30.000, 120),
 )
+
+# Cache lines walked to reset the cache state once per measurement: a 2 MB
+# eviction array in 64 B lines.
+EVICTION_ACCESSES = 32_768
 
 # Requests needed with no amplification at all; anchors the
 # requests-times-amplification conservation law.
@@ -71,7 +73,6 @@ class ChannelParams:
     hit_cycles: float
     miss_cycles: float
     per_iteration_overhead: float
-    eviction_accesses: int = 32_768  # 2 MB eviction array walked in 64 B lines
     timer_resolution_ns: float = 0.47
     timer_jitter_rel: float = 0.0167
     network_noise_sd: float = 0.0
@@ -84,12 +85,10 @@ class ChannelParams:
             raise ValueError("noise and overhead parameters must be >= 0")
         if self.timer_jitter_rel < 0 or self.timer_resolution_ns < 0:
             raise ValueError("timer parameters must be >= 0")
-        if self.eviction_accesses < 0:
-            raise ValueError("eviction_accesses must be >= 0")
 
     @property
     def resolution_cycles(self) -> float:
-        return self.timer_resolution_ns * self.cpu_ghz * CYCLES_PER_GHZ_NS
+        return self.timer_resolution_ns * self.cpu_ghz  # 1 GHz == 1 cycle/ns
 
     def iteration_cycles(self, bit: int) -> float:
         """Deterministic cost of one gadget iteration for the given bit.
@@ -102,7 +101,7 @@ class ChannelParams:
 
     def eviction_cycles(self) -> float:
         # one-time cache-state reset per measurement
-        return self.eviction_accesses * self.hit_cycles
+        return EVICTION_ACCESSES * self.hit_cycles
 
     def mean_reading(self, bit: int, amplification: int) -> float:
         return amplification * self.iteration_cycles(bit) + self.eviction_cycles()
@@ -168,39 +167,6 @@ def simulate_bit_batch(
     sd = params.reading_noise_sd(bit, amplification)
     readings = mean + sd * rng.standard_normal(size)
     return _quantize(readings, params.resolution_cycles)
-
-
-def simulate_bit(bit: int, amplification: int, params: ChannelParams, rng_seed) -> float:
-    """One measurement of one bit; deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
-    return float(simulate_bit_batch(bit, amplification, params, 1, rng)[0])
-
-
-@dataclass(frozen=True)
-class BitSampleSet:
-    """Timing samples per bit class; zeros run slower (one extra miss/iteration)."""
-
-    zeros: np.ndarray
-    ones: np.ndarray
-    amplification: int
-
-
-def sample_bit_set(
-    amplification: int,
-    params: ChannelParams,
-    n_per_class: int,
-    seed,
-) -> BitSampleSet:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    zero_seed, one_seed = seed.spawn(2)
-    zeros = simulate_bit_batch(
-        0, amplification, params, n_per_class, np.random.default_rng(zero_seed)
-    )
-    ones = simulate_bit_batch(
-        1, amplification, params, n_per_class, np.random.default_rng(one_seed)
-    )
-    return BitSampleSet(zeros=zeros, ones=ones, amplification=amplification)
 
 
 # Default percentiles of the box test; the closed form uses the same ones.
@@ -429,29 +395,25 @@ class LeakEstimate:
     requests_per_bit: int
     script_runtime_s: float
     bits_per_hour: float
-    success_rate: float
 
 
 def leakage_rate(
     amplification: int,
     requests_per_bit: int,
     runtime_s: float | None = None,
-    success_rate: float = 1.0,
 ) -> LeakEstimate:
-    """Bits per hour: 3600 / (requests * runtime), scaled by the success rate."""
+    """Bits per hour: 3600 / (requests * runtime)."""
     if amplification < 1 or requests_per_bit < 1:
         raise ValueError("amplification and requests_per_bit must be >= 1")
     if runtime_s is None:
         runtime_s = RuntimeModel.fit_reference()(amplification)
     if runtime_s <= 0:
         raise ValueError("runtime must be positive")
-    bits = 3600.0 / (requests_per_bit * runtime_s) * success_rate
     return LeakEstimate(
         amplification=amplification,
         requests_per_bit=requests_per_bit,
         script_runtime_s=runtime_s,
-        bits_per_hour=bits,
-        success_rate=success_rate,
+        bits_per_hour=3600.0 / (requests_per_bit * runtime_s),
     )
 
 

@@ -99,8 +99,9 @@ def _cmd_gen(args) -> int:
     if args.profile == "benign":
         if args.amplification is not None or args.pages:
             raise InputError("--amplification/--pages only apply to attack profiles")
+        if args.histogram_out:
+            raise InputError("--histogram-out requires an attack profile")
         snapshots = generate_benign(BenignProfile.default(), n=args.n, seed=args.seed)
-        histogram = None
     else:
         snapshots, histogram = generate_attack(
             AttackVariant(args.profile),
@@ -112,9 +113,8 @@ def _cmd_gen(args) -> int:
     with _atomic_file(args.out) as handle:
         emit_trace(snapshots, handle)
     if args.histogram_out:
-        if histogram is None:
-            raise InputError("--histogram-out requires an attack profile")
-        ks_mod.write_histogram_csv(histogram, args.histogram_out)
+        with _atomic_file(args.histogram_out) as handle:
+            ks_mod.write_histogram_csv(histogram, handle)
     return EXIT_OK
 
 
@@ -161,7 +161,7 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
                 "p": verdict.ks.p_value,
                 "n": verdict.ks.n,
                 "m": verdict.ks.m,
-                "k_effective": verdict.k_effective,
+                "k_effective": verdict.ks.n,
             }
         ) + "\n"
 
@@ -328,10 +328,6 @@ def _fleet_config_from_json(data: dict, args):
     pages = _config_value("pages", attack_data.pop("pages", 0))
     if attack_data:
         raise InputError(f"unknown attack config keys: {sorted(attack_data)}")
-    if pages:
-        attack = fleet_mod.EvasiveWorkload(pages, variant=variant, amplification=amplification)
-    else:
-        attack = fleet_mod.AttackWorkload(variant=variant, amplification=amplification)
 
     ints = {
         key: _config_value(key, data.get(key, default), minimum)
@@ -344,7 +340,7 @@ def _fleet_config_from_json(data: dict, args):
     return fleet_mod.FleetConfig(
         rng_seed=ints.pop("seed"),
         detector=detector,
-        attack=attack,
+        attack=fleet_mod.AttackWorkload(variant, amplification, pages),
         baseline_rps=_config_value("baseline_rps", data.get("baseline_rps", 1000.0), number=True),
         **ints,
     )

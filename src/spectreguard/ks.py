@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -82,8 +82,7 @@ class KsResult:
 @dataclass(frozen=True)
 class KsVerdict:
     suspect: bool  # p >= alpha: cannot reject "same distribution as template"
-    ks: KsResult
-    k_effective: int  # branches actually taken from the subject histogram
+    ks: KsResult  # ks.n: branches actually taken from the subject histogram
 
 
 def top_branches(hist: BranchHistogram, k: int) -> list[int]:
@@ -199,11 +198,7 @@ def classify_ks(
     subject = top_branches(hist, k)
     reference = top_branches(template, k)
     result = ks_two_sample(subject, reference)
-    return KsVerdict(
-        suspect=result.p_value >= alpha,
-        ks=result,
-        k_effective=len(subject),
-    )
+    return KsVerdict(suspect=result.p_value >= alpha, ks=result)
 
 
 SCREEN_BLOCK = 128  # samples per block in screen_counts: under 1 MB at any count
@@ -283,11 +278,13 @@ def load_default_template() -> BranchHistogram:
         return read_histogram_csv(path)
 
 
-def write_histogram_csv(hist: BranchHistogram, path: str | Path) -> None:
-    """Write a histogram CSV, branches ordered by (count desc, id asc)."""
-    ranked = sorted(hist.entries.items(), key=lambda item: (-item[1], item[0]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# schema: {HISTOGRAM_SCHEMA}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HISTOGRAM_HEADER)
-        writer.writerows(ranked)
+def write_histogram_csv(hist: BranchHistogram, destination: str | Path | TextIO) -> None:
+    """Write a histogram CSV to a path or an open text handle, branches
+    ordered by (count desc, id asc)."""
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            return write_histogram_csv(hist, handle)
+    destination.write(f"# schema: {HISTOGRAM_SCHEMA}\n")
+    writer = csv.writer(destination, lineterminator="\n")
+    writer.writerow(HISTOGRAM_HEADER)
+    writer.writerows(sorted(hist.entries.items(), key=lambda item: (-item[1], item[0])))

@@ -100,10 +100,6 @@ BENIGN_MAX_BRANCHES = 400
 BENIGN_COUNT_RANGE = (500.0, 20_000.0)
 
 
-class CalibrationInfeasible(Exception):
-    """Survival targets cannot be met by the configured mixture family."""
-
-
 class AttackVariant(str, Enum):
     PHT = "pht"
     BTB = "btb"
@@ -162,60 +158,35 @@ class BenignProfile:
     upper_cutoff: float
 
     @classmethod
-    def calibrate(cls, targets: dict[float, float] | None = None) -> "BenignProfile":
-        """Solve mixture parameters from survival-curve targets.
+    def calibrate(cls) -> "BenignProfile":
+        """Solve the mixture parameters from ``BENIGN_SURVIVAL_TARGETS``.
 
-        Expects three positive targets plus one zero target (the truncation
-        cutoff).  With ``BENIGN_BODY_SIGMA`` and ``BENIGN_TAIL_WEIGHT`` fixed,
-        the tail component is fitted to the two largest positive targets, the
-        body to the smallest, with a short fixed-point loop to account for
+        Three positive targets plus one zero target (the truncation cutoff).
+        With ``BENIGN_BODY_SIGMA`` and ``BENIGN_TAIL_WEIGHT`` fixed, the tail
+        component is fitted to the two largest positive targets, the body to
+        the smallest, with a short fixed-point loop to account for
         cross-component mass.
         """
-        targets = dict(BENIGN_SURVIVAL_TARGETS if targets is None else targets)
-        zero_points = sorted(x for x, s in targets.items() if s == 0.0)
-        positive = sorted((x, s) for x, s in targets.items() if s > 0.0)
-        if not zero_points:
-            raise CalibrationInfeasible("a zero-survival truncation point is required")
-        if len(positive) != 3:
-            raise CalibrationInfeasible(
-                f"mixture family calibrates against exactly 3 positive targets, got {len(positive)}"
-            )
-        cutoff = zero_points[0]
-        (x1, s1), (x2, s2), (x3, s3) = positive
-        if not (s1 > s2 > s3):
-            raise CalibrationInfeasible("survival targets must be strictly decreasing")
-        if x3 >= cutoff:
-            raise CalibrationInfeasible("positive targets must lie below the cutoff")
+        (x1, s1), (x2, s2), (x3, s3), (cutoff, _) = sorted(BENIGN_SURVIVAL_TARGETS.items())
         body_sigma, w = BENIGN_BODY_SIGMA, BENIGN_TAIL_WEIGHT
 
         def survival(mu: float, sigma: float, x: float) -> float:
             return 1.0 - _PHI.cdf((math.log(x) - mu) / sigma)
 
         body_at_x2 = body_at_x3 = 0.0
-        tail_at_x1 = 1.0
-        body_mu = tail_mu = tail_sigma = 0.0
         for _ in range(12):
             t2 = (s2 - (1.0 - w) * body_at_x2) / w
             t3 = (s3 - (1.0 - w) * body_at_x3) / w
-            if not (0.0 < t3 < t2 < 1.0):
-                raise CalibrationInfeasible(
-                    f"tail survivals out of range: {t2:.4g}, {t3:.4g}"
-                )
             z2 = _PHI.inv_cdf(1.0 - t2)
             z3 = _PHI.inv_cdf(1.0 - t3)
-            if z3 <= z2:
-                raise CalibrationInfeasible("tail z-scores are not increasing")
             tail_sigma = (math.log(x3) - math.log(x2)) / (z3 - z2)
             tail_mu = math.log(x2) - tail_sigma * z2
-            tail_at_x1 = survival(tail_mu, tail_sigma, x1)
-            t1 = (s1 - w * tail_at_x1) / (1.0 - w)
-            if not 0.0 < t1 < 1.0:
-                raise CalibrationInfeasible(f"body survival out of range: {t1:.4g}")
+            t1 = (s1 - w * survival(tail_mu, tail_sigma, x1)) / (1.0 - w)
             body_mu = math.log(x1) - body_sigma * _PHI.inv_cdf(1.0 - t1)
             body_at_x2 = survival(body_mu, body_sigma, x2)
             body_at_x3 = survival(body_mu, body_sigma, x3)
 
-        profile = cls(
+        return cls(
             body_mu=body_mu,
             body_sigma=body_sigma,
             tail_mu=tail_mu,
@@ -223,13 +194,6 @@ class BenignProfile:
             tail_weight=w,
             upper_cutoff=cutoff,
         )
-        for x, s in positive:
-            achieved = profile.survival(x)
-            if abs(achieved - s) > max(0.05 * s, 1e-6):
-                raise CalibrationInfeasible(
-                    f"fixed point did not converge at {x}: {achieved:.5g} vs {s:.5g}"
-                )
-        return profile
 
     @classmethod
     def default(cls) -> "BenignProfile":
@@ -267,16 +231,14 @@ class AttackProfile:
     """Amplification-dependent counter footprint of one attack variant."""
 
     variant: AttackVariant
-    branch_metric_full: float
 
     @classmethod
     def for_variant(cls, variant: AttackVariant | str) -> "AttackProfile":
-        variant = AttackVariant(variant)
-        return cls(variant=variant, branch_metric_full=VARIANT_BRANCH_METRIC[variant])
+        return cls(AttackVariant(variant))
 
     @property
     def metric_slope(self) -> float:
-        return (self.branch_metric_full - METRIC_INTERCEPT) / FULL_AMPLIFICATION
+        return (VARIANT_BRANCH_METRIC[self.variant] - METRIC_INTERCEPT) / FULL_AMPLIFICATION
 
     def branch_metric(self, amplification: int | None = None, pages: int = 0) -> float:
         """Mean branch/iTLB metric at the given amplification and page count."""

@@ -542,18 +542,20 @@ def _parse_tails(tails: list[str]) -> np.ndarray:
 def ingest_trace(path: str | Path) -> TraceBatch:
     """Read and validate a JSONL trace file into a batch, in file order.
 
-    Blank lines and ``#`` comment lines (used for schema headers) are skipped.
-    Lines in exactly ``emit_trace``'s row form (canonical key order, no
-    whitespace, a printable-ASCII worker name without quotes or backslashes,
-    integers of at most 18 digits) take a fast path: one regex match per
-    line, then one bulk parse of all their integers.  Every other line goes
-    through the JSON decoder, so a line either path reads gives the same
-    record, and a bad line gives the same error.
+    Blank lines and ``#`` comment lines are skipped, except a ``# schema:``
+    header that names a schema other than ``trace-v1``.  Lines in exactly
+    ``emit_trace``'s row form (canonical key order, no whitespace, a
+    printable-ASCII worker name without quotes or backslashes, integers of
+    at most 18 digits) take a fast path: one regex match per line, then one
+    bulk parse of all their integers.  Every other line goes through the
+    JSON decoder, so a line either path reads gives the same record, and a
+    bad line gives the same error.
 
-    Raises ParseError (bad JSON, duplicate, unknown or missing keys, wrong
-    types, integers outside int64) with the offending line number, or
-    InvariantViolation with the offending field name and line number.  When
-    several lines are bad, the first of them in file order is reported.
+    Raises ParseError (another schema, bad JSON, duplicate, unknown or
+    missing keys, wrong types, integers outside int64) with the offending
+    line number, or InvariantViolation with the offending field name and
+    line number.  When several lines are bad, the first of them in file
+    order is reported.
     """
     codes: dict[str, int] = {}
     worker: list[int] = []
@@ -574,7 +576,13 @@ def ingest_trace(path: str | Path) -> TraceBatch:
                 tails.append(tail)
             else:
                 stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
+                if stripped.startswith("#"):
+                    key, colon, version = stripped[1:].partition(":")
+                    if colon and key.strip() == "schema" and version.strip() != TRACE_SCHEMA:
+                        error = ParseError(line_number, f"unsupported trace schema {version.strip()!r}")
+                        break
+                    continue
+                if not stripped:
                     continue
                 try:
                     name, values = _parse_line(line_number, stripped)

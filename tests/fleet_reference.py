@@ -22,7 +22,6 @@ from spectreguard.fleet import (
     SELECTIVE_MODE,
     AttackWorkload,
     DetectorSpec,
-    EvasiveWorkload,
     FleetConfig,
     FleetReport,
     SeriesPoint,
@@ -40,10 +39,10 @@ from spectreguard.trace import IntervalAverage, TraceBatch, fold_intervals
 
 @dataclass(frozen=True)
 class BenignWorkload:
-    kind: str = "benign"
+    """What every benign worker runs; it has no parameters."""
 
 
-Workload = BenignWorkload | AttackWorkload | EvasiveWorkload
+Workload = BenignWorkload | AttackWorkload
 
 
 class Placement(str, Enum):
@@ -94,9 +93,9 @@ def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
         if isinstance(workload, BenignWorkload):
             batch = generate_benign(profile, **shape)
         else:
-            pages = workload.pages if isinstance(workload, EvasiveWorkload) else 0
             batch, _hist = generate_attack(
-                workload.variant, amplification=workload.amplification, pages=pages, **shape
+                workload.variant, amplification=workload.amplification, pages=workload.pages,
+                **shape
             )
         record = WorkerRecord(worker_id, workload, np.random.default_rng(hist_seed))
         workers.append((record, batch))

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from spectreguard import channel, cli
+from spectreguard import channel, cli, ks
+from spectreguard.fleet import AttackWorkload, FleetConfig, run_fleet
 from spectreguard.threshold import ThresholdConfig, classify_threshold
 from spectreguard.trace import fold_intervals, ingest_trace
 
@@ -88,6 +90,21 @@ class TestGenAndDetect:
         assert record["worker_id"] == "worker-a"
         assert record["suspect"] is True
         assert set(record) == {"worker_id", "suspect", "d", "p", "n", "m", "k_effective"}
+
+    @pytest.mark.parametrize("top_k,taken", [([], 64), (["--top-k", "5"], 5)])
+    def test_ks_verdict_counts_the_branches_taken(self, tmp_path, top_k, taken):
+        # gen's attack histograms have 64 branches each.
+        hist_dir = tmp_path / "hists"
+        hist_dir.mkdir()
+        for variant in ("pht", "btb"):
+            run("gen", "--profile", variant, "--n", "5", "--out", str(tmp_path / "x.jsonl"),
+                "--histogram-out", str(hist_dir / f"{variant}.csv"))
+        verdicts = tmp_path / "v.jsonl"
+        assert run("detect", "--detector", "ks", "--histograms", str(hist_dir),
+                   "--out", str(verdicts), *top_k) == 0
+        records = [json.loads(l) for l in read_lines(verdicts)[1:]]
+        assert [r["worker_id"] for r in records] == ["btb", "pht"]
+        assert all(r["k_effective"] == r["n"] == taken for r in records)
 
 
 class TestPinnedArtifacts:
@@ -251,6 +268,32 @@ class TestFleetCommand:
         pinned = Path(__file__).parent / "data" / "fleet_ks_report.json"
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == pinned.read_text()
 
+    def test_attack_section_reaches_the_simulator(self, tmp_path):
+        def body(attack: dict) -> str:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(
+                {"n_benign": 6, "n_attack": 2, "intervals": 4, "seed": 9, "attack": attack}
+            ))
+            out = tmp_path / "r.json"
+            assert run("fleet", "--config", str(config), "--out", str(out)) == 0
+            payload = json.loads(out.read_text())
+            del payload["schema"], payload["detector"]
+            return json.dumps(payload, sort_keys=True)
+
+        def expected(attack: AttackWorkload) -> str:
+            cfg = FleetConfig(n_benign=6, n_attack=2, intervals=4, rng_seed=9, attack=attack)
+            return json.dumps(run_fleet(cfg).to_json_dict(), sort_keys=True)
+
+        full = {"variant": "btb", "amplification": 50, "pages": 20}
+        assert body(full) == expected(AttackWorkload("btb", 50, 20))
+        # Every key moves the verdicts: 20 pages dilute btb below the branch
+        # threshold but not pht, and amplification 5 weakens pht below it.
+        assert body({"variant": "btb"}) == expected(AttackWorkload("btb")) != body(
+            {"variant": "btb", "pages": 20})
+        assert body({"pages": 20}) == expected(AttackWorkload(pages=20)) != body(
+            {"variant": "btb", "pages": 20})
+        assert body({}) != body({"amplification": 5}) == expected(AttackWorkload(amplification=5))
+
     def test_abbreviated_seed_flag_overrides_config(self, tmp_path):
         # argparse takes a unique prefix, so --see sets the same seed as --seed.
         config = tmp_path / "cfg.json"
@@ -371,7 +414,35 @@ class TestErrors:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_histogram_gen_requires_attack_profile(self, tmp_path):
-        assert run("gen", "--profile", "benign", "--n", "5",
-                   "--out", str(tmp_path / "t.jsonl"),
-                   "--histogram-out", str(tmp_path / "h.csv")) == 1
+    def test_histogram_gen_requires_attack_profile(self, tmp_path, capsys):
+        out, kept = tmp_path / "t.jsonl", tmp_path / "kept.jsonl"
+        kept.write_text("previous\n")
+        for trace in (out, kept):
+            assert run("gen", "--profile", "benign", "--n", "5", "--out", str(trace),
+                       "--histogram-out", str(tmp_path / "h.csv")) == 1
+            assert "--histogram-out requires an attack profile" in capsys.readouterr().err
+        assert not out.exists()
+        assert kept.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+
+    def test_failed_histogram_write_keeps_the_old_histogram(self, tmp_path, capsys, monkeypatch):
+        class Writer:
+            """A csv writer whose disk fills after the header row."""
+
+            def __init__(self, handle, **_kwargs):
+                self.handle = handle
+
+            def writerow(self, row):
+                self.handle.write(",".join(row) + "\n")
+
+            def writerows(self, rows):
+                raise OSError("disk full")
+
+        hist = tmp_path / "h.csv"
+        hist.write_text("previous\n")
+        monkeypatch.setattr(ks, "csv", SimpleNamespace(writer=Writer))
+        assert run("gen", "--profile", "pht", "--n", "5", "--out", str(tmp_path / "t.jsonl"),
+                   "--histogram-out", str(hist)) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert hist.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "t.jsonl"]

@@ -16,7 +16,6 @@ from spectreguard.fleet import (
     DEGRADED_MODE,
     AttackWorkload,
     DetectorSpec,
-    EvasiveWorkload,
     FleetConfig,
     run_fleet,
 )
@@ -150,7 +149,7 @@ class TestRunFleet:
             n_attack=1,
             intervals=4,
             rng_seed=8,
-            attack=EvasiveWorkload(pages=150),
+            attack=AttackWorkload(pages=150),
         )
         report = run_fleet(cfg)
         assert report.attack_workers_flagged == 0  # the subrequest cap is the backstop
@@ -211,8 +210,8 @@ ORACLE_GRID = [
     ),
     pytest.param(oracle_fleet(branch=0.0, limit=7), id="degraded"),
     pytest.param(oracle_fleet(branch=1024.0, limit=7), id="benign-false-positives"),
-    pytest.param(oracle_fleet(attack=EvasiveWorkload(pages=130)), id="evasive-threshold"),
-    pytest.param(oracle_fleet("ks", attack=EvasiveWorkload(pages=130)), id="evasive-ks"),
+    pytest.param(oracle_fleet(attack=AttackWorkload(pages=130)), id="evasive-threshold"),
+    pytest.param(oracle_fleet("ks", attack=AttackWorkload(pages=130)), id="evasive-ks"),
     pytest.param(oracle_fleet(n_benign=1001, intervals=2, executions_per_interval=1, limit=5),
                  id="threshold-1004-workers"),
     pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions_per_interval=1),
@@ -249,7 +248,7 @@ class TestReferenceLoop:
         "cfg",
         [
             *(pytest.param(oracle_fleet(executions=e), id=f"executions{e}") for e in range(1, 6)),
-            pytest.param(oracle_fleet(attack=EvasiveWorkload(pages=130)), id="evasive"),
+            pytest.param(oracle_fleet(attack=AttackWorkload(pages=130)), id="evasive"),
             # "worker-1000" sorts between "worker-100" and "worker-101"
             pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions=1),
                          id="ks-1004-workers"),

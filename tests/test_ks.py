@@ -197,7 +197,7 @@ class TestClassify:
         verdict = classify_ks(template, template)
         assert verdict.suspect
         assert verdict.ks.p_value == 1.0
-        assert verdict.k_effective == min(100, len(template.entries))
+        assert verdict.ks.n == min(100, len(template.entries))
 
     def test_benign_flat_histogram_is_rejected(self):
         template = load_default_template()

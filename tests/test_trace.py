@@ -383,6 +383,17 @@ class TestIngestRobustness:
         assert err.value.line_number == 2
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("header", ["# schema: trace-v9", "  #schema:trace-v2 ", "# schema:"])
+    def test_other_schema_rejected_with_line_number(self, tmp_path, header):
+        path = _write_lines(tmp_path / "v9.jsonl", "# note: not a schema: trace-v9",
+                            _wire_line(), header, _wire_line())
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert err.value.line_number == 3
+        assert "unsupported trace schema" in str(err.value)
+        path = _write_lines(tmp_path / "v1.jsonl", "#schema:trace-v1", "# schema", _wire_line())
+        assert ingest_trace(path).line.tolist() == [3]
+
     def test_int64_limits_accepted(self, tmp_path):
         path = _write_lines(tmp_path / "edge.jsonl",
                             _wire_line(ts_ns=-(2**63), md_reset=2**63 - 1))
