@@ -62,12 +62,19 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _atomic_file(path: str | Path):
-    """A text handle on a temp file that replaces ``path`` on success only."""
+    """A text handle on a temp file that replaces ``path`` on success only.
+
+    The file gets the mode ``open`` would give it (0666 less the umask),
+    not ``mkstemp``'s 0600.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

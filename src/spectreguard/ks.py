@@ -228,7 +228,11 @@ def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram) -> n
 
 
 def read_histogram_csv(path: str | Path) -> BranchHistogram:
-    """Load a histogram CSV (header ``branch_id,mispredictions``)."""
+    """Load a histogram CSV (header ``branch_id,mispredictions``).
+
+    ``#`` comment lines are skipped, except a ``# schema:`` header that
+    names a schema other than ``histogram-v1``.
+    """
     entries: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = []
@@ -237,12 +241,11 @@ def read_histogram_csv(path: str | Path) -> BranchHistogram:
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                if "schema:" in stripped:
-                    version = stripped.split("schema:", 1)[1].strip()
-                    if version != HISTOGRAM_SCHEMA:
-                        raise HistogramFormatError(
-                            f"unsupported histogram schema {version!r}"
-                        )
+                key, colon, version = stripped[1:].partition(":")
+                if colon and key.strip() == "schema" and version.strip() != HISTOGRAM_SCHEMA:
+                    raise HistogramFormatError(
+                        f"unsupported histogram schema {version.strip()!r}"
+                    )
                 continue
             rows.append(raw)
         reader = csv.reader(rows)

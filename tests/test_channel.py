@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectreguard.channel import (
+    ChannelCalibration,
+    ChannelError,
     ChannelParams,
     DegenerateSamples,
     RuntimeModel,
@@ -201,6 +203,16 @@ class TestClosedForm:
         assert low.success(n + dn) >= low.success(n) - VOTE_ROUNDING
         assert high.success(n) >= low.success(n) - VOTE_ROUNDING
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=1_000_000),
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    )
+    def test_vote_nondecreasing_in_requests(self, n, accuracy):
+        # the premise of required_requests' search; a tie-as-failure rule
+        # breaks it at every even n
+        assert majority_success(n + 1, accuracy) >= majority_success(n, accuracy) - VOTE_ROUNDING
+
     def test_noise_free_is_certain(self):
         cal = calibrate_decision(10, noise_free())
         assert (cal.accuracy_zero, cal.accuracy_one) == (1.0, 1.0)
@@ -237,7 +249,137 @@ class TestClosedForm:
             majority_success(0, 0.7)
 
 
+def reference_required_requests(
+    amplification: int,
+    params: ChannelParams,
+    target_success: float = 0.99,
+    n_max: int = 1_000_000,
+) -> int:
+    """Reference budget search: check n_max, double from n = 1 until the
+    target is reached, then bisect the last doubling.  It spends 7-39
+    exact evaluations where required_requests spends about five."""
+    if not 0.0 < target_success < 1.0:
+        raise ValueError("target_success must be in (0, 1)")
+    cal = calibrate_decision(amplification, params)
+    if cal.success(n_max) < target_success:
+        raise Unreachable(f"success at n_max={n_max} below target {target_success}")
+    hi = 1
+    while hi < n_max and cal.success(hi) < target_success:
+        hi = min(n_max, hi * 2)
+    lo = max(1, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cal.success(mid) >= target_success:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def outcome(search, *args, **kwargs):
+    """The search's result, or the type of the exception it raised."""
+    try:
+        return search(*args, **kwargs)
+    except (ValueError, ChannelError) as exc:
+        return type(exc)
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(min_value=math.log10(low), max_value=math.log10(high)).map(lambda e: 10.0**e)
+
+
+def maybe_zero(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+@st.composite
+def budget_cases(draw) -> tuple[ChannelParams, int]:
+    """(params, amplification) with the network noise and the timer tick
+    scaled to the class gap, so budgets span 1 request to beyond n_max.
+    Jitter up to 4 per iteration puts one accuracy below 1/2."""
+    hit = draw(log_uniform(1.0, 1e3))
+    gap = draw(log_uniform(1e-2, 1e3))
+    amplification = draw(st.integers(min_value=1, max_value=100_000))
+    cpu_ghz = draw(st.floats(min_value=0.5, max_value=4.0))
+    params = ChannelParams(
+        hit_cycles=hit,
+        miss_cycles=hit + gap,
+        per_iteration_overhead=draw(maybe_zero(log_uniform(1.0, 1e6))),
+        timer_resolution_ns=amplification * gap / cpu_ghz * draw(maybe_zero(log_uniform(1e-3, 10.0))),
+        timer_jitter_rel=draw(maybe_zero(log_uniform(1e-3, 4.0))),
+        network_noise_sd=amplification * gap * draw(log_uniform(1e-1, 1e3)),
+        cpu_ghz=cpu_ghz,
+    )
+    return params, amplification
+
+
+# (amplification, budgets at targets 0.9, 0.99, 0.999) for js_worker_params
+PINNED_BUDGETS = [
+    (1, (68_299, 225_405, 398_411)),
+    (10, (6_337, 20_881, 36_849)),
+    (100, (629, 2_073, 3_657)),
+    (1_000, (63, 207, 365)),
+    (10_000, (7, 21, 37)),
+]
+PINNED_POINTS = [
+    (amplification, target, budget)
+    for amplification, budgets in PINNED_BUDGETS
+    for target, budget in zip((0.9, 0.99, 0.999), budgets)
+]
+
+
 class TestRequiredRequests:
+    @pytest.mark.parametrize("amplification,target,budget", PINNED_POINTS)
+    def test_pinned_budgets(self, amplification, target, budget):
+        params = js_worker_params()
+        assert required_requests(amplification, params, target_success=target) == budget
+        assert reference_required_requests(amplification, params, target_success=target) == budget
+
+    @pytest.mark.parametrize("amplification,target,budget", PINNED_POINTS)
+    def test_at_most_eight_exact_evaluations(self, monkeypatch, amplification, target, budget):
+        calls = []
+        success = ChannelCalibration.success
+
+        def counted(cal, n):
+            calls.append(n)
+            return success(cal, n)
+
+        monkeypatch.setattr(ChannelCalibration, "success", counted)
+        assert required_requests(amplification, js_worker_params(), target_success=target) == budget
+        assert len(calls) <= 8, calls
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        budget_cases(),
+        st.one_of(
+            st.floats(min_value=0.01, max_value=0.999),
+            log_uniform(1e-7, 1e-2).map(lambda miss: 1.0 - miss),
+        ),
+        st.one_of(st.integers(min_value=1, max_value=1_000_000), st.just(1_000_000)),
+    )
+    def test_matches_the_doubling_search(self, case, target, n_max):
+        params, amplification = case
+        assert outcome(
+            required_requests, amplification, params, target_success=target, n_max=n_max
+        ) == outcome(
+            reference_required_requests, amplification, params, target_success=target, n_max=n_max
+        )
+
+    def test_coin_vote_checks_the_cap_first(self):
+        # at amplification 1 the zeros' accuracy is 0.443: the success rises
+        # from 0.570 (n = 1) to 0.63 (n = 9), then falls back toward 1/2
+        params = noise_free(per_iteration_overhead=100.0, timer_jitter_rel=2.0)
+        cal = calibrate_decision(1, params)
+        assert cal.accuracy_zero < 0.5 < cal.accuracy_one
+        # the target is met at n = 9 but not at n_max, where the vote has
+        # drifted back toward a coin
+        assert cal.success(9) >= 0.6 > cal.success(1_000)
+        with pytest.raises(Unreachable):
+            required_requests(1, params, target_success=0.6, n_max=1_000)
+        n = required_requests(1, params, target_success=0.6, n_max=31)
+        assert n == reference_required_requests(1, params, target_success=0.6, n_max=31)
+        assert cal.success(n) >= 0.6 > cal.success(n - 1)
+
     def test_noise_free_channel_needs_one_request(self):
         n = required_requests(10, noise_free(), target_success=0.99, rng_seed=0)
         assert n == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -220,6 +221,23 @@ class TestChannel:
         lines = read_lines(out)
         assert lines[1] == "amplification,requests,success_rate"
         assert len(lines) == 2 + 4
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_artifacts_follow_the_umask(self, tmp_path, umask, mode):
+        trace, hists = tmp_path / "t.jsonl", tmp_path / "hists"
+        hists.mkdir()
+        previous = os.umask(umask)
+        try:
+            assert run("gen", "--profile", "pht", "--n", "5", "--out", str(trace),
+                       "--histogram-out", str(hists / "w.csv")) == 0
+            assert run("detect", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl")) == 0
+            assert run("fleet", "--intervals", "2", "--out", str(tmp_path / "f.json")) == 0
+        finally:
+            os.umask(previous)
+        for name in ("t.jsonl", "hists/w.csv", "v.jsonl", "f.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 class TestFleetCommand:

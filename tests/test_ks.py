@@ -234,6 +234,16 @@ class TestHistogramCsv:
         with pytest.raises(HistogramFormatError):
             read_histogram_csv(path)
 
+    @pytest.mark.parametrize("comment", [
+        "# exported; see schema: notes",
+        "#schema:histogram-v1",
+        "# schema",
+    ])
+    def test_other_comments_are_skipped(self, tmp_path, comment):
+        path = tmp_path / "hist.csv"
+        path.write_text(f"# schema: histogram-v1\n{comment}\nbranch_id,mispredictions\nb1,5\n")
+        assert read_histogram_csv(path).entries == {"b1": 5}
+
     def test_duplicate_branch_id_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("branch_id,mispredictions\nb1,5\nb2,3\nb1,7\n")
