@@ -171,7 +171,7 @@ def simulate_bit_batch(
     return _quantize(readings, params.resolution_cycles)
 
 
-# Default percentiles of the box test; the closed form uses the same ones.
+# Percentiles of the box test; the closed form uses the same ones.
 _BOX_PERCENTILES = (10.0, 90.0)
 
 
@@ -180,16 +180,11 @@ class BoxTest(NamedTuple):
     threshold: float
 
 
-def box_test(
-    zeros: Sequence[float],
-    ones: Sequence[float],
-    q_low: float = _BOX_PERCENTILES[0],
-    q_high: float = _BOX_PERCENTILES[1],
-) -> BoxTest:
+def box_test(zeros: Sequence[float], ones: Sequence[float]) -> BoxTest:
     """Percentile-box distinguishability of the two timing classes.
 
-    Classes are distinguishable when their [q_low, q_high] percentile boxes
-    are disjoint; the decision threshold is the midpoint between the facing
+    Classes are distinguishable when their ``_BOX_PERCENTILES`` boxes are
+    disjoint; the decision threshold is the midpoint between the facing
     box edges (also returned for overlapping boxes, where it degrades to a
     best-effort split point).
     """
@@ -197,11 +192,9 @@ def box_test(
     ones = np.asarray(ones, dtype=np.float64)
     if zeros.size == 0 or ones.size == 0:
         raise ValueError("both sample sets must be non-empty")
-    if not 0.0 <= q_low < q_high <= 100.0:
-        raise ValueError("need 0 <= q_low < q_high <= 100")
 
-    z_lo, z_hi = np.percentile(zeros, [q_low, q_high])
-    o_lo, o_hi = np.percentile(ones, [q_low, q_high])
+    z_lo, z_hi = np.percentile(zeros, _BOX_PERCENTILES)
+    o_lo, o_hi = np.percentile(ones, _BOX_PERCENTILES)
     return _box_decision(z_lo, z_hi, o_lo, o_hi)
 
 

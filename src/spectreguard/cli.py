@@ -504,8 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TraceError, ks_mod.HistogramError, threshold_mod.UnreachableTarget,
-            OSError, ValueError) as exc:
+    except (TraceError, ks_mod.HistogramError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

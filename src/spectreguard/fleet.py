@@ -2,16 +2,18 @@
 
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
-throughput, not availability.  The simulator draws every worker's counters
-into one trace, with one counter-arithmetic pass over all benign workers,
-folds it into 1-second interval averages and classifies every window in one
-batch (threshold rule on the columns, or one KS screen of every window's counts).
-Window i closes at interval boundary i+1, so a worker whose first suspect
-window is i is isolated there and runs every later interval isolated.  That
-one number per worker fixes the verdict order, the isolate and redirect
-timeline and a (worker x boundary) placement matrix, from which the series
-and the safety checks are read.  Isolation cost is accounted with an affine
-throughput/memory model.
+throughput, not availability.  Each detector draws only its own input.  The
+threshold rule draws every worker's counters into one trace (one
+counter-arithmetic pass over all benign workers), folds it into 1-second
+interval averages and classifies them on the columns; the KS screen draws
+only misprediction-histogram counts and screens every window at once.
+Either way the result is one (worker x interval) flag grid, which gives the
+verdicts and the benign false-positive rate.  Window i closes at interval
+boundary i+1, so a worker whose first suspect window is i is isolated there
+and runs every later interval isolated.  That one number per worker fixes the
+isolate and redirect timeline and a (worker x boundary) placement matrix,
+from which the series and the safety checks are read.  Isolation cost is
+accounted with an affine throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
 byte-identical reports.
@@ -19,7 +21,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +92,8 @@ class DetectorSpec:
     def __post_init__(self):
         if self.kind not in ("threshold", "ks"):
             raise ValueError(f"unknown detector kind {self.kind!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"detector 'alpha' must be in (0, 1), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -148,85 +152,56 @@ class FleetReport:
     detection_factor: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "workers": {
-                "total": self.n_workers,
-                "benign": self.n_benign,
-                "attack": self.n_attack,
-            },
-            "intervals": self.intervals,
-            "isolated_total": self.isolated_total,
-            "benign_workers_flagged": self.benign_workers_flagged,
-            "attack_workers_flagged": self.attack_workers_flagged,
-            "benign_interval_fp_rate": self.benign_interval_fp_rate,
-            "detection_latency_intervals": dict(sorted(self.detection_latency_intervals.items())),
-            "verdicts": list(self.verdicts),
-            "timeline": list(self.timeline),
-            "redirects": self.redirects,
-            "post_isolation_shared_events": self.post_isolation_shared_events,
-            "liveness_ok": self.liveness_ok,
-            "baseline_rps": self.baseline_rps,
-            "detection_factor": self.detection_factor,
-            "series": [
-                {
-                    "t_sec": p.t_sec,
-                    "throughput_rps": p.throughput_rps,
-                    "memory_bytes": p.memory_bytes,
-                    "isolated_count": p.isolated_count,
-                }
-                for p in self.series
-            ],
-        }
+        """The fields as JSON values, worker counts nested under ``workers``.
 
-
-def _build_fleet(cfg: FleetConfig) -> tuple[TraceBatch, np.ndarray, list[np.random.Generator]]:
-    """The fleet's trace, one worker after another, and per worker its benign
-    flag and (KS fleets only) histogram generator.
-
-    Worker i of the spec order (attackers, then benign workers) draws its trace
-    from spawn key (i, 0) of the config seed, its histograms from (i, 1).  Its
-    code in the trace, and its index here, is its rank in name order, where
-    every ``attack-`` name precedes every ``worker-`` name.
-    """
-    n_samples = cfg.intervals * cfg.executions_per_interval
-    specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
-    specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
-    order = sorted(range(len(specs)), key=specs.__getitem__)
-
-    def rng(i: int, j: int) -> np.random.Generator:
-        # the state of SeedSequence(seed).spawn(len(specs))[i].spawn(2)[j]
-        return np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(i, j)))
-
-    attack = cfg.attack
-    counts = _fleet_counts((rng(i, 0) for i in order), cfg.n_attack, cfg.n_benign, n_samples,
-                           cfg.executions_per_interval, (attack.variant, attack.amplification, attack.pages))
-    fleet = TraceBatch(tuple(specs[i] for i in order), np.repeat(np.arange(len(order)), n_samples),
-                       counts)
-    histogram_rngs = [rng(i, 1) for i in order] if cfg.detector.kind == "ks" else []
-    return fleet, np.array(order) >= cfg.n_attack, histogram_rngs
+        Key order is not part of the report: dump it with ``sort_keys=True``.
+        """
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["workers"] = {"total": out.pop("n_workers"), "benign": out.pop("n_benign"),
+                          "attack": out.pop("n_attack")}
+        out["series"] = [asdict(p) for p in self.series]
+        return out
 
 
 def run_fleet(cfg: FleetConfig) -> FleetReport:
-    """Classify the folded fleet once, derive isolations and costs from it."""
-    trace, benign, histogram_rngs = _build_fleet(cfg)
-    names, intervals = trace.names, cfg.intervals
-    n_workers = len(names)
-    folded = fold_intervals(trace)
-    # Verdicts are reported by (interval, worker code).
-    order = np.lexsort((folded.worker, folded.window))
-    worker, window = folded.worker[order], folded.window[order]
-    if cfg.detector.kind == "threshold":
-        suspect = classify_intervals(folded, cfg.detector.threshold)[0][order]
-    else:
-        # Each window draws its histogram's counts from its worker's generator, in window order.
-        counts = ((draw_benign_histogram if benign[w] else draw_attack_histogram)(histogram_rngs[w])[1]
-                  for w in worker.tolist())
-        suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
+    """Classify every window into one (worker x interval) flag grid, derive
+    isolations and costs from it.
 
-    flags = np.zeros((n_workers, intervals), dtype=bool)
-    flags[worker, window] = suspect
+    Worker i of the spec order (attackers, then benign workers) draws its
+    counters from spawn key (i, 0) of the config seed, its histograms from
+    (i, 1); only the configured detector's draws are made.  Its row of the
+    grid, and its code in the trace, is its rank in name order, where every
+    ``attack-`` name precedes every ``worker-`` name.
+    """
+    specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
+    specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
+    order = sorted(range(len(specs)), key=specs.__getitem__)
+    names = tuple(specs[i] for i in order)
+    benign = np.array(order) >= cfg.n_attack
+    n_workers, intervals = len(names), cfg.intervals
+
+    def rngs(j: int):
+        # the states of SeedSequence(seed).spawn(len(specs))[i].spawn(2)[j], in name order
+        return (np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(i, j)))
+                for i in order)
+
+    # flags[w, k]: window k of worker w is suspect.
+    if cfg.detector.kind == "threshold":
+        n_samples = intervals * cfg.executions_per_interval
+        counts = _fleet_counts(rngs(0), cfg.n_attack, cfg.n_benign, n_samples,
+                               cfg.executions_per_interval, astuple(cfg.attack))
+        folded = fold_intervals(TraceBatch(names, np.repeat(np.arange(n_workers), n_samples),
+                                           counts))
+        flags = np.zeros((n_workers, intervals), dtype=bool)
+        flags[folded.worker, folded.window] = classify_intervals(folded, cfg.detector.threshold)[0]
+    else:
+        # Window by window, each worker draws its histogram's counts from its own generator.
+        draws = [(draw_benign_histogram if b else draw_attack_histogram, rng)
+                 for b, rng in zip(benign.tolist(), rngs(1))]
+        counts = (draw(rng)[1] for _ in range(intervals) for draw, rng in draws)
+        suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
+        flags = suspect.reshape(intervals, n_workers).T
+
     # first[w]: the worker's first suspect window, or `intervals` if none.
     first = np.where(flags.any(axis=1), flags.argmax(axis=1), intervals)
     # isolated[w, b]: worker w runs isolated after boundary b.  A worker only
@@ -250,18 +225,11 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
             )
 
     isolated_count = isolated.sum(axis=0).tolist()
+    cost = cfg.cost_model
     series = tuple(
-        SeriesPoint(
-            t_sec=boundary,
-            throughput_rps=cfg.cost_model.throughput_rps(
-                cfg.baseline_rps, isolated_count[boundary], n_workers
-            ),
-            memory_bytes=cfg.cost_model.memory_bytes(
-                cfg.worker_mem_bytes, isolated_count[boundary], n_workers
-            ),
-            isolated_count=isolated_count[boundary],
-        )
-        for boundary in range(1, intervals + 1)
+        SeriesPoint(t_sec, cost.throughput_rps(cfg.baseline_rps, count, n_workers),
+                    cost.memory_bytes(cfg.worker_mem_bytes, count, n_workers), count)
+        for t_sec, count in enumerate(isolated_count[1:], start=1)
     )
     # Intervals a flagged worker ran shared after its flag: must stay 0.
     after_flag = first[:, None] < np.arange(intervals)
@@ -270,8 +238,7 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     liveness_ok = bool(isolated[:, :-1].any(axis=1)[first < intervals - 1].all())
 
     flagged = first < intervals
-    benign_window = benign[worker]
-    benign_windows = int(np.count_nonzero(benign_window))
+    benign_windows = cfg.n_benign * intervals
     isolated_total = isolated_count[-1]
     return FleetReport(
         seed=cfg.rng_seed,
@@ -284,16 +251,17 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         benign_workers_flagged=int(np.count_nonzero(flagged & benign)),
         attack_workers_flagged=int(np.count_nonzero(flagged & ~benign)),
         benign_interval_fp_rate=(
-            int(np.count_nonzero(suspect & benign_window)) / benign_windows
+            int(np.count_nonzero(flags[benign])) / benign_windows
             if benign_windows else 0.0
         ),
         # windows close one interval after they start filling
         detection_latency_intervals={
             names[w]: first_at[w] + 1 for w in np.flatnonzero(flagged & ~benign).tolist()
         },
+        # verdicts by (interval, worker code)
         verdicts=tuple(
-            {"interval": k, "worker_id": names[w], "suspect": s}
-            for k, w, s in zip(window.tolist(), worker.tolist(), suspect.tolist())
+            {"interval": k, "worker_id": name, "suspect": s}
+            for k, column in enumerate(flags.T.tolist()) for name, s in zip(names, column)
         ),
         timeline=tuple(timeline),
         redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals - limit),
@@ -301,5 +269,5 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         liveness_ok=liveness_ok,
         series=series,
         baseline_rps=cfg.baseline_rps,
-        detection_factor=1.0 - cfg.cost_model.detection_overhead_rel,
+        detection_factor=1.0 - cost.detection_overhead_rel,
     )

@@ -410,6 +410,8 @@ class TestErrors:
         ({"baseline_rps": "1000"}, "baseline_rps"),
         ({"detector": {"branch_per_itlb": float("nan")}}, "branch_per_itlb"),
         ({"detector": {"alpha": True}}, "alpha"),
+        # the KS screen needs 0 < alpha < 1
+        *(({"detector": {"kind": "ks", "alpha": alpha}}, "alpha") for alpha in (0, 1, 1.5)),
         ({"detector": 5}, "detector"),
         ({"attack": ["pht"]}, "attack"),
     ])

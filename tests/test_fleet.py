@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleet_reference import BenignWorkload, run_fleet_reference
+from fleet_reference import run_fleet_reference
 from fleet_reference import _build_workers as build_reference_workers
 from spectreguard import fleet, ks, profiles
 from spectreguard.fleet import (
@@ -250,28 +250,40 @@ class TestReferenceLoop:
             *(pytest.param(oracle_fleet(executions=e), id=f"executions{e}") for e in range(1, 6)),
             pytest.param(oracle_fleet(attack=AttackWorkload(pages=130)), id="evasive"),
             # "worker-1000" sorts between "worker-100" and "worker-101"
-            pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions=1),
-                         id="ks-1004-workers"),
+            pytest.param(oracle_fleet(n_benign=1001, intervals=1, executions=1),
+                         id="threshold-1004-workers"),
         ],
     )
-    def test_batched_trace_equals_per_worker_generators(self, cfg):
+    def test_batched_trace_equals_per_worker_generators(self, cfg, monkeypatch):
         # The reference draws each worker by generate_benign or generate_attack,
-        # seeded from the SeedSequence spawn tree.
-        records, expected = build_reference_workers(cfg)
-        trace, benign, histogram_rngs = fleet._build_fleet(cfg)
+        # seeded from the SeedSequence spawn tree.  The KS fleets' histogram
+        # generators are pinned by test_reports_equal[ks-1004-workers].
+        _records, expected = build_reference_workers(cfg)
+        folded = []
+        fold = fleet.fold_intervals
+        monkeypatch.setattr(fleet, "fold_intervals",
+                            lambda batch: folded.append(batch) or fold(batch))
+        run_fleet(cfg)
+        (trace,) = folded
         assert trace.names == expected.names
         assert np.array_equal(trace.worker, expected.worker)
         assert np.array_equal(trace.counts, expected.counts)
-        assert benign.tolist() == [isinstance(r.workload, BenignWorkload) for r in records]
-        if cfg.detector.kind == "ks":
-            assert [g.bit_generator.state for g in histogram_rngs] == [
-                r.histogram_rng.bit_generator.state for r in records
-            ]
-        else:  # threshold fleets never read a histogram generator
-            assert histogram_rngs == []
+
+    def test_ks_fleet_draws_no_counters(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the KS fleet drew or folded counters")
+
+        cfg = oracle_fleet("ks", n_benign=40, intervals=5)
+        expected = run_fleet_reference(cfg).to_json_dict()
+        assert expected["attack_workers_flagged"] == cfg.n_attack  # the screen has suspects
+        monkeypatch.setattr(fleet, "_fleet_counts", forbidden)
+        monkeypatch.setattr(fleet, "fold_intervals", forbidden)
+        assert run_fleet(cfg).to_json_dict() == expected
 
     @pytest.mark.parametrize("kind", ["threshold", "ks"])
     def test_fleet_trace_is_validated_once(self, kind, monkeypatch):
+        # A threshold fleet validates one batch of every worker's counters; a
+        # KS fleet builds no trace at all.
         validated = []
         post_init = TraceBatch.__post_init__
         monkeypatch.setattr(TraceBatch, "__post_init__",
@@ -279,7 +291,8 @@ class TestReferenceLoop:
         cfg = oracle_fleet(kind, n_benign=40, executions=3)
         run_fleet(cfg)
         n_workers = cfg.n_benign + cfg.n_attack
-        assert validated == [n_workers * cfg.intervals * cfg.executions_per_interval]
+        n_records = n_workers * cfg.intervals * cfg.executions_per_interval
+        assert validated == ([n_records] if kind == "threshold" else [])
 
 
 class TestConfigValidation:
@@ -290,6 +303,11 @@ class TestConfigValidation:
     def test_unknown_detector_kind(self):
         with pytest.raises(ValueError):
             DetectorSpec(kind="oracle")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="'alpha'"):
+            DetectorSpec(alpha=alpha)
 
 
 class TestPinnedReports:
