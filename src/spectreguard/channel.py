@@ -49,6 +49,10 @@ EVICTION_ACCESSES = 32_768
 # requests-times-amplification conservation law.
 UNIT_AMPLIFICATION_REQUESTS = 250_000
 
+# Largest request count a vote is evaluated at.  The binomial window grows
+# as sqrt(n): about 50 MiB at this cap, and 15 GiB at n = 1e14.
+MAX_REQUESTS = 10**9
+
 
 class ChannelError(Exception):
     """Base class for channel-model failures."""
@@ -236,16 +240,26 @@ def majority_success(n: int, accuracy: float) -> float:
     votes around the mode; by Bennett's inequality the mass outside it is
     below 1e-46 (the 40-vote margin covers small sd, where the tail is
     Poisson-like rather than Gaussian).
+
+    Only the failure side of the window is evaluated: from its low end up
+    to n // 2, the losing votes plus the tie at even n.  The log-pmf is a
+    running sum from the low end, so that prefix equals the whole window's
+    element for element, and the sums add the same arrays that masking the
+    whole window selected: the result is bit-identical to evaluating the
+    whole window.  The window holds O(sqrt(n)) votes, so n above
+    ``MAX_REQUESTS`` is rejected rather than allowed to exhaust memory.
     """
-    if n < 1:
-        raise ValueError("request count must be >= 1")
+    if not 1 <= n <= MAX_REQUESTS:
+        raise ValueError(f"request count must be in [1, {MAX_REQUESTS}], got {n}")
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must be in [0, 1]")
     if accuracy in (0.0, 1.0):
         return accuracy
     reach = math.ceil(40.0 * math.sqrt(n * accuracy * (1.0 - accuracy))) + 40
     mode = int((n + 1) * accuracy)
-    lo, hi = max(0, mode - reach), min(n, mode + reach)
+    lo, hi = max(0, mode - reach), min(n, mode + reach, n // 2)
+    if hi < lo:  # the whole window wins the vote
+        return 1.0
     k = np.arange(lo, hi + 1)
     log_pmf = np.empty(k.size)
     log_pmf[0] = (
@@ -257,7 +271,9 @@ def majority_success(n: int, accuracy: float) -> float:
     log_pmf[1:] = log_pmf[0] + np.cumsum(steps)
     pmf = np.exp(log_pmf)
     # summing the failure side keeps relative precision as success nears 1
-    return 1.0 - float(pmf[2 * k < n].sum() + 0.5 * pmf[2 * k == n].sum())
+    if 2 * hi == n:
+        return 1.0 - float(pmf[:-1].sum() + 0.5 * pmf[-1])
+    return 1.0 - float(pmf.sum())
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -117,6 +118,12 @@ class FleetConfig:
             raise ValueError("fleet must have at least one worker")
         if self.intervals < 1 or self.executions_per_interval < 1:
             raise ValueError("intervals and executions_per_interval must be >= 1")
+        if not 0.0 <= self.baseline_rps < math.inf:
+            raise ValueError(f"'baseline_rps' must be finite and >= 0, got {self.baseline_rps!r}")
+        for name in ("worker_mem_bytes", "subrequests_per_interval"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name!r} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

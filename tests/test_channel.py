@@ -14,6 +14,7 @@ from spectreguard.channel import (
     ChannelError,
     ChannelParams,
     DegenerateSamples,
+    MAX_REQUESTS,
     RuntimeModel,
     UNIT_AMPLIFICATION_REQUESTS,
     Unreachable,
@@ -322,6 +323,77 @@ PINNED_POINTS = [
     for amplification, budgets in PINNED_BUDGETS
     for target, budget in zip((0.9, 0.99, 0.999), budgets)
 ]
+
+
+def reference_majority_success(n: int, accuracy: float) -> float:
+    """The whole-window vote, majority_success's reference: it builds all
+    +-(40 sd + 40) votes around the mode and masks out the failures and the
+    tie, where majority_success builds only the failure side."""
+    if n < 1:
+        raise ValueError("request count must be >= 1")
+    if accuracy in (0.0, 1.0):
+        return accuracy
+    reach = math.ceil(40.0 * math.sqrt(n * accuracy * (1.0 - accuracy))) + 40
+    mode = int((n + 1) * accuracy)
+    lo, hi = max(0, mode - reach), min(n, mode + reach)
+    k = np.arange(lo, hi + 1)
+    log_pmf = np.empty(k.size)
+    log_pmf[0] = (
+        math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(n - lo + 1)
+        + lo * math.log(accuracy) + (n - lo) * math.log1p(-accuracy)
+    )
+    logit = math.log(accuracy) - math.log1p(-accuracy)
+    steps = np.log((n - k[:-1]) / (k[:-1] + 1)) + logit
+    log_pmf[1:] = log_pmf[0] + np.cumsum(steps)
+    pmf = np.exp(log_pmf)
+    return 1.0 - float(pmf[2 * k < n].sum() + 0.5 * pmf[2 * k == n].sum())
+
+
+# One-shot accuracies of js_worker_params at the pinned amplifications.
+PINNED_ACCURACIES = [
+    p
+    for cal in (calibrate_decision(a, js_worker_params()) for a, _ in PINNED_BUDGETS)
+    for p in (cal.accuracy_zero, cal.accuracy_one)
+]
+
+
+class TestFailureSideWindow:
+    """majority_success sums only the failure side of the window; it must
+    equal the whole-window reference bit for bit, not approximately."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=1_000_000),
+            st.integers(min_value=1, max_value=500_000).map(lambda m: 2 * m),  # ties
+            st.integers(min_value=1, max_value=200),
+        ),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.48, max_value=0.52),
+            st.sampled_from([0.0, 0.5, 1.0, *PINNED_ACCURACIES]),
+        ),
+    )
+    def test_matches_whole_window(self, n, accuracy):
+        assert majority_success(n, accuracy) == reference_majority_success(n, accuracy)
+
+    @pytest.mark.parametrize("amplification,budgets", PINNED_BUDGETS)
+    def test_matches_whole_window_at_pinned_budgets(self, amplification, budgets):
+        cal = calibrate_decision(amplification, js_worker_params())
+        for budget in budgets:
+            for n in (budget - 1, budget, budget + 1, 2 * budget, 2 * budget + 1):
+                for p in (cal.accuracy_zero, cal.accuracy_one, 1.0 - cal.accuracy_one):
+                    assert majority_success(n, p) == reference_majority_success(n, p), (n, p)
+
+    @pytest.mark.parametrize("n", [MAX_REQUESTS + 1, 10**14])
+    def test_request_count_above_cap_rejected(self, n):
+        # at p <= 1/2 the window stays below n / 2: 10**14 would allocate ~15 GiB
+        with pytest.raises(ValueError, match="request count"):
+            majority_success(n, 0.4)
+
+    def test_request_count_at_cap_accepted(self):
+        # the window's low end lies about 118 sd above n / 2: no failure side
+        assert majority_success(MAX_REQUESTS, 0.5025) == 1.0
 
 
 class TestRequiredRequests:

@@ -382,6 +382,12 @@ class TestErrors:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_channel_grid_rejects_huge_request_count(self, tmp_path, capsys):
+        # its vote window would take ~15 GiB; the model refuses it before allocating
+        assert run("channel", "--requests", "100000000000000", "--out", str(tmp_path / "g.csv")) == 1
+        assert "request count must be in [1, 1000000000]" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("name,argv", [
         ("success_rate_curve", ["--amplifications", "10", "--requests", "1"]),
         ("leakage_table", ["--table"]),
@@ -408,6 +414,8 @@ class TestErrors:
         ({"attack": {"amplification": 0}}, "amplification"),
         ({"attack": {"amplification": 10.0}}, "amplification"),
         ({"baseline_rps": "1000"}, "baseline_rps"),
+        # JSON's Infinity passes the >= 0 check; the config rejects it
+        ({"baseline_rps": float("inf")}, "baseline_rps"),
         ({"detector": {"branch_per_itlb": float("nan")}}, "branch_per_itlb"),
         ({"detector": {"alpha": True}}, "alpha"),
         # the KS screen needs 0 < alpha < 1

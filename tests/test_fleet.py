@@ -309,6 +309,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'alpha'"):
             DetectorSpec(alpha=alpha)
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("baseline_rps", -5.0),
+        ("baseline_rps", float("nan")),
+        ("baseline_rps", float("inf")),
+        ("worker_mem_bytes", -1),
+        ("subrequests_per_interval", -3),
+    ])
+    def test_negative_or_non_finite_cost_inputs(self, field, value):
+        # each would put negative or NaN throughput or memory in the report's series
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            FleetConfig(n_benign=2, intervals=2, **{field: value})
+
+    def test_zero_cost_inputs_allowed(self):
+        run_fleet(FleetConfig(n_benign=2, intervals=2, baseline_rps=0.0, worker_mem_bytes=0,
+                              subrequests_per_interval=0))
+
 
 class TestPinnedReports:
     """Exact report bytes of two small fleets, checked into tests/data."""
