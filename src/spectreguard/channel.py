@@ -22,6 +22,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -448,15 +449,13 @@ class RuntimeModel:
         return self.intercept_s + self.slope_s * amplification
 
     @classmethod
-    def fit(cls, rows: Sequence[tuple[int, float]]) -> "RuntimeModel":
-        amps = np.asarray([a for a, _ in rows], dtype=np.float64)
-        runtimes = np.asarray([r for _, r in rows], dtype=np.float64)
+    @functools.cache
+    def fit_reference(cls) -> "RuntimeModel":
+        """The least-squares fit to the reference rows, solved once."""
+        amps = np.asarray([row[0] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
+        runtimes = np.asarray([row[2] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
         slope, intercept = np.polyfit(amps, runtimes, 1)
         return cls(intercept_s=float(intercept), slope_s=float(slope))
-
-    @classmethod
-    def fit_reference(cls) -> "RuntimeModel":
-        return cls.fit([(a, runtime) for a, _req, runtime, _leak in REFERENCE_ATTACK_ROWS])
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,13 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import ks as ks_mod
 from . import threshold as threshold_mod
 from .profiles import AttackVariant, BenignProfile, generate_attack, generate_benign
-from .trace import TraceError, emit_trace, fold_intervals, ingest_trace
+from .trace import DEFAULT_INTERVAL_NS, TraceError, emit_trace, fold_intervals, ingest_trace
+from .trace import _DuplicateKey, _unique_object
 
 DEFAULT_SEED = 1729
 
@@ -89,11 +90,10 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
         handle.writelines(chunks)
 
 
-def _csv_lines(schema: str, header: str, rows: Iterable[str]) -> Iterator[str]:
-    yield f"# schema: {schema}\n"
-    yield f"{header}\n"
-    for row in rows:
-        yield f"{row}\n"
+def _write_csv(path: str | Path, schema: str, header: str, rows: Iterable[str]) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(f"# schema: {schema}\n{header}\n")
+        handle.writelines(f"{row}\n" for row in rows)
 
 
 def _float(x: float) -> str:
@@ -200,8 +200,7 @@ def _cmd_detect(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-def _default_thresholds() -> list[float]:
-    return [float(2**k) for k in range(7, 17)]  # 128 .. 65536
+_DEFAULT_THRESHOLDS = tuple(float(2**k) for k in range(7, 17))  # 128 .. 65536
 
 
 def _cmd_sweep(args) -> int:
@@ -209,14 +208,14 @@ def _cmd_sweep(args) -> int:
     thresholds = (
         [float(t) for t in args.thresholds.split(",")]
         if args.thresholds
-        else _default_thresholds()
+        else _DEFAULT_THRESHOLDS
     )
     try:
         points = threshold_mod.sweep_thresholds(averages, thresholds)
     except threshold_mod.EmptyPopulation as exc:
         raise InputError(str(exc)) from exc
     rows = (f"{_float(t)},{_float(fp)}" for t, fp in points)
-    _atomic_write(args.out, _csv_lines(SWEEP_SCHEMA, "threshold,fp_rate", rows))
+    _write_csv(args.out, SWEEP_SCHEMA, "threshold,fp_rate", rows)
     return EXIT_OK
 
 
@@ -245,13 +244,11 @@ def _cmd_channel(args) -> int:
                 f"{_float(est.script_runtime_s * 1000.0)},{_float(est.bits_per_hour)}"
                 for est in channel_mod.leakage_table()
             )
-            _atomic_write(
+            _write_csv(
                 args.out,
-                _csv_lines(
-                    LEAKAGE_SCHEMA,
-                    "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
-                    rows,
-                ),
+                LEAKAGE_SCHEMA,
+                "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
+                rows,
             )
             return EXIT_OK
 
@@ -263,10 +260,7 @@ def _cmd_channel(args) -> int:
             for i, a in enumerate(amplifications)
             for j, n in enumerate(requests)
         )
-        _atomic_write(
-            args.out,
-            _csv_lines(SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows),
-        )
+        _write_csv(args.out, SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows)
         return EXIT_OK
     except channel_mod.ChannelError as exc:
         raise InputError(str(exc)) from exc
@@ -274,15 +268,15 @@ def _cmd_channel(args) -> int:
 
 # --- fleet -------------------------------------------------------------------
 
-# Integer fleet config keys: default and minimum.
+# Integer fleet config keys and their minimums; the defaults are FleetConfig's.
 _FLEET_INT_KEYS = {
-    "n_benign": (50, 0),
-    "n_attack": (1, 0),
-    "intervals": (6, 1),
-    "executions_per_interval": (2, 1),
-    "worker_mem_bytes": (1 << 20, 0),
-    "subrequests_per_interval": (0, 0),
-    "seed": (DEFAULT_SEED, 0),
+    "n_benign": 0,
+    "n_attack": 0,
+    "intervals": 1,
+    "executions_per_interval": 1,
+    "worker_mem_bytes": 0,
+    "subrequests_per_interval": 0,
+    "seed": 0,
 }
 
 
@@ -307,17 +301,21 @@ def _fleet_config_from_json(data: dict, args):
     unknown = set(data) - set(_FLEET_INT_KEYS) - {"baseline_rps", "detector", "attack"}
     if unknown:
         raise InputError(f"unknown fleet config keys: {sorted(unknown)}")
+    # precedence: flag > file > default; a flag value gets the file value's checks
+    data = {**data, **{key: getattr(args, key) for key in ("seed", "intervals")
+                       if getattr(args, key) is not None}}
+    default = fleet_mod.FleetConfig()
 
     detector_data = _config_section(data, "detector")
-    kind = detector_data.pop("kind", "threshold")
-    threshold = detector_data.pop("branch_per_itlb", threshold_mod.BRANCH_THRESHOLD_DEFAULT)
-    stl_threshold = detector_data.pop("stl_reset", threshold_mod.STL_THRESHOLD_DEFAULT)
-    alpha = detector_data.pop("alpha", ks_mod.DEFAULT_ALPHA)
+    if args.threshold is not None:
+        detector_data["branch_per_itlb"] = args.threshold
+    kind = detector_data.pop("kind", default.detector.kind)
+    threshold = detector_data.pop("branch_per_itlb",
+                                  default.detector.threshold.branch_per_itlb_threshold)
+    stl_threshold = detector_data.pop("stl_reset", default.detector.threshold.stl_reset_threshold)
+    alpha = detector_data.pop("alpha", default.detector.alpha)
     if detector_data:
         raise InputError(f"unknown detector config keys: {sorted(detector_data)}")
-    # precedence: flag > file > default
-    if args.threshold is not None:
-        threshold = args.threshold
     detector = fleet_mod.DetectorSpec(
         kind=kind,
         threshold=threshold_mod.ThresholdConfig(
@@ -328,27 +326,25 @@ def _fleet_config_from_json(data: dict, args):
     )
 
     attack_data = _config_section(data, "attack")
-    variant = AttackVariant(attack_data.pop("variant", "pht"))
-    amplification = attack_data.pop("amplification", None)
+    variant = AttackVariant(attack_data.pop("variant", default.attack.variant))
+    amplification = attack_data.pop("amplification", default.attack.amplification)
     if amplification is not None:
         amplification = _config_value("amplification", amplification, minimum=1)
-    pages = _config_value("pages", attack_data.pop("pages", 0))
+    pages = _config_value("pages", attack_data.pop("pages", default.attack.pages))
     if attack_data:
         raise InputError(f"unknown attack config keys: {sorted(attack_data)}")
 
+    # FleetConfig's seed field is rng_seed, so "seed" falls back to DEFAULT_SEED.
     ints = {
-        key: _config_value(key, data.get(key, default), minimum)
-        for key, (default, minimum) in _FLEET_INT_KEYS.items()
+        key: _config_value(key, data.get(key, getattr(default, key, DEFAULT_SEED)), minimum)
+        for key, minimum in _FLEET_INT_KEYS.items()
     }
-    if args.seed is not None:
-        ints["seed"] = args.seed
-    if args.intervals is not None:
-        ints["intervals"] = args.intervals
+    baseline_rps = data.get("baseline_rps", default.baseline_rps)
     return fleet_mod.FleetConfig(
         rng_seed=ints.pop("seed"),
         detector=detector,
         attack=fleet_mod.AttackWorkload(variant, amplification, pages),
-        baseline_rps=_config_value("baseline_rps", data.get("baseline_rps", 1000.0), number=True),
+        baseline_rps=_config_value("baseline_rps", baseline_rps, number=True),
         **ints,
     )
 
@@ -359,9 +355,13 @@ def _cmd_fleet(args) -> int:
     data = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            # the trace decoder's hook: a repeated key, at any depth, is an error
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                              object_pairs_hook=_unique_object)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read fleet config: {exc}") from exc
+        except _DuplicateKey as exc:
+            raise InputError(f"fleet config has duplicate key {exc.key!r}") from None
         if not isinstance(data, dict):
             raise InputError("fleet config must be a JSON object")
     cfg = _fleet_config_from_json(data, args)
@@ -384,13 +384,11 @@ def _cmd_fleet(args) -> int:
             f"{p.t_sec},{_float(p.throughput_rps)},{_float(p.memory_bytes)},{p.isolated_count}"
             for p in report.series
         )
-        _atomic_write(
+        _write_csv(
             args.series_out,
-            _csv_lines(
-                FLEET_SERIES_SCHEMA,
-                "t_sec,throughput_rps,memory_bytes,isolated_count",
-                rows,
-            ),
+            FLEET_SERIES_SCHEMA,
+            "t_sec,throughput_rps,memory_bytes,isolated_count",
+            rows,
         )
     return EXIT_OK
 
@@ -448,13 +446,13 @@ def _build_parser() -> _Parser:
                         default=threshold_mod.BRANCH_THRESHOLD_DEFAULT)
     detect.add_argument("--stl-threshold", type=float,
                         default=threshold_mod.STL_THRESHOLD_DEFAULT)
-    detect.add_argument("--interval-ns", type=int, default=1_000_000_000)
+    detect.add_argument("--interval-ns", type=int, default=DEFAULT_INTERVAL_NS)
     detect.add_argument("--out", required=True)
 
     sweep = sub.add_parser("sweep", help="threshold/false-positive curve")
     sweep.add_argument("--trace", required=True)
     sweep.add_argument("--thresholds", default=None, help="comma-separated, ascending")
-    sweep.add_argument("--interval-ns", type=int, default=1_000_000_000)
+    sweep.add_argument("--interval-ns", type=int, default=DEFAULT_INTERVAL_NS)
     sweep.add_argument("--out", required=True)
 
     channel = sub.add_parser("channel", help="leakage table or success grid")
@@ -501,10 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TraceError, ks_mod.HistogramError, OSError, ValueError) as exc:
+    except (InputError, TraceError, ks_mod.HistogramError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

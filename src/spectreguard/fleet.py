@@ -27,12 +27,15 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import ks as _ks
-from .profiles import AttackVariant, _fleet_counts, draw_attack_histogram, draw_benign_histogram
+from .profiles import (
+    AttackVariant, BenignProfile, _fleet_counts, draw_attack_histogram, draw_benign_histogram,
+)
 from .threshold import ThresholdConfig, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
+SUBREQUEST_LIMIT_DEFAULT = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,21 +112,20 @@ class FleetConfig:
     baseline_rps: float = 1000.0
     worker_mem_bytes: int = 1 << 20
     subrequests_per_interval: int = 0
+    subrequest_limit: int = SUBREQUEST_LIMIT_DEFAULT
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_benign < 0 or self.n_attack < 0:
-            raise ValueError("worker counts must be >= 0")
+        for name, minimum in (("n_benign", 0), ("n_attack", 0), ("intervals", 1),
+                              ("executions_per_interval", 1), ("worker_mem_bytes", 0),
+                              ("subrequests_per_interval", 0), ("subrequest_limit", 1)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name!r} must be >= {minimum}, got {value!r}")
         if self.n_benign + self.n_attack == 0:
             raise ValueError("fleet must have at least one worker")
-        if self.intervals < 1 or self.executions_per_interval < 1:
-            raise ValueError("intervals and executions_per_interval must be >= 1")
         if not 0.0 <= self.baseline_rps < math.inf:
             raise ValueError(f"'baseline_rps' must be finite and >= 0, got {self.baseline_rps!r}")
-        for name in ("worker_mem_bytes", "subrequests_per_interval"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name!r} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,8 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     # flags[w, k]: window k of worker w is suspect.
     if cfg.detector.kind == "threshold":
         n_samples = intervals * cfg.executions_per_interval
-        counts = _fleet_counts(rngs(0), cfg.n_attack, cfg.n_benign, n_samples,
-                               cfg.executions_per_interval, astuple(cfg.attack))
+        counts = _fleet_counts(rngs(0), BenignProfile.default(), cfg.n_attack, cfg.n_benign,
+                               n_samples, cfg.executions_per_interval, astuple(cfg.attack))
         folded = fold_intervals(TraceBatch(names, np.repeat(np.arange(n_workers), n_samples),
                                            counts))
         flags = np.zeros((n_workers, intervals), dtype=bool)
@@ -217,7 +219,7 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     isolated[:, 1:] = np.logical_or.accumulate(flags, axis=1)
 
     # Subsequent requests past the limit are redirected, counted per boundary.
-    limit = cfg.detector.threshold.subrequest_limit
+    limit = cfg.subrequest_limit
     over = np.diff(np.maximum(cfg.subrequests_per_interval * np.arange(intervals + 1), limit))
     first_at = first.tolist()
     timeline: list[dict] = []

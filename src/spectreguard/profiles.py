@@ -11,11 +11,12 @@ Two generator families live here:
   measured reduced-amplification points (604.71 at factor 1, 3492.41 at
   factor 10) and at the per-variant full-strength means.
 
-A benign trace is made in two parts: ``_benign_draws`` makes one worker's rng
-draws, and ``_benign_counts`` turns the draws of any number of workers, laid
-side by side, into counters in one pass.  ``generate_benign`` calls both for
-one worker; ``_fleet_counts`` builds a whole fleet's counters with them, one
-worker's draws after another and one arithmetic pass.
+Every trace's counters are laid out by ``_fleet_counts``: each attack
+worker's counters (``_attack_counts``), then each benign worker's rng draws
+(``_benign_draws``), turned into counters in one pass over all of them
+(``_benign_counts``), then the timestamps.  ``generate_benign`` and
+``generate_attack`` are its one-worker calls; the fleet simulator calls it
+once for the whole fleet.
 
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
@@ -26,6 +27,7 @@ calibration is the binding requirement.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -158,8 +160,9 @@ class BenignProfile:
     upper_cutoff: float
 
     @classmethod
-    def calibrate(cls) -> "BenignProfile":
-        """Solve the mixture parameters from ``BENIGN_SURVIVAL_TARGETS``.
+    @functools.cache
+    def default(cls) -> "BenignProfile":
+        """The mixture solved once from ``BENIGN_SURVIVAL_TARGETS``.
 
         Three positive targets plus one zero target (the truncation cutoff).
         With ``BENIGN_BODY_SIGMA`` and ``BENIGN_TAIL_WEIGHT`` fixed, the tail
@@ -194,10 +197,6 @@ class BenignProfile:
             tail_weight=w,
             upper_cutoff=cutoff,
         )
-
-    @classmethod
-    def default(cls) -> "BenignProfile":
-        return cls.calibrate()
 
     def survival(self, x: float) -> float:
         """P(branch metric >= x) under the truncated mixture."""
@@ -307,24 +306,6 @@ def _benign_counts(out: np.ndarray, draws: np.ndarray) -> None:
                  BENIGN_MD_MEAN * np.exp(md))
 
 
-def generate_benign(
-    profile: BenignProfile,
-    n: int,
-    seed,
-    worker_id: str = "bench-0",
-    samples_per_window: int = 1,
-) -> TraceBatch:
-    """Draw n benign snapshots; one per window unless samples_per_window > 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    draws = np.empty((_BENIGN_DRAWS, n))
-    _benign_draws(draws, profile, np.random.default_rng(seed))
-    counts = np.empty((n, _COLUMNS), dtype=np.int64)
-    _benign_counts(counts, draws)
-    counts[:, 0] = _window_timestamps(n, samples_per_window)
-    return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts)
-
-
 def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVariant | str,
                    amplification: int | None, pages: int) -> None:
     """One attack worker's counters, all but the timestamp, into out."""
@@ -340,13 +321,16 @@ def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVar
                  _lognormal_mean_preserving(rng, md_mean, ATTACK_MD_SIGMA, n))
 
 
-def _fleet_counts(rngs: Iterator[np.random.Generator], n_attack: int, n_benign: int, n: int,
-                  samples_per_window: int, attack: tuple) -> np.ndarray:
-    """The counters of n_attack attack workers, then n_benign default benign
-    workers, n records each, one worker after another; each worker draws from
-    the next generator of rngs.  attack is (variant, amplification, pages).
-    The benign counter arithmetic runs once, over every benign worker's draws."""
-    profile = BenignProfile.default()
+def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | None,
+                  n_attack: int, n_benign: int, n: int, samples_per_window: int,
+                  attack: tuple | None) -> np.ndarray:
+    """The counters of n_attack attack workers, then n_benign benign workers
+    of profile, n records each, one worker after another; each worker draws
+    from the next generator of rngs.  attack is (variant, amplification,
+    pages); profile and attack are read only when those workers exist.  The
+    benign counter arithmetic runs once, over every benign worker's draws."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     counts = np.empty((n_attack + n_benign, n, _COLUMNS), dtype=np.int64)
     draws = np.empty((_BENIGN_DRAWS, n_benign, n))
     for out in counts[:n_attack]:
@@ -356,6 +340,19 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], n_attack: int, n_benign: 
     _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), draws.reshape(_BENIGN_DRAWS, -1))
     counts[:, :, 0] = _window_timestamps(n, samples_per_window)
     return counts.reshape(-1, _COLUMNS)
+
+
+def generate_benign(
+    profile: BenignProfile,
+    n: int,
+    seed,
+    worker_id: str = "bench-0",
+    samples_per_window: int = 1,
+) -> TraceBatch:
+    """Draw n benign snapshots; one per window unless samples_per_window > 1."""
+    counts = _fleet_counts(iter([np.random.default_rng(seed)]), profile, 0, 1, n,
+                           samples_per_window, None)
+    return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts)
 
 
 def generate_attack(
@@ -373,12 +370,9 @@ def generate_attack(
     extra code pages; the histogram keeps the characteristic shape where the
     transient-window delay loop outranks the mistrained bounds check.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    counts = np.empty((n, _COLUMNS), dtype=np.int64)
-    _attack_counts(counts, rng, variant, amplification, pages)  # rejects pages < 0
-    counts[:, 0] = _window_timestamps(n, samples_per_window)
+    counts = _fleet_counts(iter([rng]), None, 1, 0, n, samples_per_window,
+                           (variant, amplification, pages))  # rejects pages < 0
     return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts), make_attack_histogram(rng)
 
 

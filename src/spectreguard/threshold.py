@@ -17,7 +17,7 @@ termination, which is why a sub-percent false-positive rate is acceptable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ BRANCH_THRESHOLD_DEFAULT = 4096.0
 # No threshold is published for the STL rule, only the separated means;
 # the geometric mean of the two is the default decision point.
 STL_THRESHOLD_DEFAULT = math.sqrt(STL_ATTACK_MD_MEAN * BENIGN_MD_MEAN)
-SUBREQUEST_LIMIT_DEFAULT = 10_000
 
 BRANCH_METRIC_NAME = "branch_per_itlb"
 STL_METRIC_NAME = "md_reset_per_itlb"
@@ -54,15 +53,12 @@ class UnreachableTarget(Exception):
 class ThresholdConfig:
     branch_per_itlb_threshold: float = BRANCH_THRESHOLD_DEFAULT
     stl_reset_threshold: float = STL_THRESHOLD_DEFAULT
-    subrequest_limit: int = SUBREQUEST_LIMIT_DEFAULT
 
     def __post_init__(self):
         # 0 is allowed: it degrades the fleet to strict process isolation.
         # `not >= 0` also rejects NaN, which would switch a rule off silently.
         if not (self.branch_per_itlb_threshold >= 0 and self.stl_reset_threshold >= 0):
             raise ValueError("thresholds must be >= 0, not NaN")
-        if self.subrequest_limit < 1:
-            raise ValueError("subrequest_limit must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
         (window, avg.worker_id): avg
         for window, avg in zip(folded.window.tolist(), folded)
     }
-    subrequest_limit = cfg.detector.threshold.subrequest_limit
+    subrequest_limit = cfg.subrequest_limit
 
     verdicts: list[dict] = []
     timeline: list[dict] = []

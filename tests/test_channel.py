@@ -508,6 +508,7 @@ class TestLeakage:
 
     def test_affine_runtime_model_fits_reference(self):
         model = RuntimeModel.fit_reference()
+        assert RuntimeModel.fit_reference() is model  # solved once
         assert model(250_000) == pytest.approx(30.0, rel=0.05)
         # the 10000 row is the known ~30% outlier of the affine fit
         assert model(10_000) == pytest.approx(1.813, rel=0.35)

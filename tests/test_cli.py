@@ -333,6 +333,29 @@ class TestFleetCommand:
         assert run("fleet", "--config", str(config),
                    "--out", str(tmp_path / "r.json")) == 1
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"n_benign": 2, "n_benign": 7, "intervals": 2}', "n_benign"),
+        ('{"n_benign": 2, "intervals": 2, "detector": {"kind": "ks", "kind": "threshold"}}',
+         "kind"),
+    ])
+    def test_duplicate_config_key_is_input_error(self, tmp_path, capsys, text, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+        assert f"duplicate key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_config_runs_the_dataclass_defaults(self, tmp_path):
+        # Every missing key takes FleetConfig's default, except the seed (1729).
+        config = tmp_path / "cfg.json"
+        config.write_text("{}")
+        out = tmp_path / "r.json"
+        assert run("fleet", "--config", str(config), "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        del payload["schema"], payload["detector"]
+        expected = run_fleet(FleetConfig(rng_seed=1729)).to_json_dict()
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
 
 class TestKsCommand:
     def test_self_comparison(self, tmp_path, capsys):
@@ -403,7 +426,7 @@ class TestErrors:
         assert capsys.readouterr().err == "error: x\n"
         assert not (tmp_path / "g.csv").exists()
 
-    @pytest.mark.parametrize("config,key", [
+    @pytest.mark.parametrize("config,key,flags", [*((config, key, []) for config, key in [
         ({"n_benign": 2.7}, "n_benign"),
         ({"n_benign": True}, "n_benign"),
         ({"n_attack": "1"}, "n_attack"),
@@ -422,11 +445,16 @@ class TestErrors:
         *(({"detector": {"kind": "ks", "alpha": alpha}}, "alpha") for alpha in (0, 1, 1.5)),
         ({"detector": 5}, "detector"),
         ({"attack": ["pht"]}, "attack"),
+    ]),
+        # a flag's value gets the same checks as the file's
+        ({}, "seed", ["--seed", "-1"]),
+        ({}, "intervals", ["--intervals", "0"]),
     ])
-    def test_fleet_config_value_types(self, tmp_path, capsys, config, key):
+    def test_fleet_config_value_types(self, tmp_path, capsys, config, key, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_benign": 2, "intervals": 2, **config}))
-        assert run("fleet", "--config", str(path), "--out", str(tmp_path / "r.json")) == 1
+        assert run("fleet", "--config", str(path), *flags,
+                   "--out", str(tmp_path / "r.json")) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 

@@ -33,8 +33,8 @@ def redirect_fleet(subrequest_limit: int) -> FleetConfig:
         n_attack=1,
         intervals=3,
         subrequests_per_interval=4,
+        subrequest_limit=subrequest_limit,
         rng_seed=0,
-        detector=DetectorSpec(threshold=ThresholdConfig(subrequest_limit=subrequest_limit)),
     )
 
 
@@ -190,12 +190,10 @@ def oracle_fleet(kind="threshold", limit=10_000, executions=2, branch=4096.0, **
         intervals=4,
         executions_per_interval=executions,
         subrequests_per_interval=3,
+        subrequest_limit=limit,
         rng_seed=31 + executions,
         attack=AttackWorkload(amplification=12),
-        detector=DetectorSpec(
-            kind=kind,
-            threshold=ThresholdConfig(branch_per_itlb_threshold=branch, subrequest_limit=limit),
-        ),
+        detector=DetectorSpec(kind=kind, threshold=ThresholdConfig(branch_per_itlb_threshold=branch)),
     )
     return FleetConfig(**{**fields, **overrides})
 
@@ -321,6 +319,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"'{field}'"):
             FleetConfig(n_benign=2, intervals=2, **{field: value})
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("subrequest_limit", 0),
+        ("subrequest_limit", -1),
+        ("n_benign", -1),
+        ("n_attack", -1),
+        ("intervals", 0),
+        ("executions_per_interval", 0),
+    ])
+    def test_field_below_minimum(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be >= "):
+            FleetConfig(**{field: value})
+
     def test_zero_cost_inputs_allowed(self):
         run_fleet(FleetConfig(n_benign=2, intervals=2, baseline_rps=0.0, worker_mem_bytes=0,
                               subrequests_per_interval=0))
@@ -340,8 +350,8 @@ class TestPinnedReports:
                     n_attack=1,
                     intervals=4,
                     subrequests_per_interval=2,
+                    subrequest_limit=5,
                     rng_seed=9,
-                    detector=DetectorSpec(threshold=ThresholdConfig(subrequest_limit=5)),
                 ),
             ),
             (

@@ -50,6 +50,7 @@ class TestBenignCalibration:
         assert profile.survival(4096.0) == pytest.approx(0.0061, abs=0.0003)
         assert profile.survival(8192.0) == pytest.approx(0.0026, abs=0.00015)
         assert profile.survival(65536.0) == 0.0
+        assert BenignProfile.default() is profile  # solved once
 
     def test_empirical_quantiles(self):
         profile = BenignProfile.default()
