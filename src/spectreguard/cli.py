@@ -9,8 +9,10 @@ compares two histogram files.
 Every command is pure given its inputs and ``--seed`` (default 1729, never
 wall-clock entropy); artifacts are written atomically (temp file + rename)
 and start with a ``# schema: <name>-v1`` header line, except the fleet
-report: a JSON object whose ``schema`` is ``fleet-report-v2`` and whose
-``detector`` object is the detector's config-file section.
+report: a JSON object whose ``schema`` is ``fleet-report-v3`` and whose
+``detector`` object is the detector's config-file section.  The fleet
+config's keys are the fields of ``fleet.FleetConfig`` and its sections,
+read from the dataclasses, with three aliases (``_CONFIG_ALIASES``).
 
 Exit codes: 0 success, 1 input/usage error, 2 internal invariant violation.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -26,7 +29,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_type_hints
 
 from . import ks as ks_mod
 from . import threshold as threshold_mod
@@ -41,7 +44,7 @@ VERDICTS_SCHEMA = "verdicts-v1"
 LEAKAGE_SCHEMA = "leakage-v1"
 SUCCESS_GRID_SCHEMA = "success-grid-v1"
 FLEET_SERIES_SCHEMA = "fleet-series-v1"
-FLEET_REPORT_SCHEMA = "fleet-report-v2"
+FLEET_REPORT_SCHEMA = "fleet-report-v3"
 
 # json.dumps(..., sort_keys=True) without building an encoder per record.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
@@ -268,85 +271,61 @@ def _cmd_channel(args) -> int:
 
 # --- fleet -------------------------------------------------------------------
 
-# Integer fleet config keys and their minimums; the defaults are FleetConfig's.
-_FLEET_INT_KEYS = {
-    "n_benign": 0,
-    "n_attack": 0,
-    "intervals": 1,
-    "executions_per_interval": 1,
-    "worker_mem_bytes": 0,
-    "subrequests_per_interval": 0,
-    "seed": 0,
-}
+# Config keys whose names differ from their dataclass fields.
+_CONFIG_ALIASES = {"rng_seed": "seed", "branch_per_itlb_threshold": "branch_per_itlb",
+                   "stl_reset_threshold": "stl_reset"}
 
 
-def _config_value(key: str, value, minimum: float = 0, number: bool = False):
-    """A JSON integer (with ``number``, any JSON number) >= minimum; never a bool or NaN."""
-    if type(value) not in ((int, float) if number else (int,)) or not value >= minimum:
-        kind = "a number" if number else "an integer"
-        raise InputError(f"fleet config {key!r} must be {kind} >= {minimum}, got {value!r}")
-    return float(value) if number else value
+def _config_value(key: str, value, hint, minimum):
+    """A JSON integer (int field) or number (float field) >= minimum; never a bool or NaN."""
+    if hint is float:
+        kinds, kind = (int, float), "a number"
+    elif hint is int or (int in get_args(hint) and value is not None):
+        kinds, kind = (int,), "an integer"
+    else:  # the detector kind, the attack variant, an unset amplification
+        return value  # their dataclasses check them
+    if type(value) not in kinds or (minimum is not None and not value >= minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InputError(f"fleet config {key!r} must be {kind}{bound}, got {value!r}")
+    return float(value) if hint is float else value
 
 
-def _config_section(data: dict, key: str) -> dict:
-    section = data.get(key, {})
-    if not isinstance(section, dict):
+def _config_section(value, key: str) -> dict:
+    if not isinstance(value, dict):
         raise InputError(f"fleet config {key!r} must be a JSON object")
-    return dict(section)
+    return dict(value)
 
 
-def _fleet_config_from_json(data: dict, args):
-    from . import fleet as fleet_mod
+def _config_object(cls, section: dict, name: str | None):
+    """``cls`` from a config section, popping the keys it reads.
 
-    unknown = set(data) - set(_FLEET_INT_KEYS) - {"baseline_rps", "detector", "attack"}
-    if unknown:
-        raise InputError(f"unknown fleet config keys: {sorted(unknown)}")
-    # precedence: flag > file > default; a flag value gets the file value's checks
-    data = {**data, **{key: getattr(args, key) for key in ("seed", "intervals")
-                       if getattr(args, key) is not None}}
-    default = fleet_mod.FleetConfig()
+    The fleet's dataclass fields are sections of their own, and deeper ones
+    read their parent's.  A named section may have no key left over.
+    """
+    hints = get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        key, hint = _CONFIG_ALIASES.get(f.name, f.name), hints[f.name]
+        if dataclasses.is_dataclass(hint) and name == "fleet":
+            values[f.name] = _config_object(hint, _config_section(section.pop(key, {}), key), key)
+        elif dataclasses.is_dataclass(hint):
+            values[f.name] = _config_object(hint, section, None)
+        elif key in section:
+            minimum = f.metadata.get("minimum")
+            values[f.name] = _config_value(key, section.pop(key), hint, minimum)
+    if name is not None and section:
+        raise InputError(f"unknown {name} config keys: {sorted(section)}")
+    return cls(**values)
 
-    detector_data = _config_section(data, "detector")
-    if args.threshold is not None:
-        detector_data["branch_per_itlb"] = args.threshold
-    kind = detector_data.pop("kind", default.detector.kind)
-    threshold = detector_data.pop("branch_per_itlb",
-                                  default.detector.threshold.branch_per_itlb_threshold)
-    stl_threshold = detector_data.pop("stl_reset", default.detector.threshold.stl_reset_threshold)
-    alpha = detector_data.pop("alpha", default.detector.alpha)
-    if detector_data:
-        raise InputError(f"unknown detector config keys: {sorted(detector_data)}")
-    detector = fleet_mod.DetectorSpec(
-        kind=kind,
-        threshold=threshold_mod.ThresholdConfig(
-            branch_per_itlb_threshold=_config_value("branch_per_itlb", threshold, number=True),
-            stl_reset_threshold=_config_value("stl_reset", stl_threshold, number=True),
-        ),
-        alpha=_config_value("alpha", alpha, number=True),
-    )
 
-    attack_data = _config_section(data, "attack")
-    variant = AttackVariant(attack_data.pop("variant", default.attack.variant))
-    amplification = attack_data.pop("amplification", default.attack.amplification)
-    if amplification is not None:
-        amplification = _config_value("amplification", amplification, minimum=1)
-    pages = _config_value("pages", attack_data.pop("pages", default.attack.pages))
-    if attack_data:
-        raise InputError(f"unknown attack config keys: {sorted(attack_data)}")
-
-    # FleetConfig's seed field is rng_seed, so "seed" falls back to DEFAULT_SEED.
-    ints = {
-        key: _config_value(key, data.get(key, getattr(default, key, DEFAULT_SEED)), minimum)
-        for key, minimum in _FLEET_INT_KEYS.items()
-    }
-    baseline_rps = data.get("baseline_rps", default.baseline_rps)
-    return fleet_mod.FleetConfig(
-        rng_seed=ints.pop("seed"),
-        detector=detector,
-        attack=fleet_mod.AttackWorkload(variant, amplification, pages),
-        baseline_rps=_config_value("baseline_rps", baseline_rps, number=True),
-        **ints,
-    )
+def _config_form(config) -> dict:
+    """The config section that ``_config_object`` reads back as ``config``."""
+    form = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        form.update(_config_form(value) if dataclasses.is_dataclass(value)
+                    else {_CONFIG_ALIASES.get(f.name, f.name): value})
+    return form
 
 
 def _cmd_fleet(args) -> int:
@@ -364,18 +343,20 @@ def _cmd_fleet(args) -> int:
             raise InputError(f"fleet config has duplicate key {exc.key!r}") from None
         if not isinstance(data, dict):
             raise InputError("fleet config must be a JSON object")
-    cfg = _fleet_config_from_json(data, args)
+    # precedence: flag > file > default; a flag value gets the file value's
+    # checks.  The seed defaults to DEFAULT_SEED, not FleetConfig's 0.
+    flags = {key: getattr(args, key) for key in ("seed", "intervals")
+             if getattr(args, key) is not None}
+    data = {"seed": DEFAULT_SEED, **data, **flags}
+    if args.threshold is not None:
+        data["detector"] = {**_config_section(data.get("detector", {}), "detector"),
+                            "branch_per_itlb": args.threshold}
+    cfg = _config_object(fleet_mod.FleetConfig, data, "fleet")
     report = fleet_mod.run_fleet(cfg)
-    detector = cfg.detector
     payload = {
         "schema": FLEET_REPORT_SCHEMA,
         # The detector in config-file form, so the block can be fed back.
-        "detector": {
-            "kind": detector.kind,
-            "branch_per_itlb": detector.threshold.branch_per_itlb_threshold,
-            "stl_reset": detector.threshold.stl_reset_threshold,
-            "alpha": detector.alpha,
-        },
+        "detector": _config_form(cfg.detector),
         **report.to_json_dict(),
     }
     _atomic_write(args.out, [json.dumps(payload, sort_keys=True, indent=2), "\n"])

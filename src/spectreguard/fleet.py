@@ -11,9 +11,9 @@ Either way the result is one (worker x interval) flag grid, which gives the
 verdicts and the benign false-positive rate.  Window i closes at interval
 boundary i+1, so a worker whose first suspect window is i is isolated there
 and runs every later interval isolated.  That one number per worker fixes the
-isolate and redirect timeline and a (worker x boundary) placement matrix,
-from which the series and the safety checks are read.  Isolation cost is
-accounted with an affine throughput/memory model.
+isolation timeline and a (worker x boundary) placement matrix, from which the
+series and the safety checks are read.  Requests past ``SUBREQUEST_LIMIT`` are
+counted; isolation cost is accounted with an affine throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
 byte-identical reports.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from . import ks as _ks
 from .profiles import (
     AttackVariant, BenignProfile, _fleet_counts, draw_attack_histogram, draw_benign_histogram,
 )
-from .threshold import ThresholdConfig, classify_intervals
+from .threshold import ThresholdConfig, at_least, check_minimums, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
-SUBREQUEST_LIMIT_DEFAULT = 10_000
+SUBREQUEST_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,15 @@ class AttackWorkload:
     """
 
     variant: AttackVariant = AttackVariant.PHT
-    amplification: int | None = None
-    pages: int = 0
+    amplification: int | None = at_least(1, default=None)
+    pages: int = at_least(0, default=0)
+
+    def __post_init__(self):
+        if self.variant not in tuple(AttackVariant):
+            names = [v.value for v in AttackVariant]
+            raise ValueError(f"'variant' must be one of {names}, got {self.variant!r}")
+        object.__setattr__(self, "variant", AttackVariant(self.variant))
+        check_minimums(self)
 
 
 @dataclass(frozen=True)
@@ -95,37 +103,31 @@ class DetectorSpec:
 
     def __post_init__(self):
         if self.kind not in ("threshold", "ks"):
-            raise ValueError(f"unknown detector kind {self.kind!r}")
+            raise ValueError(f"detector 'kind' must be 'threshold' or 'ks', got {self.kind!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"detector 'alpha' must be in (0, 1), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    n_benign: int = 50
-    n_attack: int = 1
-    intervals: int = 6
-    executions_per_interval: int = 2
+    n_benign: int = at_least(0, default=50)
+    n_attack: int = at_least(0, default=1)
+    intervals: int = at_least(1, default=6)
+    executions_per_interval: int = at_least(1, default=2)
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     attack: AttackWorkload = field(default_factory=AttackWorkload)
-    cost_model: CostModel = field(default_factory=CostModel)
-    baseline_rps: float = 1000.0
-    worker_mem_bytes: int = 1 << 20
-    subrequests_per_interval: int = 0
-    subrequest_limit: int = SUBREQUEST_LIMIT_DEFAULT
-    rng_seed: int = 0
+    baseline_rps: float = at_least(0, default=1000.0)
+    worker_mem_bytes: int = at_least(0, default=1 << 20)
+    subrequests_per_interval: int = at_least(0, default=0)
+    rng_seed: int = at_least(0, default=0)
+    cost_model: ClassVar[CostModel] = CostModel()
 
     def __post_init__(self):
-        for name, minimum in (("n_benign", 0), ("n_attack", 0), ("intervals", 1),
-                              ("executions_per_interval", 1), ("worker_mem_bytes", 0),
-                              ("subrequests_per_interval", 0), ("subrequest_limit", 1)):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ValueError(f"{name!r} must be >= {minimum}, got {value!r}")
+        check_minimums(self)
         if self.n_benign + self.n_attack == 0:
             raise ValueError("fleet must have at least one worker")
-        if not 0.0 <= self.baseline_rps < math.inf:
-            raise ValueError(f"'baseline_rps' must be finite and >= 0, got {self.baseline_rps!r}")
+        if self.baseline_rps == math.inf:
+            raise ValueError("'baseline_rps' must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,7 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     isolated = np.zeros((n_workers, intervals + 1), dtype=bool)
     isolated[:, 1:] = np.logical_or.accumulate(flags, axis=1)
 
-    # Subsequent requests past the limit are redirected, counted per boundary.
-    limit = cfg.subrequest_limit
-    over = np.diff(np.maximum(cfg.subrequests_per_interval * np.arange(intervals + 1), limit))
     first_at = first.tolist()
-    timeline: list[dict] = []
-    for boundary, redirect in enumerate([*over.tolist(), 0]):
-        closed = boundary - 1  # the window that closed at this boundary
-        for w in range(n_workers) if redirect else np.flatnonzero(first == closed).tolist():
-            if first_at[w] == closed:
-                timeline.append({"interval": closed, "worker_id": names[w], "action": "isolate"})
-            timeline.extend(
-                {"interval": -1, "worker_id": names[w], "action": "redirect"}
-                for _ in range(redirect)
-            )
-
     isolated_count = isolated.sum(axis=0).tolist()
     cost = cfg.cost_model
     series = tuple(
@@ -272,8 +260,13 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
             {"interval": k, "worker_id": name, "suspect": s}
             for k, column in enumerate(flags.T.tolist()) for name, s in zip(names, column)
         ),
-        timeline=tuple(timeline),
-        redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals - limit),
+        # isolations by (interval, worker code); a stable sort keeps code order
+        timeline=tuple(
+            {"interval": first_at[w], "worker_id": names[w], "action": "isolate"}
+            for w in np.argsort(first, kind="stable").tolist() if first_at[w] < intervals
+        ),
+        redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals
+                                  - SUBREQUEST_LIMIT),
         post_isolation_shared_events=cfg.executions_per_interval * shared_after_flag,
         liveness_ok=liveness_ok,
         series=series,

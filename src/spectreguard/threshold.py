@@ -17,7 +17,7 @@ termination, which is why a sub-percent false-positive rate is acceptable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,16 +49,27 @@ class UnreachableTarget(Exception):
     """No amplification level gets the attack below the target metric."""
 
 
+def at_least(minimum: float, default):
+    """A dataclass field that ``check_minimums`` keeps at or above ``minimum``."""
+    return field(default=default, metadata={"minimum": minimum})
+
+
+def check_minimums(config) -> None:
+    """Raise ValueError naming a field below its minimum (NaN always is, None never)."""
+    for f in fields(config):
+        value, minimum = getattr(config, f.name), f.metadata.get("minimum")
+        if minimum is not None and value is not None and not value >= minimum:
+            raise ValueError(f"{f.name!r} must be >= {minimum} and not NaN, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdConfig:
-    branch_per_itlb_threshold: float = BRANCH_THRESHOLD_DEFAULT
-    stl_reset_threshold: float = STL_THRESHOLD_DEFAULT
+    # 0 is allowed: it degrades the fleet to strict process isolation.
+    branch_per_itlb_threshold: float = at_least(0, default=BRANCH_THRESHOLD_DEFAULT)
+    stl_reset_threshold: float = at_least(0, default=STL_THRESHOLD_DEFAULT)
 
     def __post_init__(self):
-        # 0 is allowed: it degrades the fleet to strict process isolation.
-        # `not >= 0` also rejects NaN, which would switch a rule off silently.
-        if not (self.branch_per_itlb_threshold >= 0 and self.stl_reset_threshold >= 0):
-            raise ValueError("thresholds must be >= 0, not NaN")
+        check_minimums(self)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from spectreguard import ks as _ks
 from spectreguard.fleet import (
     DEGRADED_MODE,
     SELECTIVE_MODE,
+    SUBREQUEST_LIMIT,
     AttackWorkload,
     DetectorSpec,
     FleetConfig,
@@ -117,7 +118,6 @@ def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
         (window, avg.worker_id): avg
         for window, avg in zip(folded.window.tolist(), folded)
     }
-    subrequest_limit = cfg.subrequest_limit
 
     verdicts: list[dict] = []
     timeline: list[dict] = []
@@ -153,12 +153,7 @@ def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
                 post_isolation_shared_events += cfg.executions_per_interval
             before = record.subsequent_requests
             record.subsequent_requests += cfg.subrequests_per_interval
-            over = max(0, record.subsequent_requests - max(before, subrequest_limit))
-            timeline.extend(
-                {"interval": -1, "worker_id": record.worker_id, "action": "redirect"}
-                for _ in range(over)
-            )
-            redirects += over
+            redirects += max(0, record.subsequent_requests - max(before, SUBREQUEST_LIMIT))
 
     n_workers = len(workers)
     benign_ids = {r.worker_id for r in workers if isinstance(r.workload, BenignWorkload)}

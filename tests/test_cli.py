@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,8 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from spectreguard import channel, cli, ks
-from spectreguard.fleet import AttackWorkload, FleetConfig, run_fleet
+from spectreguard import channel, cli, fleet, ks
+from spectreguard.fleet import AttackWorkload, DetectorSpec, FleetConfig, run_fleet
+from spectreguard.profiles import AttackVariant
 from spectreguard.threshold import ThresholdConfig, classify_threshold
 from spectreguard.trace import fold_intervals, ingest_trace
 
@@ -249,7 +251,7 @@ class TestFleetCommand:
         assert run("fleet", "--config", str(config), "--seed", "4",
                    "--out", str(report_path), "--series-out", str(series_path)) == 0
         report = json.loads(report_path.read_text())
-        assert report["schema"] == "fleet-report-v2"
+        assert report["schema"] == "fleet-report-v3"
         assert report["seed"] == 4  # flag overrides file default
         assert read_lines(series_path)[0] == "# schema: fleet-series-v1"
 
@@ -281,7 +283,7 @@ class TestFleetCommand:
         out = tmp_path / "r.json"
         assert run("fleet", "--config", str(config), "--out", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload.pop("schema") == "fleet-report-v2"
+        assert payload.pop("schema") == "fleet-report-v3"
         payload.pop("detector")
         pinned = Path(__file__).parent / "data" / "fleet_ks_report.json"
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == pinned.read_text()
@@ -355,6 +357,111 @@ class TestFleetCommand:
         del payload["schema"], payload["detector"]
         expected = run_fleet(FleetConfig(rng_seed=1729)).to_json_dict()
         assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def nest(path: tuple[str, ...], value) -> dict:
+    """The config file that puts ``value`` at ``path``."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+# Every field of the fleet's config classes: its config path, a non-default
+# value there, and the FleetConfig settings that value must build.
+CONFIG_SURFACE = {
+    (FleetConfig, "n_benign"): (("n_benign",), 7, dict(n_benign=7)),
+    (FleetConfig, "n_attack"): (("n_attack",), 3, dict(n_attack=3)),
+    (FleetConfig, "intervals"): (("intervals",), 2, dict(intervals=2)),
+    (FleetConfig, "executions_per_interval"): (
+        ("executions_per_interval",), 5, dict(executions_per_interval=5)),
+    (FleetConfig, "detector"): (("detector",), {"kind": "ks", "alpha": 0.2},
+                                dict(detector=DetectorSpec(kind="ks", alpha=0.2))),
+    (FleetConfig, "attack"): (("attack",), {"variant": "rsb", "pages": 3},
+                              dict(attack=AttackWorkload(AttackVariant.RSB, pages=3))),
+    (FleetConfig, "baseline_rps"): (("baseline_rps",), 250, dict(baseline_rps=250.0)),
+    (FleetConfig, "worker_mem_bytes"): (("worker_mem_bytes",), 4096, dict(worker_mem_bytes=4096)),
+    (FleetConfig, "subrequests_per_interval"): (
+        ("subrequests_per_interval",), 2600, dict(subrequests_per_interval=2600)),
+    (FleetConfig, "rng_seed"): (("seed",), 5, dict(rng_seed=5)),
+    (DetectorSpec, "kind"): (("detector", "kind"), "ks", dict(detector=DetectorSpec(kind="ks"))),
+    (DetectorSpec, "threshold"): (
+        ("detector",), {"branch_per_itlb": 5000, "stl_reset": 6000.0},
+        dict(detector=DetectorSpec(threshold=ThresholdConfig(5000.0, 6000.0)))),
+    (DetectorSpec, "alpha"): (("detector", "alpha"), 0.3, dict(detector=DetectorSpec(alpha=0.3))),
+    (ThresholdConfig, "branch_per_itlb_threshold"): (
+        ("detector", "branch_per_itlb"), 0,
+        dict(detector=DetectorSpec(threshold=ThresholdConfig(branch_per_itlb_threshold=0.0)))),
+    (ThresholdConfig, "stl_reset_threshold"): (
+        ("detector", "stl_reset"), 1e9,
+        dict(detector=DetectorSpec(threshold=ThresholdConfig(stl_reset_threshold=1e9)))),
+    (AttackWorkload, "variant"): (("attack", "variant"), "stl",
+                                  dict(attack=AttackWorkload(AttackVariant.STL))),
+    (AttackWorkload, "amplification"): (("attack", "amplification"), 40,
+                                        dict(attack=AttackWorkload(amplification=40))),
+    (AttackWorkload, "pages"): (("attack", "pages"), 130, dict(attack=AttackWorkload(pages=130))),
+}
+CONFIG_FIELDS = [(cls, f) for cls in (FleetConfig, DetectorSpec, ThresholdConfig, AttackWorkload)
+                 for f in dataclasses.fields(cls)]
+
+
+def config_field_params(keep=lambda f: True) -> list:
+    return [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+            for cls, f in CONFIG_FIELDS if keep(f)]
+
+
+class TestFleetConfigSurface:
+    """The config file's keys are the config dataclasses' fields."""
+
+    def fleet_config(self, tmp_path, monkeypatch, config) -> FleetConfig:
+        built = []
+        simulate = fleet.run_fleet
+        monkeypatch.setattr(fleet, "run_fleet", lambda cfg: built.append(cfg) or simulate(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run("fleet", "--config", str(path), "--out", str(tmp_path / "r.json")) == 0
+        (cfg,) = built
+        return cfg
+
+    @pytest.mark.parametrize(("cls", "f"), config_field_params())
+    def test_every_field_has_a_config_path(self, tmp_path, monkeypatch, cls, f):
+        # a field added without a row here (and a config path) fails this test
+        assert (cls, f.name) in CONFIG_SURFACE, f"{cls.__name__}.{f.name} has no config path"
+        path, value, settings = CONFIG_SURFACE[cls, f.name]
+        # the CLI's seed default is DEFAULT_SEED, not FleetConfig's 0
+        expected = FleetConfig(**{"rng_seed": cli.DEFAULT_SEED, **settings})
+        assert expected != FleetConfig(rng_seed=cli.DEFAULT_SEED)
+        assert self.fleet_config(tmp_path, monkeypatch, nest(path, value)) == expected
+
+    @pytest.mark.parametrize(("cls", "f"), config_field_params(lambda f: "minimum" in f.metadata))
+    def test_value_below_minimum_is_input_error(self, tmp_path, capsys, cls, f):
+        path, _value, _settings = CONFIG_SURFACE[cls, f.name]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(nest(path, f.metadata["minimum"] - 1)))
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+        assert f"fleet config {path[-1]!r} must be " in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_ten_settable_fields(self):
+        assert len(dataclasses.fields(FleetConfig)) == 10
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ('{"seed": -1}', "fleet config 'seed' must be an integer >= 0, got -1"),
+        ('{"n_workers": 5}', "unknown fleet config keys: ['n_workers']"),
+        # a field named where its key is an alias; the cost model and the limit are constants
+        ('{"rng_seed": 5, "subrequest_limit": 5, "cost_model": {}}',
+         "unknown fleet config keys: ['cost_model', 'rng_seed', 'subrequest_limit']"),
+        ('{"detector": {"branch_per_itlb_threshold": 5000}}',
+         "unknown detector config keys: ['branch_per_itlb_threshold']"),
+        ('{"attack": {"variant": "btb", "amp": 3}}', "unknown attack config keys: ['amp']"),
+        ('{"n_benign": 2, "n_benign": 7}', "fleet config has duplicate key 'n_benign'"),
+        ('{"detector": [1]}', "fleet config 'detector' must be a JSON object"),
+        ('[{"n_benign": 2}]', "fleet config must be a JSON object"),
+    ])
+    def test_error_messages(self, tmp_path, capsys, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestKsCommand:
@@ -445,6 +552,9 @@ class TestErrors:
         *(({"detector": {"kind": "ks", "alpha": alpha}}, "alpha") for alpha in (0, 1, 1.5)),
         ({"detector": 5}, "detector"),
         ({"attack": ["pht"]}, "attack"),
+        ({"attack": {"variant": "xyz"}}, "variant"),
+        ({"detector": {"kind": "oracle"}}, "kind"),
+        ({"n_benign": None}, "n_benign"),
     ]),
         # a flag's value gets the same checks as the file's
         ({}, "seed", ["--seed", "-1"]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,44 +15,52 @@ from spectreguard import fleet, ks, profiles
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
+    SUBREQUEST_LIMIT,
     AttackWorkload,
     DetectorSpec,
     FleetConfig,
     run_fleet,
 )
-from spectreguard.profiles import BenignProfile, generate_benign
+from spectreguard.profiles import AttackVariant, BenignProfile, generate_benign
 from spectreguard.threshold import ThresholdConfig, sweep_thresholds
 from spectreguard.trace import TraceBatch, fold_intervals
 
 DATA = Path(__file__).parent / "data"
 
 
-def redirect_fleet(subrequest_limit: int) -> FleetConfig:
-    # 4 subsequent requests per worker per interval: 12 per worker in all
+def redirect_fleet(subrequests_per_interval: int) -> FleetConfig:
+    # two workers, 4 intervals: each worker sends 4 x subrequests_per_interval
     return FleetConfig(
         n_benign=1,
         n_attack=1,
-        intervals=3,
-        subrequests_per_interval=4,
-        subrequest_limit=subrequest_limit,
+        intervals=4,
+        subrequests_per_interval=subrequests_per_interval,
         rng_seed=0,
     )
 
 
 class TestRunFleet:
     def test_subrequest_limit_redirects_the_next_request(self):
-        assert run_fleet(redirect_fleet(12)).redirects == 0
-        assert run_fleet(redirect_fleet(11)).redirects == 2
+        assert SUBREQUEST_LIMIT == 10_000
+        # each worker's total below, at, just above and far above the limit
+        for per_interval, redirected in [(2499, 0), (2500, 0), (2501, 4), (10_000, 30_000)]:
+            report = run_fleet(redirect_fleet(per_interval))
+            assert report.redirects == 2 * redirected, per_interval
+            # the timeline holds the attack worker's isolation alone
+            assert report.timeline == ({"interval": 0, "worker_id": "attack-000",
+                                        "action": "isolate"},)
 
-        report = run_fleet(redirect_fleet(9))
-        assert report.redirects == 6
-        # requests 10-12 of each worker arrive in interval 2, after the
-        # attack worker's isolation at the interval-0 boundary
-        assert [(e["interval"], e["worker_id"], e["action"]) for e in report.timeline] == [
-            (0, "attack-000", "isolate"),
-            *[(-1, "attack-000", "redirect")] * 3,
-            *[(-1, "worker-000", "redirect")] * 3,
-        ]
+    def test_report_size_does_not_depend_on_request_count(self):
+        def report(subrequests_per_interval: int) -> dict:
+            cfg = FleetConfig(n_benign=5, intervals=6, rng_seed=14,
+                              subrequests_per_interval=subrequests_per_interval)
+            return run_fleet(cfg).to_json_dict()
+
+        quiet, busy = report(0), report(5000)
+        assert busy["timeline"] == quiet["timeline"]
+        assert (quiet["redirects"], busy["redirects"]) == (0, 6 * (6 * 5000 - SUBREQUEST_LIMIT))
+        del quiet["redirects"], busy["redirects"]
+        assert busy == quiet
 
     def test_attack_isolated_quickly(self):
         cfg = FleetConfig(n_benign=5, n_attack=1, intervals=4, rng_seed=1)
@@ -180,38 +189,38 @@ class TestRunFleet:
         assert abs(report.benign_interval_fp_rate - predicted) <= 2 * se + 1e-9
 
 
-def oracle_fleet(kind="threshold", limit=10_000, executions=2, branch=4096.0, **overrides):
-    # 3 subsequent requests per worker per interval: 12 per worker in all.
-    # At amplification 12 the attack metric sits near 4096, so its first
+def oracle_fleet(kind="threshold", subrequests=3, executions=2, branch=4096.0, **overrides):
+    # 4 intervals of `subrequests` subsequent requests per worker.  At
+    # amplification 12 the attack metric sits near 4096, so its first
     # suspect window varies between attack workers.
-    fields = dict(
+    settings = dict(
         n_benign=6,
         n_attack=3,
         intervals=4,
         executions_per_interval=executions,
-        subrequests_per_interval=3,
-        subrequest_limit=limit,
+        subrequests_per_interval=subrequests,
         rng_seed=31 + executions,
         attack=AttackWorkload(amplification=12),
         detector=DetectorSpec(kind=kind, threshold=ThresholdConfig(branch_per_itlb_threshold=branch)),
     )
-    return FleetConfig(**{**fields, **overrides})
+    return FleetConfig(**{**settings, **overrides})
 
 
 ORACLE_GRID = [
     *(
-        pytest.param(oracle_fleet(kind, limit, executions),
-                     id=f"{kind}-limit{limit}-executions{executions}")
+        pytest.param(oracle_fleet(kind, subrequests, executions),
+                     id=f"{kind}-subrequests{subrequests}-executions{executions}")
         for kind in ("threshold", "ks")
-        for limit in (1, 11, 12, 13)  # 1, below, equal to and above the total
+        # each worker's total below, at, just above and far above the limit
+        for subrequests in (2499, 2500, 2501, 10_000)
         for executions in (1, 3)
     ),
-    pytest.param(oracle_fleet(branch=0.0, limit=7), id="degraded"),
-    pytest.param(oracle_fleet(branch=1024.0, limit=7), id="benign-false-positives"),
+    pytest.param(oracle_fleet(branch=0.0, subrequests=2600), id="degraded"),
+    pytest.param(oracle_fleet(branch=1024.0, subrequests=2600), id="benign-false-positives"),
     pytest.param(oracle_fleet(attack=AttackWorkload(pages=130)), id="evasive-threshold"),
     pytest.param(oracle_fleet("ks", attack=AttackWorkload(pages=130)), id="evasive-ks"),
-    pytest.param(oracle_fleet(n_benign=1001, intervals=2, executions_per_interval=1, limit=5),
-                 id="threshold-1004-workers"),
+    pytest.param(oracle_fleet(n_benign=1001, intervals=2, executions_per_interval=1,
+                              subrequests=5003), id="threshold-1004-workers"),
     pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions_per_interval=1),
                  id="ks-1004-workers"),
 ]
@@ -320,8 +329,7 @@ class TestConfigValidation:
             FleetConfig(n_benign=2, intervals=2, **{field: value})
 
     @pytest.mark.parametrize(("field", "value"), [
-        ("subrequest_limit", 0),
-        ("subrequest_limit", -1),
+        ("rng_seed", -1),
         ("n_benign", -1),
         ("n_attack", -1),
         ("intervals", 0),
@@ -330,6 +338,42 @@ class TestConfigValidation:
     def test_field_below_minimum(self, field, value):
         with pytest.raises(ValueError, match=f"'{field}' must be >= "):
             FleetConfig(**{field: value})
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("amplification", 0),
+        ("amplification", -3),
+        ("pages", -5),
+    ])
+    def test_attack_field_below_minimum(self, field, value):
+        # unchecked, a KS fleet would run such an attack and report it flagged
+        with pytest.raises(ValueError, match=f"'{field}' must be >= "):
+            AttackWorkload(**{field: value})
+
+    @pytest.mark.parametrize("variant", ["xyz", "PHT", 5, None])
+    def test_unknown_attack_variant(self, variant):
+        with pytest.raises(ValueError, match="'variant' must be one of "):
+            AttackWorkload(variant)
+
+    def test_variant_name_is_its_enum_member(self):
+        workload = AttackWorkload("btb", amplification=1)
+        assert workload.variant is AttackVariant.BTB
+        assert workload == AttackWorkload(AttackVariant.BTB, 1)
+
+    def test_fleet_minimums_are_field_metadata(self):
+        # one definition: the dataclass checks read the same numbers the
+        # config reader does
+        minimums = {f.name: f.metadata.get("minimum") for f in fields(FleetConfig)}
+        assert minimums == {
+            "n_benign": 0, "n_attack": 0, "intervals": 1, "executions_per_interval": 1,
+            "detector": None, "attack": None, "baseline_rps": 0, "worker_mem_bytes": 0,
+            "subrequests_per_interval": 0, "rng_seed": 0,
+        }
+
+    def test_cost_model_is_not_a_setting(self):
+        assert "cost_model" not in {f.name for f in fields(FleetConfig)}
+        assert FleetConfig().cost_model == CostModel()
+        with pytest.raises(TypeError):
+            FleetConfig(cost_model=CostModel())
 
     def test_zero_cost_inputs_allowed(self):
         run_fleet(FleetConfig(n_benign=2, intervals=2, baseline_rps=0.0, worker_mem_bytes=0,
@@ -343,14 +387,14 @@ class TestPinnedReports:
         ("name", "cfg"),
         [
             (
-                # one attack and one benign isolation, 39 redirects
+                # one attack and one benign isolation; each worker's 10,004
+                # subsequent requests pass the limit by 4: 52 redirects
                 "fleet_threshold_report.json",
                 FleetConfig(
                     n_benign=12,
                     n_attack=1,
                     intervals=4,
-                    subrequests_per_interval=2,
-                    subrequest_limit=5,
+                    subrequests_per_interval=2501,
                     rng_seed=9,
                 ),
             ),
