@@ -18,6 +18,9 @@ normal approximation of the vote and settles the exact budget in about five
 binomial evaluations.  The sampler ``simulate_bit_batch`` and ``box_test``
 take explicit draws and stay as the reference the closed forms are tested
 against.
+
+Without a measured script runtime, ``leakage_rate`` takes the affine
+least-squares fit of runtime to ``REFERENCE_ATTACK_ROWS``, solved once.
 """
 
 from __future__ import annotations
@@ -433,29 +436,16 @@ def success_rate_curve(
 
 # --- leakage economics ----------------------------------------------------
 
-@dataclass(frozen=True)
-class RuntimeModel:
-    """Affine script-runtime model: runtime(a) = intercept + slope * a.
-
-    Fitted by least squares to the reference rows; the a=10000 row deviates
-    from affine by ~30%, so per-row exact runtimes may be passed directly
-    where fidelity matters.
-    """
-
-    intercept_s: float
-    slope_s: float
-
-    def __call__(self, amplification: int) -> float:
-        return self.intercept_s + self.slope_s * amplification
-
-    @classmethod
-    @functools.cache
-    def fit_reference(cls) -> "RuntimeModel":
-        """The least-squares fit to the reference rows, solved once."""
-        amps = np.asarray([row[0] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
-        runtimes = np.asarray([row[2] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
-        slope, intercept = np.polyfit(amps, runtimes, 1)
-        return cls(intercept_s=float(intercept), slope_s=float(slope))
+@functools.cache
+def _runtime_fit() -> tuple[float, float]:
+    """(slope, intercept) in seconds of the affine script-runtime law
+    runtime(a) = intercept + slope * a, least-squares fitted to the reference
+    rows once.  The a=10000 row deviates from affine by ~30%, so per-row exact
+    runtimes may be passed directly where fidelity matters."""
+    amps = np.asarray([row[0] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
+    runtimes = np.asarray([row[2] for row in REFERENCE_ATTACK_ROWS], dtype=np.float64)
+    slope, intercept = np.polyfit(amps, runtimes, 1)
+    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -475,7 +465,8 @@ def leakage_rate(
     if amplification < 1 or requests_per_bit < 1:
         raise ValueError("amplification and requests_per_bit must be >= 1")
     if runtime_s is None:
-        runtime_s = RuntimeModel.fit_reference()(amplification)
+        slope, intercept = _runtime_fit()
+        runtime_s = intercept + slope * amplification
     if runtime_s <= 0:
         raise ValueError("runtime must be positive")
     return LeakEstimate(

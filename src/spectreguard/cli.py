@@ -106,6 +106,8 @@ def _float(x: float) -> str:
 # --- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     if args.profile == "benign":
         if args.amplification is not None or args.pages:
             raise InputError("--amplification/--pages only apply to attack profiles")
@@ -207,12 +209,14 @@ _DEFAULT_THRESHOLDS = tuple(float(2**k) for k in range(7, 17))  # 128 .. 65536
 
 
 def _cmd_sweep(args) -> int:
+    thresholds = _DEFAULT_THRESHOLDS
+    if args.thresholds:
+        try:
+            thresholds = [float(t) for t in args.thresholds.split(",")]
+        except ValueError:
+            raise InputError(f"--thresholds: expected comma-separated numbers, "
+                             f"got {args.thresholds!r}") from None
     averages = fold_intervals(ingest_trace(args.trace), args.interval_ns)
-    thresholds = (
-        [float(t) for t in args.thresholds.split(",")]
-        if args.thresholds
-        else _DEFAULT_THRESHOLDS
-    )
     try:
         points = threshold_mod.sweep_thresholds(averages, thresholds)
     except threshold_mod.EmptyPopulation as exc:
@@ -290,12 +294,6 @@ def _config_value(key: str, value, hint, minimum):
     return float(value) if hint is float else value
 
 
-def _config_section(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"fleet config {key!r} must be a JSON object")
-    return dict(value)
-
-
 def _config_object(cls, section: dict, name: str | None):
     """``cls`` from a config section, popping the keys it reads.
 
@@ -307,7 +305,10 @@ def _config_object(cls, section: dict, name: str | None):
     for f in dataclasses.fields(cls):
         key, hint = _CONFIG_ALIASES.get(f.name, f.name), hints[f.name]
         if dataclasses.is_dataclass(hint) and name == "fleet":
-            values[f.name] = _config_object(hint, _config_section(section.pop(key, {}), key), key)
+            sub = section.pop(key, {})
+            if not isinstance(sub, dict):
+                raise InputError(f"fleet config {key!r} must be a JSON object")
+            values[f.name] = _config_object(hint, dict(sub), key)
         elif dataclasses.is_dataclass(hint):
             values[f.name] = _config_object(hint, section, None)
         elif key in section:
@@ -348,9 +349,6 @@ def _cmd_fleet(args) -> int:
     flags = {key: getattr(args, key) for key in ("seed", "intervals")
              if getattr(args, key) is not None}
     data = {"seed": DEFAULT_SEED, **data, **flags}
-    if args.threshold is not None:
-        data["detector"] = {**_config_section(data.get("detector", {}), "detector"),
-                            "branch_per_itlb": args.threshold}
     cfg = _config_object(fleet_mod.FleetConfig, data, "fleet")
     report = fleet_mod.run_fleet(cfg)
     payload = {
@@ -448,7 +446,6 @@ def _build_parser() -> _Parser:
     fleet.add_argument("--config", default=None, help="JSON config file")
     fleet.add_argument("--seed", type=int, default=None,
                        help=f"overrides the config's seed (default {DEFAULT_SEED})")
-    fleet.add_argument("--threshold", type=float, default=None)
     fleet.add_argument("--intervals", type=int, default=None)
     fleet.add_argument("--out", required=True)
     fleet.add_argument("--series-out", default=None)

@@ -281,13 +281,10 @@ def load_default_template() -> BranchHistogram:
         return read_histogram_csv(path)
 
 
-def write_histogram_csv(hist: BranchHistogram, destination: str | Path | TextIO) -> None:
-    """Write a histogram CSV to a path or an open text handle, branches
-    ordered by (count desc, id asc)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            return write_histogram_csv(hist, handle)
-    destination.write(f"# schema: {HISTOGRAM_SCHEMA}\n")
-    writer = csv.writer(destination, lineterminator="\n")
+def write_histogram_csv(hist: BranchHistogram, handle: TextIO) -> None:
+    """Write a histogram CSV to an open text handle, branches ordered by
+    (count desc, id asc)."""
+    handle.write(f"# schema: {HISTOGRAM_SCHEMA}\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(HISTOGRAM_HEADER)
     writer.writerows(sorted(hist.entries.items(), key=lambda item: (-item[1], item[0])))

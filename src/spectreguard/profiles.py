@@ -148,6 +148,11 @@ def _lognormal_mean_preserving(rng: np.random.Generator, mean: float, sigma: flo
     return mean * np.exp(_log_of_unit_mean(rng, sigma, size))
 
 
+def _lognormal_survival(mu: float, sigma: float, x: float) -> float:
+    """P(exp(N(mu, sigma**2)) >= x)."""
+    return 1.0 - _PHI.cdf((math.log(x) - mu) / sigma)
+
+
 @dataclass(frozen=True)
 class BenignProfile:
     """Benign branch/iTLB metric distribution plus auxiliary counter shapes."""
@@ -173,9 +178,6 @@ class BenignProfile:
         (x1, s1), (x2, s2), (x3, s3), (cutoff, _) = sorted(BENIGN_SURVIVAL_TARGETS.items())
         body_sigma, w = BENIGN_BODY_SIGMA, BENIGN_TAIL_WEIGHT
 
-        def survival(mu: float, sigma: float, x: float) -> float:
-            return 1.0 - _PHI.cdf((math.log(x) - mu) / sigma)
-
         body_at_x2 = body_at_x3 = 0.0
         for _ in range(12):
             t2 = (s2 - (1.0 - w) * body_at_x2) / w
@@ -184,10 +186,10 @@ class BenignProfile:
             z3 = _PHI.inv_cdf(1.0 - t3)
             tail_sigma = (math.log(x3) - math.log(x2)) / (z3 - z2)
             tail_mu = math.log(x2) - tail_sigma * z2
-            t1 = (s1 - w * survival(tail_mu, tail_sigma, x1)) / (1.0 - w)
+            t1 = (s1 - w * _lognormal_survival(tail_mu, tail_sigma, x1)) / (1.0 - w)
             body_mu = math.log(x1) - body_sigma * _PHI.inv_cdf(1.0 - t1)
-            body_at_x2 = survival(body_mu, body_sigma, x2)
-            body_at_x3 = survival(body_mu, body_sigma, x3)
+            body_at_x2 = _lognormal_survival(body_mu, body_sigma, x2)
+            body_at_x3 = _lognormal_survival(body_mu, body_sigma, x3)
 
         return cls(
             body_mu=body_mu,
@@ -204,8 +206,8 @@ class BenignProfile:
             return 0.0
 
         def mixture(v: float) -> float:
-            s_body = 1.0 - _PHI.cdf((math.log(v) - self.body_mu) / self.body_sigma)
-            s_tail = 1.0 - _PHI.cdf((math.log(v) - self.tail_mu) / self.tail_sigma)
+            s_body = _lognormal_survival(self.body_mu, self.body_sigma, v)
+            s_tail = _lognormal_survival(self.tail_mu, self.tail_sigma, v)
             return (1.0 - self.tail_weight) * s_body + self.tail_weight * s_tail
 
         at_cutoff = mixture(self.upper_cutoff)

@@ -176,10 +176,12 @@ def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> Evasion
     """
     if target_metric <= 0:
         raise ValueError("target_metric must be positive")
-    # metric(a) < target  <=>  a < (target - intercept)/slope
-    slope = attack_profile.metric_slope
-    bound = (target_metric - METRIC_INTERCEPT) / slope
-    amplification = math.ceil(bound) - 1 if bound == int(bound) else math.floor(bound)
+    # metric(a) < target  <=>  a < (target - intercept)/slope, so the answer is
+    # ceil of that bound, less 1.  The division can round across a whole
+    # number, so the metric itself picks the answer from that guess's neighbours.
+    guess = math.ceil((target_metric - METRIC_INTERCEPT) / attack_profile.metric_slope) - 1
+    amplification = next((a for a in (guess + 1, guess)
+                          if a < 1 or attack_profile.branch_metric(a) < target_metric), guess - 1)
     if amplification < 1:
         raise UnreachableTarget(
             f"metric at amplification 1 "

@@ -13,15 +13,15 @@ platform independent and diff-able.  Windows are half-open
 Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
-batches, ``emit_trace`` writes them, and ``fold_intervals`` folds one into an
-``IntervalBatch`` of window means.  ``ingest_trace`` reads lines in exactly
-``emit_trace``'s form by one regex match each and parses all their integers
-in one bulk step; any other line goes through the JSON decoder
+batches, ``emit_trace`` writes one to an open handle, and ``fold_intervals``
+folds one into an ``IntervalBatch`` of window means.  ``ingest_trace`` reads
+lines in exactly ``emit_trace``'s form by one regex match each and parses all
+their integers in one bulk step; any other line goes through the JSON decoder
 (``_parse_line``), which stays the reference for what a line means and which
-error it raises.  ``CounterSnapshot`` stays the per-record
-wire type: a batch iterates snapshots and an interval batch iterates
-``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
-time; it is the reference oracle the batch fold is tested against.
+error it raises.  ``CounterSnapshot`` stays the per-record wire type: a batch
+iterates snapshots and an interval batch iterates ``IntervalAverage``s.  The
+streaming ``IntervalFolder`` folds one record at a time; it is the reference
+oracle the batch fold is tested against.
 
 Fold order rule, shared by both paths: a worker's window is emitted when that
 worker's first record of a later window arrives, in file order; windows still
@@ -376,10 +376,6 @@ class IntervalFolder:
         )
 
 
-def _as_batch(records: TraceBatch | Iterable[CounterSnapshot]) -> TraceBatch:
-    return records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
-
-
 def fold_intervals(
     records: TraceBatch | Iterable[CounterSnapshot],
     interval_ns: int = DEFAULT_INTERVAL_NS,
@@ -395,7 +391,7 @@ def fold_intervals(
     a wider one takes ``math.fsum`` of slices of one contiguous metric column.
     """
     _check_interval(interval_ns)
-    batch = _as_batch(records)
+    batch = records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
     n = len(batch)
     order = np.argsort(batch.worker, kind="stable")
     worker = batch.worker[order]
@@ -614,27 +610,17 @@ def ingest_trace(path: str | Path) -> TraceBatch:
 _ROW_FORMAT = "{" + ",".join(f'"{wire}":%s' for wire, _field in _WIRE_KEYS) + "}\n"
 
 
-def emit_trace(
-    snapshots: TraceBatch | Iterable[CounterSnapshot],
-    destination: str | Path | TextIO,
-) -> int:
-    """Write snapshots as canonical JSONL; returns the number of records.
+def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
+    """Write a batch as canonical JSONL to an open text handle; returns the
+    number of records.
 
-    ``ingest_trace(emit_trace(...))`` round-trips valid snapshots exactly.
-    Each line equals ``json.dumps(snapshot.to_wire(), separators=(",", ":"))``.
+    ``ingest_trace`` reads the written file back exactly.  Each line equals
+    ``json.dumps(snapshot.to_wire(), separators=(",", ":"))``.
     """
-    batch = _as_batch(snapshots)
     quoted = [json.dumps(name) for name in batch.names]
-
-    def _write(handle: TextIO) -> int:
-        handle.write(f"# schema: {TRACE_SCHEMA}\n")
-        handle.writelines(
-            _ROW_FORMAT % (quoted[w], *row)
-            for w, row in zip(batch.worker.tolist(), batch.counts.tolist())
-        )
-        return len(batch)
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return _write(handle)
-    return _write(destination)
+    handle.write(f"# schema: {TRACE_SCHEMA}\n")
+    handle.writelines(
+        _ROW_FORMAT % (quoted[w], *row)
+        for w, row in zip(batch.worker.tolist(), batch.counts.tolist())
+    )
+    return len(batch)

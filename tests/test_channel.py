@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectreguard import channel
 from spectreguard.channel import (
     ChannelCalibration,
     ChannelError,
     ChannelParams,
     DegenerateSamples,
     MAX_REQUESTS,
-    RuntimeModel,
     UNIT_AMPLIFICATION_REQUESTS,
     Unreachable,
     access_bits_per_second,
@@ -506,12 +506,19 @@ class TestLeakage:
         est = leakage_rate(10, 25_000, runtime_s=0.123)
         assert int(est.bits_per_hour) == 1
 
-    def test_affine_runtime_model_fits_reference(self):
-        model = RuntimeModel.fit_reference()
-        assert RuntimeModel.fit_reference() is model  # solved once
-        assert model(250_000) == pytest.approx(30.0, rel=0.05)
+    def test_affine_runtime_fit_fits_reference(self):
+        fit = channel._runtime_fit()
+        assert channel._runtime_fit() is fit  # solved once
+        slope, intercept = fit
+        assert intercept + slope * 250_000 == pytest.approx(30.0, rel=0.05)
         # the 10000 row is the known ~30% outlier of the affine fit
-        assert model(10_000) == pytest.approx(1.813, rel=0.35)
+        assert intercept + slope * 10_000 == pytest.approx(1.813, rel=0.35)
+
+    def test_unmeasured_runtime_comes_from_the_fit(self):
+        slope, intercept = channel._runtime_fit()
+        est = leakage_rate(11, 22_727)
+        assert est.script_runtime_s == intercept + slope * 11
+        assert est.bits_per_hour == 3600.0 / (22_727 * est.script_runtime_s)
 
     def test_unit_amplification_anchor(self):
         assert UNIT_AMPLIFICATION_REQUESTS == 250_000

@@ -329,6 +329,13 @@ class TestFleetCommand:
         assert reports["config"] != reports["see"]
         assert json.loads(reports["config"])["seed"] == 5
 
+    def test_threshold_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the branch threshold is set by the config key detector.branch_per_itlb
+        out = tmp_path / "r.json"
+        assert run("fleet", "--threshold", "1", "--intervals", "2", "--out", str(out)) == 1
+        assert "unrecognized arguments: --threshold 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_input_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n_workers": 5}))
@@ -502,6 +509,23 @@ class TestErrors:
 
     def test_usage_error_exits_one(self, tmp_path):
         assert run("gen", "--profile", "bogus", "--out", str(tmp_path / "t")) == 1
+
+    @pytest.mark.parametrize("profile", ["benign", "pht"])
+    def test_negative_gen_seed_names_the_flag(self, tmp_path, capsys, profile):
+        histogram = ["--histogram-out", str(tmp_path / "h.csv")] if profile == "pht" else []
+        assert run("gen", "--profile", profile, "--seed", "-1", *histogram,
+                   "--out", str(tmp_path / "t.jsonl")) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,x", "4096,"])
+    def test_unparsable_sweep_thresholds_name_the_flag(self, tmp_path, capsys, text):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--trace", str(PINNED_TRACE), "--thresholds", text,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --thresholds: expected comma-separated numbers, got {text!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--requests", "0"), ("--requests", "1,-5"), ("--amplifications", "0"),

@@ -31,6 +31,12 @@ from spectreguard.ks import (
 from spectreguard.profiles import make_attack_histogram, make_benign_histogram
 
 
+def write_file(hist, path):
+    """Write a histogram CSV file through the handle-only writer."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_histogram_csv(hist, handle)
+
+
 # --- independent oracles ----------------------------------------------------
 
 def oracle_distance(a, b):
@@ -152,7 +158,7 @@ class TestKsTwoSample:
     def test_exact_mode_on_the_command_line(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path, counts in zip(paths, ([5, 3, 3, 1], [4, 3, 2, 2, 1, 1])):
-            write_histogram_csv(BranchHistogram.from_entries(
+            write_file(BranchHistogram.from_entries(
                 {f"b{i}": c for i, c in enumerate(counts)}), path)
         assert cli.main(["ks", *map(str, paths), "--exact"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -219,7 +225,7 @@ class TestHistogramCsv:
     def test_round_trip(self, tmp_path):
         hist = make_attack_histogram(np.random.default_rng(12))
         path = tmp_path / "hist.csv"
-        write_histogram_csv(hist, path)
+        write_file(hist, path)
         assert read_histogram_csv(path).entries == hist.entries
 
     def test_bad_header_rejected(self, tmp_path):
@@ -333,7 +339,7 @@ class TestKolmogorovSurvival:
         paths = []
         for shift in (1, 2):
             paths.append(tmp_path / f"h{shift}.csv")
-            write_histogram_csv(BranchHistogram.from_entries(
+            write_file(BranchHistogram.from_entries(
                 {f"0x{i:012x}": i + shift for i in range(20_000)}), paths[-1])
         assert cli.main(["ks", *map(str, paths), "--top-k", "20000"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from spectreguard.profiles import (
     BENIGN_MD_MEAN,
+    FULL_AMPLIFICATION,
     STL_ATTACK_MD_MEAN,
     AttackProfile,
+    AttackVariant,
     diluted_metric,
     pages_to_reach,
 )
@@ -226,6 +228,26 @@ class TestEvasion:
     def test_unreachable_target(self):
         with pytest.raises(UnreachableTarget):
             evasion_cost(500.0, AttackProfile.for_variant("pht"))
+
+    @pytest.mark.parametrize("variant", list(AttackVariant))
+    def test_amplification_is_the_largest_below_the_target(self, variant):
+        # (target - intercept) / slope can round across a whole number, so
+        # targets on the affine law and one ulp either side of it are the
+        # hard cases; midpoints between two factors are the easy ones.
+        profile = AttackProfile.for_variant(variant)
+        metric = profile.branch_metric
+        for a in [*range(1, 1500), *range(10**5, 10**5 + 100), FULL_AMPLIFICATION]:
+            on_law = metric(a)
+            for target in (on_law, math.nextafter(on_law, math.inf),
+                           math.nextafter(on_law, 0.0), (on_law + metric(a + 1)) / 2):
+                try:
+                    found = evasion_cost(target, profile).amplification
+                except UnreachableTarget:
+                    assert metric(1) >= target, (a, target)
+                else:
+                    assert metric(found) < target <= metric(found + 1), (a, target, found)
+        # Past 2**53 whole factors are not resolvable, but a factor is still returned.
+        assert evasion_cost(1e20, profile).amplification > 2**53
 
     def test_dilution_model_boundaries(self):
         full = AttackProfile.for_variant("pht").branch_metric()

@@ -32,6 +32,12 @@ from spectreguard.trace import (
 PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
 
 
+def emit_file(batch, path):
+    """Write a trace file through the handle-only writer."""
+    with open(path, "w", encoding="utf-8") as handle:
+        emit_trace(batch, handle)
+
+
 def snap(worker="w0", ts=0, itlb=1000, br=604_710, br_miss=0, llc=30_000,
          llc_miss=5_000, l1d=300_000, l1d_miss=15_000, md=2_644_730):
     return CounterSnapshot(
@@ -294,12 +300,12 @@ class TestTraceIO:
     def test_round_trip_exact(self, tmp_path):
         snaps = [snap(worker=f"w{i}", ts=i * 123_456, br=604_710 + i) for i in range(20)]
         path = tmp_path / "trace.jsonl"
-        emit_trace(snaps, path)
+        emit_file(TraceBatch.from_snapshots(snaps), path)
         assert list(ingest_trace(path)) == snaps
 
     def test_three_line_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        emit_trace([snap(ts=i) for i in range(3)], path)
+        emit_file(TraceBatch.from_snapshots([snap(ts=i) for i in range(3)]), path)
         assert len(list(ingest_trace(path))) == 3
 
     def test_empty_file_is_empty_stream(self, tmp_path):
@@ -552,7 +558,7 @@ class TestLineEnds:
             raise AssertionError(f"line {line_number} took the decoder: {line}")
 
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
-        emit_trace(generate_attack("pht", n=40, seed=6, samples_per_window=2)[0], lf)
+        emit_file(generate_attack("pht", n=40, seed=6, samples_per_window=2)[0], lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
         expected = _outcome(ingest_trace, lf)
         monkeypatch.setattr(trace, "_parse_line", decoder)
@@ -608,7 +614,7 @@ class TestIngestPaths:
         paths = []
         for i, batch in enumerate(batches):
             paths.append(tmp_path / f"gen-{i}.jsonl")
-            emit_trace(batch, paths[-1])
+            emit_file(batch, paths[-1])
         # A mixed-tenant trace written row by row, as the benchmark writes it.
         names = [f"tenant-{i:03d}" for i in range(12)]
         names += [f"attack-{v.value}" for v in AttackVariant]
