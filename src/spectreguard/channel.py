@@ -139,22 +139,6 @@ def js_worker_params() -> ChannelParams:
     )
 
 
-def native_xeon_params() -> ChannelParams:
-    """Native-code calibration on the evaluation server.
-
-    The gap matches the measured 3434697-cycle mean distance at amplification
-    100000 (34.34697 cycles per iteration); the overhead is sized so a bit
-    takes ~2.5 s end to end at that factor, while the probe accesses alone
-    sustain ~23 bit/s.
-    """
-    return ChannelParams(
-        hit_cycles=880.0,
-        miss_cycles=914.34697,
-        per_iteration_overhead=51_314.0,
-        network_noise_sd=1_500.0,
-    )
-
-
 def _quantize(readings: np.ndarray, resolution: float) -> np.ndarray:
     if resolution <= 0:
         return readings
@@ -483,21 +467,3 @@ def leakage_table() -> list[LeakEstimate]:
         leakage_rate(amplification, requests, runtime_s=runtime)
         for amplification, requests, runtime, _reported in REFERENCE_ATTACK_ROWS
     ]
-
-
-def per_bit_seconds(amplification: int, params: ChannelParams) -> float:
-    """Mean end-to-end wall time of one measurement, averaged over bit values."""
-    cycles = (
-        params.mean_reading(0, amplification) + params.mean_reading(1, amplification)
-    ) / 2.0
-    return cycles / (params.cpu_ghz * 1e9)
-
-
-def access_bits_per_second(amplification: int, params: ChannelParams) -> float:
-    """Channel rate counting only the probe accesses.
-
-    Excludes per-iteration bookkeeping and eviction; this is the intrinsic
-    rate the transient+probe phase sustains.
-    """
-    access = (params.hit_cycles + params.miss_cycles) / 2.0
-    return params.cpu_ghz * 1e9 / (amplification * access)

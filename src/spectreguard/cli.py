@@ -103,11 +103,30 @@ def _float(x: float) -> str:
     return repr(float(x))
 
 
+# Flag values are checked before any file is read or written, and an error
+# names the flag, not the library parameter it feeds.
+def _at_least(flag: str, value: int | None, minimum: int) -> None:
+    if value is not None and value < minimum:
+        raise InputError(f"{flag} must be >= {minimum}, got {value}")
+
+
+def _check_interval_ns(value: int) -> None:
+    if not 0 < value < 2**63:
+        raise InputError(f"--interval-ns must be positive and fit in int64, got {value}")
+
+
+def _check_alpha(value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise InputError(f"--alpha must be in (0, 1), got {value}")
+
+
 # --- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    _at_least("--n", args.n, 1)
+    _at_least("--seed", args.seed, 0)
+    _at_least("--pages", args.pages, 0)
+    _at_least("--amplification", args.amplification, 1)
     if args.profile == "benign":
         if args.amplification is not None or args.pages:
             raise InputError("--amplification/--pages only apply to attack profiles")
@@ -179,6 +198,7 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
 
 
 def _cmd_detect(args) -> int:
+    _check_interval_ns(args.interval_ns)
     if args.detector == "threshold":
         if not args.trace:
             raise InputError("--detector threshold requires --trace")
@@ -190,6 +210,8 @@ def _cmd_detect(args) -> int:
     else:
         if not args.histograms:
             raise InputError("--detector ks requires --histograms")
+        _check_alpha(args.alpha)
+        _at_least("--top-k", args.top_k, 1)
         paths = sorted(Path(args.histograms).glob("*.csv"))
         if not paths:
             raise InputError(f"no histogram CSVs under {args.histograms}")
@@ -209,6 +231,7 @@ _DEFAULT_THRESHOLDS = tuple(float(2**k) for k in range(7, 17))  # 128 .. 65536
 
 
 def _cmd_sweep(args) -> int:
+    _check_interval_ns(args.interval_ns)
     thresholds = _DEFAULT_THRESHOLDS
     if args.thresholds:
         try:
@@ -375,8 +398,8 @@ def _cmd_fleet(args) -> int:
 # --- ks -------------------------------------------------------------------
 
 def _cmd_ks(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise InputError("alpha must be in (0, 1)")
+    _check_alpha(args.alpha)
+    _at_least("--top-k", args.top_k, 1)
     left = ks_mod.read_histogram_csv(args.subject)
     right = ks_mod.read_histogram_csv(args.reference)
     subject = ks_mod.top_branches(left, args.top_k)

@@ -49,6 +49,9 @@ _INT64_MAX = 2**63 - 1
 # Integers up to 2**53 convert to float64 exactly, so numpy's division of
 # such counts is the correctly rounded quotient that Python's int / int gives.
 _FLOAT_EXACT_MAX = 2**53
+# fold_intervals sums windows of 3 to this many samples with _exact_sums; it
+# costs k(k - 1)/2 vectorized TwoSums for a block of k rows.
+_EXACT_SUM_MAX = 8
 
 
 class TraceError(Exception):
@@ -376,6 +379,49 @@ class IntervalFolder:
         )
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b rounded, its exact error), elementwise and branch-free (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _exact_sums(values: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each column of a (k, m) array of finite
+    floats whose partial sums do not overflow: bit for bit ``math.fsum``.
+
+    ``math.fsum``'s algorithm (Shewchuk's), run on all columns at once.
+    Adding row j through rows 0..j-1 of the partials by TwoSum keeps them a
+    non-overlapping expansion of the exact sum, in increasing magnitude;
+    where ``fsum`` drops a zero partial this leaves one in place, and a zero
+    passes through TwoSum exactly.  The expansion is then rounded from the
+    top: partials are added while the addition is exact.  At the first
+    inexact one, a remainder of exactly half an ulp (doubling it lands on a
+    float) was a tie that round-half-even broke; if the nearest nonzero
+    partial below has the remainder's sign, the exact sum lies past the tie
+    and the result moves one ulp toward it.  The top starts from +0.0, so a
+    sum of -0.0 comes out 0.0, as ``fsum`` gives it.
+    """
+    partials = np.empty_like(values)
+    for j, x in enumerate(values):
+        for i in range(j):
+            x, partials[i] = _two_sum(x, partials[i])
+        partials[j] = x
+    hi = np.zeros(values.shape[1])
+    lo = np.zeros_like(hi)
+    below = np.zeros_like(hi)
+    for p in partials[::-1]:
+        done = lo != 0.0
+        below = np.where(done & (below == 0.0), p, below)
+        s = hi + p
+        lo = np.where(done, lo, p - (s - hi))
+        hi = np.where(done, hi, s)
+    twice = 2.0 * lo
+    moved = hi + twice
+    half_way = (np.sign(lo) * np.sign(below) > 0.0) & (moved - hi == twice)
+    return np.where(half_way, moved, hi)
+
+
 def fold_intervals(
     records: TraceBatch | Iterable[CounterSnapshot],
     interval_ns: int = DEFAULT_INTERVAL_NS,
@@ -385,10 +431,15 @@ def fold_intervals(
     Records are stably sorted by worker, so each worker's records keep their
     file order; a timestamp regression raises OutOfOrderTimestamp for the
     first offending record in file order.  Zero-iTLB samples are dropped and
-    counted.  Window sums are correctly rounded (``math.fsum``), so means do
-    not depend on the order of samples within a window: a window of at most
-    two samples takes one IEEE addition, which is already correctly rounded;
-    a wider one takes ``math.fsum`` of slices of one contiguous metric column.
+    counted.  Window sums are correctly rounded, bit for bit the
+    ``math.fsum`` that IntervalFolder takes, so means do not depend on the
+    order of samples within a window.  The correctly rounded sum is unique,
+    so each window width takes its cheapest exact route: a window of at
+    most two samples takes one IEEE addition (``np.add.reduceat``), which is
+    already correctly rounded; windows of 3 to ``_EXACT_SUM_MAX`` samples
+    go through ``_exact_sums``, one zero-padded block of all such windows
+    per metric column; a wider window takes ``math.fsum`` of slices of one
+    contiguous metric column.
     """
     _check_interval(interval_ns)
     batch = records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
@@ -428,8 +479,17 @@ def fold_intervals(
     count = sample_count[emitted]
     offsets = np.cumsum(count) - count
     sums = np.add.reduceat(normalized, offsets, axis=0)
+    narrow = np.flatnonzero((count > 2) & (count <= _EXACT_SUM_MAX))
+    if narrow.size:
+        # slot s of window w is its sample s, or a 0.0 past its last sample;
+        # one metric column at a time keeps the block (k, windows)
+        slot = np.arange(count[narrow].max())[:, None]
+        inside = slot < count[narrow]
+        at = np.where(inside, offsets[narrow] + slot, 0)
+        for col in range(normalized.shape[1]):
+            sums[narrow, col] = _exact_sums(np.where(inside, normalized[at, col], 0.0))
     # memoryview slices: no array or list is made per window
-    wide = np.flatnonzero(count > 2)
+    wide = np.flatnonzero(count > _EXACT_SUM_MAX)
     bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
     for col in range(normalized.shape[1]):
         values = memoryview(np.ascontiguousarray(normalized[:, col]))

@@ -18,15 +18,12 @@ from spectreguard.channel import (
     MAX_REQUESTS,
     UNIT_AMPLIFICATION_REQUESTS,
     Unreachable,
-    access_bits_per_second,
     box_test,
     calibrate_decision,
     js_worker_params,
     leakage_rate,
     leakage_table,
     majority_success,
-    native_xeon_params,
-    per_bit_seconds,
     required_requests,
     simulate_bit_batch,
     success_rate_curve,
@@ -47,6 +44,40 @@ def sample_bit_set(amplification: int, params: ChannelParams, n_per_class: int, 
         simulate_bit_batch(bit, amplification, params, n_per_class, np.random.default_rng(child))
         for bit, child in enumerate(np.random.SeedSequence(seed).spawn(2))
     )
+
+
+def native_xeon_params() -> ChannelParams:
+    """Native-code calibration on the evaluation server.
+
+    The gap matches the measured 3434697-cycle mean distance at amplification
+    100000 (34.34697 cycles per iteration); the overhead is sized so a bit
+    takes ~2.5 s end to end at that factor, while the probe accesses alone
+    sustain ~23 bit/s.
+    """
+    return ChannelParams(
+        hit_cycles=880.0,
+        miss_cycles=914.34697,
+        per_iteration_overhead=51_314.0,
+        network_noise_sd=1_500.0,
+    )
+
+
+def per_bit_seconds(amplification: int, params: ChannelParams) -> float:
+    """Mean end-to-end wall time of one measurement, averaged over bit values."""
+    cycles = (
+        params.mean_reading(0, amplification) + params.mean_reading(1, amplification)
+    ) / 2.0
+    return cycles / (params.cpu_ghz * 1e9)
+
+
+def access_bits_per_second(amplification: int, params: ChannelParams) -> float:
+    """Channel rate counting only the probe accesses.
+
+    Excludes per-iteration bookkeeping and eviction; this is the intrinsic
+    rate the transient+probe phase sustains.
+    """
+    access = (params.hit_cycles + params.miss_cycles) / 2.0
+    return params.cpu_ghz * 1e9 / (amplification * access)
 
 
 def noise_free(**overrides) -> ChannelParams:

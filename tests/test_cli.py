@@ -518,6 +518,26 @@ class TestErrors:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--profile", "benign", "--n", "0"], "--n must be >= 1, got 0"),
+        (["gen", "--profile", "pht", "--pages", "-1"], "--pages must be >= 0, got -1"),
+        (["gen", "--profile", "pht", "--amplification", "0"], "--amplification must be >= 1, got 0"),
+        (["detect", "--trace", str(PINNED_TRACE), "--interval-ns", "0"],
+         "--interval-ns must be positive and fit in int64, got 0"),
+        (["sweep", "--trace", str(PINNED_TRACE), "--interval-ns", "-5"],
+         "--interval-ns must be positive and fit in int64, got -5"),
+        (["ks", "a.csv", "a.csv", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+        (["detect", "--detector", "ks", "--histograms", "hists", "--top-k", "0"],
+         "--top-k must be >= 1, got 0"),
+    ], ids=["gen-n", "gen-pages", "gen-amplification", "detect-interval-ns",
+            "sweep-interval-ns", "ks-top-k", "detect-top-k"])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
+        # relative inputs name files that do not exist: the flag is checked first
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--out", "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text", ["1,,2", "1,x", "4096,"])
     def test_unparsable_sweep_thresholds_name_the_flag(self, tmp_path, capsys, text):
         out = tmp_path / "sweep.csv"

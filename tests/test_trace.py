@@ -276,7 +276,8 @@ class TestBatchFoldOracle:
         _assert_fold_matches_stream(snaps, 250_000_000)
 
     def test_windows_of_many_sizes(self):
-        # windows of 1 to 1000 samples, each summed by math.fsum beyond two
+        # windows of 1 to 1000 samples: one addition up to two, the
+        # vectorized exact sum from 3 to 8, math.fsum beyond
         profile = BenignProfile.default()
         snaps = []
         for size in (1, 2, 3, 4, 5, 17, 100, 1000):
@@ -294,6 +295,85 @@ class TestBatchFoldOracle:
         snaps = [snap(ts=0, itlb=3, br=big, br_miss=big, llc=big, llc_miss=big,
                       l1d=big, l1d_miss=big, md=big)]
         _assert_fold_matches_stream(snaps, 1_000_000_000)
+
+    def test_narrow_windows_never_reach_fsum(self, monkeypatch):
+        # windows of 3 to 8 samples, one of them narrowed by a zero-iTLB row
+        snaps = []
+        for size in range(3, trace._EXACT_SUM_MAX + 1):
+            batch = generate_benign(BenignProfile.default(), 4 * size, seed=size,
+                                    worker_id=f"w{size}", samples_per_window=size)
+            snaps.extend(batch)
+        snaps += [snap(worker="z", ts=i, itlb=0 if i == 3 else 1000 + i) for i in range(4)]
+        expected, dropped = _stream_fold(snaps, 1_000_000_000)
+
+        def forbidden(values):
+            raise AssertionError("a window of at most 8 samples reached math.fsum")
+
+        monkeypatch.setattr(trace.math, "fsum", forbidden)
+        folded = fold_intervals(snaps, 1_000_000_000)
+        assert _exact(folded) == _exact(expected)
+        assert folded.dropped_zero_itlb == dropped == 1
+        assert sorted(set(folded.sample_count.tolist())) == list(range(3, 9))
+
+
+def _fsum_columns(values):
+    return np.array([math.fsum(column) for column in values.T])
+
+
+# Values around 1 whose sums tie half-way between two floats: 2**-53 is half
+# an ulp of 1, and 1 + 2**-52 is one ulp above 1.
+_TIES = np.array([1.0, 0.5, 1.0 + 2**-52, 2**-53, 2**-54, 2**-106])
+
+
+@st.composite
+def summand_blocks(draw):
+    """A (k, m) block of summands, k from 1 to 8, from a family that makes
+    a step of fsum's rounding matter.  Hypothesis draws any finite floats
+    (subnormals and -0.0 included) itself; for the other families it picks
+    the shape and a seed fills in the values: exponents hundreds apart,
+    exact cancellations, and ties, non-negative as window sums are or with
+    either sign."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=64))
+    family = draw(st.sampled_from(["finite", "far", "cancel", "ties", "signed ties"]))
+    if family == "finite":
+        values = draw(st.lists(st.floats(min_value=-1e300, max_value=1e300),
+                               min_size=k * m, max_size=k * m))
+        return np.array(values, dtype=np.float64).reshape(k, m)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    sign = rng.choice([1.0, -1.0], (k, m))
+    if family == "far":
+        return sign * np.ldexp(rng.choice([1.0, 1.5], (k, m)), rng.integers(-1074, 990, (k, m)))
+    if family == "cancel":
+        return rng.choice([1e100, -1e100, 1.0, -1.0, 0.0, -0.0], (k, m))
+    ties = rng.choice(_TIES, (k, m))
+    return ties if family == "ties" else sign * ties
+
+
+class TestExactSums:
+    """``_exact_sums`` is bit for bit ``math.fsum`` on every column."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(summand_blocks())
+    def test_matches_fsum(self, values):
+        got = trace._exact_sums(values)
+        assert got.view(np.int64).tolist() == _fsum_columns(values).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("column", [
+        [-0.0, -0.0, -0.0],
+        [-0.0],
+        [3.5],
+        [1e100, 1.0, -1e100],
+        [1e-16, 1.0, 1e16],  # fsum's own case: the 1e-16 breaks the tie upward
+        [1.0, 2**-53, 2**-106],
+        [-1.0, -(2**-53), -(2**-106)],
+        [2**-106, 0.5, 0.5, 2**-53],  # a zero partial between the tie and 2**-106
+        [1.0 + 2**-52, 2**-53, 2**-54, -(2**-54)],
+    ])
+    def test_fixed_columns(self, column):
+        values = np.array(column, dtype=np.float64)[:, None]
+        got = trace._exact_sums(values)
+        assert got.view(np.int64).tolist() == _fsum_columns(values).view(np.int64).tolist()
 
 
 class TestTraceIO:
