@@ -58,7 +58,7 @@ UNIT_AMPLIFICATION_REQUESTS = 250_000
 MAX_REQUESTS = 10**9
 
 
-class ChannelError(Exception):
+class ChannelError(ValueError):
     """Base class for channel-model failures."""
 
 

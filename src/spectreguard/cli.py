@@ -14,7 +14,8 @@ report: a JSON object whose ``schema`` is ``fleet-report-v3`` and whose
 config's keys are the fields of ``fleet.FleetConfig`` and its sections,
 read from the dataclasses, with three aliases (``_CONFIG_ALIASES``).
 
-Exit codes: 0 success, 1 input/usage error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input/usage error (any ``ValueError`` or ``OSError``),
+2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from typing import Iterable, get_args, get_type_hints
 
 from . import ks as ks_mod
 from . import threshold as threshold_mod
-from .profiles import AttackVariant, BenignProfile, generate_attack, generate_benign
-from .trace import DEFAULT_INTERVAL_NS, TraceError, emit_trace, fold_intervals, ingest_trace
+from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile
+from .profiles import generate_attack, generate_benign
+from .trace import DEFAULT_INTERVAL_NS, emit_trace, fold_intervals, ingest_trace
 from .trace import _DuplicateKey, _unique_object
 
 DEFAULT_SEED = 1729
@@ -54,7 +56,7 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad flags, files, or config; maps to exit code 1."""
 
 
@@ -103,30 +105,34 @@ def _float(x: float) -> str:
     return repr(float(x))
 
 
-# Flag values are checked before any file is read or written, and an error
-# names the flag, not the library parameter it feeds.
-def _at_least(flag: str, value: int | None, minimum: int) -> None:
-    if value is not None and value < minimum:
-        raise InputError(f"{flag} must be >= {minimum}, got {value}")
+# (argparse dest, rule, test) of every numeric flag; NaN fails every test.  main
+# checks a command's flags before its handler runs and names the flag in an error.
+_FLAG_RULES = (
+    ("n", "must be >= 1", lambda v: v >= 1),
+    ("seed", "must be >= 0", lambda v: v >= 0),
+    ("pages", "must be >= 0", lambda v: v >= 0),
+    ("pages", f"must be <= {MAX_AMPLIFICATION}", lambda v: v <= MAX_AMPLIFICATION),
+    ("amplification", "must be >= 1", lambda v: v >= 1),
+    ("amplification", f"must be <= {MAX_AMPLIFICATION}", lambda v: v <= MAX_AMPLIFICATION),
+    ("intervals", "must be >= 1", lambda v: v >= 1),
+    ("interval_ns", "must be positive and fit in int64", lambda v: 0 < v < 2**63),
+    ("alpha", "must be in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("top_k", "must be >= 1", lambda v: v >= 1),
+    ("threshold", "must be >= 0 and not NaN", lambda v: v >= 0),
+    ("stl_threshold", "must be >= 0 and not NaN", lambda v: v >= 0),
+)
 
 
-def _check_interval_ns(value: int) -> None:
-    if not 0 < value < 2**63:
-        raise InputError(f"--interval-ns must be positive and fit in int64, got {value}")
-
-
-def _check_alpha(value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise InputError(f"--alpha must be in (0, 1), got {value}")
+def _numbers(flag: str, text: str, kind, noun: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
 
 
 # --- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    _at_least("--n", args.n, 1)
-    _at_least("--seed", args.seed, 0)
-    _at_least("--pages", args.pages, 0)
-    _at_least("--amplification", args.amplification, 1)
     if args.profile == "benign":
         if args.amplification is not None or args.pages:
             raise InputError("--amplification/--pages only apply to attack profiles")
@@ -198,7 +204,6 @@ def _verdict_lines_ks(histogram_paths, template, alpha, k):
 
 
 def _cmd_detect(args) -> int:
-    _check_interval_ns(args.interval_ns)
     if args.detector == "threshold":
         if not args.trace:
             raise InputError("--detector threshold requires --trace")
@@ -210,8 +215,6 @@ def _cmd_detect(args) -> int:
     else:
         if not args.histograms:
             raise InputError("--detector ks requires --histograms")
-        _check_alpha(args.alpha)
-        _at_least("--top-k", args.top_k, 1)
         paths = sorted(Path(args.histograms).glob("*.csv"))
         if not paths:
             raise InputError(f"no histogram CSVs under {args.histograms}")
@@ -231,19 +234,11 @@ _DEFAULT_THRESHOLDS = tuple(float(2**k) for k in range(7, 17))  # 128 .. 65536
 
 
 def _cmd_sweep(args) -> int:
-    _check_interval_ns(args.interval_ns)
     thresholds = _DEFAULT_THRESHOLDS
     if args.thresholds:
-        try:
-            thresholds = [float(t) for t in args.thresholds.split(",")]
-        except ValueError:
-            raise InputError(f"--thresholds: expected comma-separated numbers, "
-                             f"got {args.thresholds!r}") from None
+        thresholds = _numbers("--thresholds", args.thresholds, float, "numbers")
     averages = fold_intervals(ingest_trace(args.trace), args.interval_ns)
-    try:
-        points = threshold_mod.sweep_thresholds(averages, thresholds)
-    except threshold_mod.EmptyPopulation as exc:
-        raise InputError(str(exc)) from exc
+    points = threshold_mod.sweep_thresholds(averages, thresholds)
     rows = (f"{_float(t)},{_float(fp)}" for t, fp in points)
     _write_csv(args.out, SWEEP_SCHEMA, "threshold,fp_rate", rows)
     return EXIT_OK
@@ -251,49 +246,44 @@ def _cmd_sweep(args) -> int:
 
 # --- channel -------------------------------------------------------------------
 
-def _positive_ints(flag: str, text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+def _positive_ints(flag: str, text: str, most: float = math.inf) -> list[int]:
+    values = _numbers(flag, text, int, "integers")
     if min(values) < 1:
         raise InputError(f"{flag}: values must be >= 1, got {text!r}")
+    if max(values) > most:
+        raise InputError(f"{flag}: values must be <= {most}, got {text!r}")
     if len(set(values)) != len(values):
         raise InputError(f"{flag}: values must not repeat, got {text!r}")
     return values
 
 
 def _cmd_channel(args) -> int:
-    # The channel model loads only for this command, so main cannot catch its errors.
     from . import channel as channel_mod
 
-    try:
-        if args.table:
-            rows = (
-                f"{est.amplification},{est.requests_per_bit},"
-                f"{_float(est.script_runtime_s * 1000.0)},{_float(est.bits_per_hour)}"
-                for est in channel_mod.leakage_table()
-            )
-            _write_csv(
-                args.out,
-                LEAKAGE_SCHEMA,
-                "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
-                rows,
-            )
-            return EXIT_OK
-
-        amplifications = _positive_ints("--amplifications", args.amplifications)
-        requests = _positive_ints("--requests", args.requests)
-        grid = channel_mod.success_rate_curve(amplifications, requests, channel_mod.js_worker_params())
+    if args.table:
         rows = (
-            f"{a},{n},{_float(grid[i, j])}"
-            for i, a in enumerate(amplifications)
-            for j, n in enumerate(requests)
+            f"{est.amplification},{est.requests_per_bit},"
+            f"{_float(est.script_runtime_s * 1000.0)},{_float(est.bits_per_hour)}"
+            for est in channel_mod.leakage_table()
         )
-        _write_csv(args.out, SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows)
+        _write_csv(
+            args.out,
+            LEAKAGE_SCHEMA,
+            "amplification,required_requests,script_runtime_ms,leaked_bits_per_hour",
+            rows,
+        )
         return EXIT_OK
-    except channel_mod.ChannelError as exc:
-        raise InputError(str(exc)) from exc
+
+    amplifications = _positive_ints("--amplifications", args.amplifications, MAX_AMPLIFICATION)
+    requests = _positive_ints("--requests", args.requests)
+    grid = channel_mod.success_rate_curve(amplifications, requests, channel_mod.js_worker_params())
+    rows = (
+        f"{a},{n},{_float(grid[i, j])}"
+        for i, a in enumerate(amplifications)
+        for j, n in enumerate(requests)
+    )
+    _write_csv(args.out, SUCCESS_GRID_SCHEMA, "amplification,requests,success_rate", rows)
+    return EXIT_OK
 
 
 # --- fleet -------------------------------------------------------------------
@@ -367,8 +357,8 @@ def _cmd_fleet(args) -> int:
             raise InputError(f"fleet config has duplicate key {exc.key!r}") from None
         if not isinstance(data, dict):
             raise InputError("fleet config must be a JSON object")
-    # precedence: flag > file > default; a flag value gets the file value's
-    # checks.  The seed defaults to DEFAULT_SEED, not FleetConfig's 0.
+    # precedence: flag > file > default.  The seed defaults to DEFAULT_SEED,
+    # not FleetConfig's 0.
     flags = {key: getattr(args, key) for key in ("seed", "intervals")
              if getattr(args, key) is not None}
     data = {"seed": DEFAULT_SEED, **data, **flags}
@@ -398,8 +388,6 @@ def _cmd_fleet(args) -> int:
 # --- ks -------------------------------------------------------------------
 
 def _cmd_ks(args) -> int:
-    _check_alpha(args.alpha)
-    _at_least("--top-k", args.top_k, 1)
     left = ks_mod.read_histogram_csv(args.subject)
     right = ks_mod.read_histogram_csv(args.reference)
     subject = ks_mod.top_branches(left, args.top_k)
@@ -495,12 +483,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
+        for dest, rule, holds in _FLAG_RULES:
+            value = getattr(args, dest, None)
+            if value is not None and not holds(value):
+                raise InputError(f"--{dest.replace('_', '-')} {rule}, got {value}")
         return _HANDLERS[args.command](args)
-    except (InputError, TraceError, ks_mod.HistogramError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -28,9 +28,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import ks as _ks
-from .profiles import (
-    AttackVariant, BenignProfile, _fleet_counts, draw_attack_histogram, draw_benign_histogram,
-)
+from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile, _fleet_counts
+from .profiles import draw_attack_histogram, draw_benign_histogram
 from .threshold import ThresholdConfig, at_least, check_minimums, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
@@ -48,8 +47,8 @@ class AttackWorkload:
     """
 
     variant: AttackVariant = AttackVariant.PHT
-    amplification: int | None = at_least(1, default=None)
-    pages: int = at_least(0, default=0)
+    amplification: int | None = at_least(1, default=None, maximum=MAX_AMPLIFICATION)
+    pages: int = at_least(0, default=0, maximum=MAX_AMPLIFICATION)
 
     def __post_init__(self):
         if self.variant not in tuple(AttackVariant):

@@ -34,7 +34,7 @@ DEFAULT_TOP_K = 100
 EXACT_MODE_MAX_POOLED = 12
 
 
-class HistogramError(Exception):
+class HistogramError(ValueError):
     """Base class for histogram/KS failures."""
 
 

@@ -63,6 +63,9 @@ METRIC_INTERCEPT = METRIC_AT_AMP_1 - METRIC_SLOPE
 # amplification iterations; used as the default "full" factor for every
 # variant when deriving per-variant slopes.
 FULL_AMPLIFICATION = 1318
+# Largest amplification factor and extra page count that counters are drawn
+# for: at 10**9 a PHT record's branch count stays below 10**16, inside int64.
+MAX_AMPLIFICATION = 10**9
 
 # Per-execution spread of the generated counters.  The attack metric is a
 # mean-preserving log-normal with ATTACK_REL_SPREAD around its mean.
@@ -311,6 +314,8 @@ def _benign_counts(out: np.ndarray, draws: np.ndarray) -> None:
 def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVariant | str,
                    amplification: int | None, pages: int) -> None:
     """One attack worker's counters, all but the timestamp, into out."""
+    if max(amplification or 1, pages) > MAX_AMPLIFICATION:
+        raise ValueError(f"amplification and pages must be <= {MAX_AMPLIFICATION}")
     profile, n = AttackProfile.for_variant(variant), len(out)
     branch_mean = profile.branch_metric(amplification, pages)
     md_mean = profile.md_reset_metric(amplification)

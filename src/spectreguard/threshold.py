@@ -41,7 +41,7 @@ BRANCH_METRIC_NAME = "branch_per_itlb"
 STL_METRIC_NAME = "md_reset_per_itlb"
 
 
-class EmptyPopulation(Exception):
+class EmptyPopulation(ValueError):
     """A threshold sweep needs at least one benign average."""
 
 
@@ -49,17 +49,19 @@ class UnreachableTarget(Exception):
     """No amplification level gets the attack below the target metric."""
 
 
-def at_least(minimum: float, default):
-    """A dataclass field that ``check_minimums`` keeps at or above ``minimum``."""
-    return field(default=default, metadata={"minimum": minimum})
+def at_least(minimum: float, default, maximum: float = math.inf):
+    """A dataclass field that ``check_minimums`` keeps in [minimum, maximum]."""
+    return field(default=default, metadata={"minimum": minimum, "maximum": maximum})
 
 
 def check_minimums(config) -> None:
-    """Raise ValueError naming a field below its minimum (NaN always is, None never)."""
+    """Raise ValueError naming a field outside its bounds (NaN always is, None never)."""
     for f in fields(config):
         value, minimum = getattr(config, f.name), f.metadata.get("minimum")
         if minimum is not None and value is not None and not value >= minimum:
             raise ValueError(f"{f.name!r} must be >= {minimum} and not NaN, got {value!r}")
+        if minimum is not None and value is not None and value > f.metadata["maximum"]:
+            raise ValueError(f"{f.name!r} must be <= {f.metadata['maximum']}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ _FLOAT_EXACT_MAX = 2**53
 _EXACT_SUM_MAX = 8
 
 
-class TraceError(Exception):
+class TraceError(ValueError):
     """Base class for trace-model failures."""
 
 
@@ -478,6 +478,8 @@ def fold_intervals(
     emitted = np.flatnonzero(sample_count)
     count = sample_count[emitted]
     offsets = np.cumsum(count) - count
+    # Final for windows of one or two samples (one IEEE addition is correctly
+    # rounded); sending those through _exact_sums too nearly doubles the fold.
     sums = np.add.reduceat(normalized, offsets, axis=0)
     narrow = np.flatnonzero((count > 2) & (count <= _EXACT_SUM_MAX))
     if narrow.size:
@@ -490,10 +492,11 @@ def fold_intervals(
             sums[narrow, col] = _exact_sums(np.where(inside, normalized[at, col], 0.0))
     # memoryview slices: no array or list is made per window
     wide = np.flatnonzero(count > _EXACT_SUM_MAX)
-    bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
-    for col in range(normalized.shape[1]):
-        values = memoryview(np.ascontiguousarray(normalized[:, col]))
-        sums[wide, col] = [math.fsum(values[a:b]) for a, b in bounds]
+    if wide.size:
+        bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
+        for col in range(normalized.shape[1]):
+            values = memoryview(np.ascontiguousarray(normalized[:, col]))
+            sums[wide, col] = [math.fsum(values[a:b]) for a, b in bounds]
 
     # Closed windows in the file order of their closing records, then the
     # open ones by (window, worker name).

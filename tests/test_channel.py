@@ -464,6 +464,17 @@ class TestRequiredRequests:
             reference_required_requests, amplification, params, target_success=target, n_max=n_max
         )
 
+    @pytest.mark.parametrize("offset", [8, 100, 10_000, 1, -1, -9, -1_000])
+    @pytest.mark.parametrize("amplification,target,budget", PINNED_POINTS[1::3])
+    def test_gallops_from_any_start(self, monkeypatch, amplification, target, budget, offset):
+        # the normal estimate lands a few requests below the answer; a start
+        # above it takes the downward gallop, one far below the upward one
+        start = max(1, budget + offset)
+        monkeypatch.setattr(channel, "_normal_estimate", lambda cal, target, n_max: start)
+        params = js_worker_params()
+        assert required_requests(amplification, params, target_success=target) == (
+            reference_required_requests(amplification, params, target_success=target))
+
     def test_coin_vote_checks_the_cap_first(self):
         # at amplification 1 the zeros' accuracy is 0.443: the success rises
         # from 0.570 (n = 1) to 0.63 (n = 9), then falls back toward 1/2

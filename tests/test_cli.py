@@ -12,12 +12,15 @@ import pytest
 
 from spectreguard import channel, cli, fleet, ks
 from spectreguard.fleet import AttackWorkload, DetectorSpec, FleetConfig, run_fleet
-from spectreguard.profiles import AttackVariant
+from spectreguard.profiles import MAX_AMPLIFICATION, AttackVariant
 from spectreguard.threshold import ThresholdConfig, classify_threshold
 from spectreguard.trace import fold_intervals, ingest_trace
 
 
 PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
+# One past the amplification/pages bound, and an integer past float range.
+PAST_BOUND = MAX_AMPLIFICATION + 1
+HUGE = 10**400
 
 # Exact bytes of detect and sweep on PINNED_TRACE.  The web-b window at 0
 # pins the correctly rounded sum: 0.1 + 0.2 + 0.3 added left to right gives
@@ -80,6 +83,20 @@ class TestGenAndDetect:
         trace = tmp_path / "t.jsonl"
         run("gen", "--profile", "benign", "--n", "50", "--out", str(trace))
         assert len(list(ingest_trace(trace))) == 50
+
+    @pytest.mark.parametrize("variant", ["pht", "btb", "rsb", "stl"])
+    def test_amplification_and_pages_at_the_bound(self, tmp_path, variant):
+        # every count stays in int64 and no numpy warning (an error in this
+        # test session) is raised; PAST_BOUND is rejected by the flag rules
+        trace, bound = tmp_path / "t.jsonl", str(MAX_AMPLIFICATION)
+        for scale in (["--amplification", bound], ["--amplification", bound, "--pages", bound]):
+            assert run("gen", "--profile", variant, *scale, "--n", "50",
+                       "--out", str(trace)) == 0
+            assert len(ingest_trace(trace)) == 50
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_benign": 2, "intervals": 2, "attack": {
+            "variant": variant, "amplification": MAX_AMPLIFICATION, "pages": MAX_AMPLIFICATION}}))
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 0
 
     def test_ks_detector_over_histogram_dir(self, tmp_path):
         hist_dir = tmp_path / "hists"
@@ -529,8 +546,41 @@ class TestErrors:
         (["ks", "a.csv", "a.csv", "--top-k", "0"], "--top-k must be >= 1, got 0"),
         (["detect", "--detector", "ks", "--histograms", "hists", "--top-k", "0"],
          "--top-k must be >= 1, got 0"),
+        # the table's rules also hold where the handler does not read the flag
+        (["detect", "--trace", "t.jsonl", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+        (["detect", "--trace", "t.jsonl", "--alpha", "1"], "--alpha must be in (0, 1), got 1.0"),
+        (["channel", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["detect", "--trace", "t.jsonl", "--threshold", "nan"],
+         "--threshold must be >= 0 and not NaN, got nan"),
+        (["detect", "--trace", "t.jsonl", "--stl-threshold", "-1"],
+         "--stl-threshold must be >= 0 and not NaN, got -1.0"),
+        (["gen", "--profile", "pht", "--amplification", str(PAST_BOUND)],
+         f"--amplification must be <= {MAX_AMPLIFICATION}, got {PAST_BOUND}"),
+        (["gen", "--profile", "pht", "--pages", str(PAST_BOUND)],
+         f"--pages must be <= {MAX_AMPLIFICATION}, got {PAST_BOUND}"),
+        (["gen", "--profile", "pht", "--amplification", str(HUGE)],
+         f"--amplification must be <= {MAX_AMPLIFICATION}, got {HUGE}"),
+        (["gen", "--profile", "pht", "--pages", str(HUGE)],
+         f"--pages must be <= {MAX_AMPLIFICATION}, got {HUGE}"),
+        (["channel", "--amplifications", f"10,{PAST_BOUND}"],
+         f"--amplifications: values must be <= {MAX_AMPLIFICATION}, got '10,{PAST_BOUND}'"),
+        (["channel", "--amplifications", str(HUGE)],
+         f"--amplifications: values must be <= {MAX_AMPLIFICATION}, got '{HUGE}'"),
+        # a flag that the command needs or rejects, or an input that is not there
+        (["gen", "--profile", "benign", "--pages", "3"],
+         "--amplification/--pages only apply to attack profiles"),
+        (["detect"], "--detector threshold requires --trace"),
+        (["detect", "--detector", "ks"], "--detector ks requires --histograms"),
+        (["detect", "--detector", "ks", "--histograms", "."], "no histogram CSVs under ."),
+        (["fleet", "--config", "cfg.json"],
+         "cannot read fleet config: [Errno 2] No such file or directory: 'cfg.json'"),
     ], ids=["gen-n", "gen-pages", "gen-amplification", "detect-interval-ns",
-            "sweep-interval-ns", "ks-top-k", "detect-top-k"])
+            "sweep-interval-ns", "ks-top-k", "detect-top-k", "detect-threshold-top-k",
+            "detect-threshold-alpha", "channel-seed", "detect-threshold-nan",
+            "detect-stl-threshold", "gen-amplification-past-bound", "gen-pages-past-bound",
+            "gen-amplification-huge", "gen-pages-huge", "channel-amplifications-past-bound",
+            "channel-amplifications-huge", "gen-benign-pages", "detect-no-trace",
+            "detect-no-histograms", "detect-empty-histogram-dir", "fleet-missing-config"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         # relative inputs name files that do not exist: the flag is checked first
         monkeypatch.chdir(tmp_path)
@@ -567,8 +617,7 @@ class TestErrors:
         ("leakage_table", ["--table"]),
     ])
     def test_channel_error_is_input_error(self, tmp_path, capsys, monkeypatch, name, argv):
-        # cli loads the channel model only in the channel command, so main's
-        # catch cannot name ChannelError; the command maps it to exit 1.
+        # ChannelError is a ValueError, which main maps to exit 1
         def unreachable(*args, **kwargs):
             raise channel.Unreachable("x")
 
@@ -600,16 +649,24 @@ class TestErrors:
         ({"detector": {"kind": "oracle"}}, "kind"),
         ({"n_benign": None}, "n_benign"),
     ]),
-        # a flag's value gets the same checks as the file's
+        # a bad flag is named as the flag, not as the config key it overrides
         ({}, "seed", ["--seed", "-1"]),
         ({}, "intervals", ["--intervals", "0"]),
+        # the amplification/pages bound; HUGE is past float range
+        *(({"attack": {key: value}}, key, [])
+          for key in ("amplification", "pages") for value in (PAST_BOUND, HUGE)),
     ])
     def test_fleet_config_value_types(self, tmp_path, capsys, config, key, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_benign": 2, "intervals": 2, **config}))
         assert run("fleet", "--config", str(path), *flags,
                    "--out", str(tmp_path / "r.json")) == 1
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if flags:
+            minimum = {"seed": 0, "intervals": 1}[key]
+            assert err == f"error: --{key} must be >= {minimum}, got {flags[1]}\n"
+        else:
+            assert repr(key) in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [

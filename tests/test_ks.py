@@ -172,6 +172,10 @@ class TestKsTwoSample:
         with pytest.raises(EmptySample):
             ks_two_sample([], [1])
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            ks_two_sample([1], [2], mode="fast")
+
     def test_statistic_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(99)
         for _ in range(200):
@@ -249,6 +253,19 @@ class TestHistogramCsv:
         path = tmp_path / "hist.csv"
         path.write_text(f"# schema: histogram-v1\n{comment}\nbranch_id,mispredictions\nb1,5\n")
         assert read_histogram_csv(path).entries == {"b1": 5}
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty histogram file"),
+        ("# schema: histogram-v1\n\n", "empty histogram file"),
+        ("branch_id,mispredictions\nb1,5\nb2\n", "malformed row ['b2']"),
+        ("branch_id,mispredictions\nb1,5,7\n", "malformed row ['b1', '5', '7']"),
+    ])
+    def test_missing_header_or_field_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(HistogramFormatError) as err:
+            read_histogram_csv(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_duplicate_branch_id_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"

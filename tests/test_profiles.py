@@ -13,6 +13,7 @@ import pytest
 from spectreguard.profiles import (
     BENIGN_MD_MEAN,
     FULL_AMPLIFICATION,
+    MAX_AMPLIFICATION,
     METRIC_INTERCEPT,
     METRIC_SLOPE,
     STL_ATTACK_MD_MEAN,
@@ -123,6 +124,14 @@ class TestGenerateAttack:
     def test_page_dilution_defeats_threshold(self):
         snaps, _ = generate_attack("pht", pages=125, n=600, seed=45)
         assert branch_metrics(snaps).mean() < 4096.0
+
+    @pytest.mark.parametrize("amplification,pages", [
+        (MAX_AMPLIFICATION + 1, 0), (None, MAX_AMPLIFICATION + 1), (10**13, 0), (10**400, 0),
+    ], ids=["amplification", "pages", "int64-overflow", "past-float-range"])
+    def test_scale_past_the_bound_rejected(self, amplification, pages):
+        # 10**13 would overflow the PHT branch counter; 10**400 is past float range
+        with pytest.raises(ValueError, match=f"must be <= {MAX_AMPLIFICATION}"):
+            generate_attack("pht", amplification, pages, n=3, seed=1)
 
     def test_stl_md_mean(self):
         snaps, _ = generate_attack("stl", n=600, seed=46)

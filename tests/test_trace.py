@@ -500,6 +500,7 @@ class TestIngestRobustness:
         ("{not json", _wire_line(br_miss=10**9), ParseError, "invalid JSON"),
         (_wire_line(l1d_acc=2**64), _wire_line(itlb=-5), ParseError, "l1d_acc"),
         (_wire_line(itlb=-5), _wire_line(l1d_acc=2**64), InvariantViolation, "itlb_accesses"),
+        (_wire_line(worker_id=7), _wire_line(itlb=-5), ParseError, "worker_id must be a string"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path, first, second, error, text):
         path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), first, _wire_line(), second)
