@@ -351,7 +351,7 @@ def _cmd_fleet(args) -> int:
             # the trace decoder's hook: a repeated key, at any depth, is an error
             data = json.loads(Path(args.config).read_text(encoding="utf-8"),
                               object_pairs_hook=_unique_object)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: also bad UTF-8, huge integers
             raise InputError(f"cannot read fleet config: {exc}") from exc
         except _DuplicateKey as exc:
             raise InputError(f"fleet config has duplicate key {exc.key!r}") from None

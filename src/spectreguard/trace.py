@@ -15,13 +15,14 @@ int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes one to an open handle, and ``fold_intervals``
 folds one into an ``IntervalBatch`` of window means.  ``ingest_trace`` reads
-lines in exactly ``emit_trace``'s form by one regex match each and parses all
-their integers in one bulk step; any other line goes through the JSON decoder
-(``_parse_line``), which stays the reference for what a line means and which
-error it raises.  ``CounterSnapshot`` stays the per-record wire type: a batch
-iterates snapshots and an interval batch iterates ``IntervalAverage``s.  The
-streaming ``IntervalFolder`` folds one record at a time; it is the reference
-oracle the batch fold is tested against.
+lines in exactly ``emit_trace``'s form by one regex match each; any other line
+goes through the JSON decoder (``_parse_line``), which stays the reference for
+what a line means and which error it raises, and its values are written back
+in that form.  All records' integers are then parsed in one bulk step.
+``CounterSnapshot`` states the counter invariants and stays the per-record wire
+type: a batch iterates snapshots and an interval batch iterates
+``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
+time; it is the reference oracle the batch fold is tested against.
 
 Fold order rule, shared by both paths: a worker's window is emitted when that
 worker's first record of a later window arrives, in file order; windows still
@@ -65,6 +66,7 @@ class InvariantViolation(TraceError):
         where = "" if line_number is None else f"line {line_number}: "
         super().__init__(f"{where}{field_name}: {message}")
         self.field_name = field_name
+        self.message = message
         self.line_number = line_number
 
 
@@ -183,9 +185,9 @@ class TraceBatch:
     timestamp, iTLB accesses and the seven ``METRIC_FIELDS``.  ``worker``
     holds each record's index into ``names``.  ``line`` holds each record's
     source line number, or is None for generated batches.  The counter
-    invariants of ``CounterSnapshot`` are checked on construction; a
-    violation names the field and, when known, the line of the first
-    offending record.
+    invariants are checked on construction: a column test finds the first
+    offending record, and ``CounterSnapshot``'s own check of that record
+    names the field, with the record's line when known.
     """
 
     names: tuple[str, ...]
@@ -195,25 +197,17 @@ class TraceBatch:
 
     def __post_init__(self):
         counts = self.counts
-        flags = np.hstack((
-            counts[:, 1:] < 0,
-            *(
-                counts[:, [_COLUMN_FIELDS.index(m)]] > counts[:, [_COLUMN_FIELDS.index(t)]]
-                for m, t in _BOUNDED
-            ),
-        ))
-        bad = np.flatnonzero(flags.any(axis=1))
-        if not bad.size:
-            return
-        row = int(bad[0])
-        check = int(np.argmax(flags[row]))
-        line = None if self.line is None else int(self.line[row])
-        if check < len(_COLUMN_FIELDS) - 1:
-            field = _COLUMN_FIELDS[check + 1]
-            value = int(counts[row, check + 1])
-            raise InvariantViolation(field, f"count must be >= 0, got {value}", line)
-        misses, total = _BOUNDED[check - len(_COLUMN_FIELDS) + 1]
-        raise InvariantViolation(misses, f"exceeds {total}", line)
+        bad = (counts[:, 1:] < 0).any(axis=1)
+        for misses, total in _BOUNDED:
+            bad |= counts[:, _COLUMN_FIELDS.index(misses)] > counts[:, _COLUMN_FIELDS.index(total)]
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            row = int(bad[0])
+            try:
+                CounterSnapshot(self.names[self.worker[row]], *counts[row].tolist())
+            except InvariantViolation as exc:
+                line = None if self.line is None else int(self.line[row])
+                raise InvariantViolation(exc.field_name, exc.message, line) from None
 
     @classmethod
     def from_snapshots(cls, snapshots: Iterable[CounterSnapshot]) -> "TraceBatch":
@@ -544,6 +538,8 @@ def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
         raise ParseError(line_number, f"invalid JSON: {exc.msg}") from exc
     except _DuplicateKey as exc:
         raise ParseError(line_number, f"duplicate key {exc.key!r}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(line_number, str(exc)) from None
     if not isinstance(record, dict):
         raise ParseError(line_number, "record is not a JSON object")
 
@@ -570,17 +566,19 @@ def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
     return worker, values
 
 
+# The counters of one record after its worker: ``,"ts_ns":%s`` and so on up to
+# the closing brace.  emit_trace writes it, the fast-path regex matches it, and
+# ingest_trace writes each record the JSON decoder read back into it.
+_TAIL = "".join(f',"{wire}":%s' for wire in _COLUMN_WIRE)
 # One record in exactly emit_trace's row form: keys in canonical order, no
 # whitespace, a worker name of printable ASCII without a quote or backslash
 # (so the JSON string is the name itself), and integers of at most 18 digits
 # with no leading zeros (so every value fits in int64), ending "\n" or "\r\n".
-# Group 2 is the ``,"ts_ns":...`` tail up to the closing brace.  It is compiled
-# on first use (and kept by re's cache), so importing the module costs no compile.
+# Group 2 is the tail.  It is compiled on first use (and kept by re's cache),
+# so importing the module costs no compile.
 _INT = "-?(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_ROW = (
-    r'\{"worker_id":"([ !#-\[\]-~]*)"('
-    + "".join(f',"{wire}":{_INT}' for wire in _COLUMN_WIRE)
-    + r")\}\r?\n?"
+    r'\{"worker_id":"([ !#-\[\]-~]*)"(' + _TAIL % ((_INT,) * len(_COLUMN_WIRE)) + r")\}\r?\n?"
 )
 # The bytes of the tail keys, once "l1d_" (the only digit in a key) is cut.
 _KEY_BYTES = bytes(set("".join(_COLUMN_WIRE).replace("l1d_", "").encode() + b'":'))
@@ -590,9 +588,10 @@ def _parse_tails(tails: list[str]) -> np.ndarray:
     """The (n, 9) counts of canonical row tails, in one bulk parse.
 
     A tail holds only ``,"key":`` prefixes and integers, so cutting "l1d_"
-    and deleting the other key bytes leaves ``,v,v,...``.  The regex keeps
-    every integer in int64 range, where np.fromstring is exact (outside it,
-    it would saturate).
+    and deleting the other key bytes leaves ``,v,v,...``.  Every integer is
+    in int64 range, where np.fromstring is exact (outside it, it would
+    saturate): the regex allows at most 18 digits, and ``_parse_line``
+    rejects a decoded value outside int64.
     """
     text = "".join(tails).encode("ascii").replace(b"l1d_", b"").translate(None, _KEY_BYTES)
     return np.fromstring(text[1:], dtype=np.int64, sep=",").reshape(-1, len(_COLUMN_WIRE))
@@ -605,10 +604,10 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     header that names a schema other than ``trace-v1``.  Lines in exactly
     ``emit_trace``'s row form (canonical key order, no whitespace, a
     printable-ASCII worker name without quotes or backslashes, integers of
-    at most 18 digits) take a fast path: one regex match per line, then one
-    bulk parse of all their integers.  Every other line goes through the
-    JSON decoder, so a line either path reads gives the same record, and a
-    bad line gives the same error.
+    at most 18 digits) are matched by one regex each.  Every other line goes
+    through the JSON decoder, and its values are written back as a canonical
+    tail, so one bulk parse reads the integers of every record: a line either
+    path reads gives the same record, and a bad line gives the same error.
 
     Raises ParseError (another schema, bad JSON, duplicate, unknown or
     missing keys, wrong types, integers outside int64) with the offending
@@ -620,10 +619,6 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     worker: list[int] = []
     lines: list[int] = []
     tails: list[str] = []
-    # The records the JSON decoder read: their index among all records, and
-    # their values.
-    decoded_at: list[int] = []
-    decoded: list[tuple[int, ...]] = []
     error = None
     match_row = re.compile(_CANONICAL_ROW).fullmatch
     # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.
@@ -648,21 +643,15 @@ def ingest_trace(path: str | Path) -> TraceBatch:
                 except ParseError as exc:
                     error = exc
                     break
-                decoded_at.append(len(worker))
-                decoded.append(values)
+                tails.append(_TAIL % values)
             worker.append(codes.setdefault(name, len(codes)))
             lines.append(line_number)
-    fast = np.ones(len(worker), dtype=bool)
-    fast[decoded_at] = False
-    counts = np.empty((len(worker), len(_COLUMN_WIRE)), dtype=np.int64)
-    counts[fast] = _parse_tails(tails)
-    counts[~fast] = np.array(decoded, dtype=np.int64).reshape(-1, len(_COLUMN_WIRE))
     # The invariants of the lines before a parse error are checked first,
     # so the first bad line in file order is the one reported.
     batch = TraceBatch(
         tuple(codes),
         np.array(worker, dtype=np.intp),
-        counts,
+        _parse_tails(tails),
         np.array(lines, dtype=np.int64),
     )
     if error is not None:
@@ -670,7 +659,7 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     return batch
 
 
-_ROW_FORMAT = "{" + ",".join(f'"{wire}":%s' for wire, _field in _WIRE_KEYS) + "}\n"
+_ROW_FORMAT = '{"worker_id":%s' + _TAIL + "}\n"
 
 
 def emit_trace(batch: TraceBatch, handle: TextIO) -> int:

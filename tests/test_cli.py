@@ -524,6 +524,27 @@ class TestErrors:
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "v.jsonl"]
 
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_huge_integer_in_trace_names_its_line(self, tmp_path, capsys, command):
+        # 5,001 digits, past Python's int-string limit; json.dumps cannot write it
+        huge = trace_line("w0", 1, 1, 0, 0).replace('"itlb": 1', '"itlb": ' + "1" * 5001, 1)
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(trace_line("w0", 0, 1, 0, 0) + huge)
+        assert run(command, "--trace", str(trace), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: Exceeds the limit (4300 digits)")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+    @pytest.mark.parametrize("data,reason", [
+        (b'{"n_benign": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"n_benign": 2, "note": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["huge-integer", "bad-utf8"])
+    def test_unreadable_fleet_config_is_a_read_error(self, tmp_path, capsys, data, reason):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(data)
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read fleet config: {reason}")
+        assert not (tmp_path / "r.json").exists()
+
     def test_usage_error_exits_one(self, tmp_path):
         assert run("gen", "--profile", "bogus", "--out", str(tmp_path / "t")) == 1
 

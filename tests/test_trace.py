@@ -451,6 +451,11 @@ def _wire_line(**overrides):
     return json.dumps(record)
 
 
+# An itlb of 5,001 digits, past Python's int-string limit; json.dumps cannot
+# write it, so it is spliced into the text.
+HUGE_ITLB_LINE = _wire_line().replace('"itlb": 1000', '"itlb": ' + "1" * 5001)
+
+
 class TestIngestRobustness:
     def test_duplicate_key_rejected(self, tmp_path):
         good = _wire_line()
@@ -501,6 +506,10 @@ class TestIngestRobustness:
         (_wire_line(l1d_acc=2**64), _wire_line(itlb=-5), ParseError, "l1d_acc"),
         (_wire_line(itlb=-5), _wire_line(l1d_acc=2**64), InvariantViolation, "itlb_accesses"),
         (_wire_line(worker_id=7), _wire_line(itlb=-5), ParseError, "worker_id must be a string"),
+        pytest.param(HUGE_ITLB_LINE, _wire_line(itlb=-5), ParseError,
+                     "Exceeds the limit (4300 digits)", id="huge-integer-then-invariant"),
+        pytest.param(_wire_line(itlb=-5), HUGE_ITLB_LINE, InvariantViolation, "itlb_accesses",
+                     id="invariant-then-huge-integer"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path, first, second, error, text):
         path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), first, _wire_line(), second)
@@ -508,6 +517,22 @@ class TestIngestRobustness:
             ingest_trace(path)
         assert err.value.line_number == 2
         assert text in str(err.value)
+
+
+    def test_one_record_breaking_two_invariants(self, tmp_path):
+        # A negative count is checked before misses > total, in every path.
+        record = snap().to_wire()
+        record.update(md_reset=-1, br_miss=record["br_insn"] + 1)
+        message = "mem_disambiguation_resets: count must be >= 0, got -1"
+        path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), json.dumps(record))
+        with pytest.raises(InvariantViolation) as err:
+            ingest_trace(path)
+        assert (str(err.value), err.value.line_number) == (f"line 2: {message}", 2)
+        counts = np.array([list(record.values())[1:]], dtype=np.int64)
+        with pytest.raises(InvariantViolation) as err:
+            TraceBatch(("w0",), np.zeros(1, dtype=np.intp), counts)
+        assert (str(err.value), err.value.line_number) == (message, None)
+        assert err.value.field_name == "mem_disambiguation_resets"
 
 
 def _reference_ingest(path):
