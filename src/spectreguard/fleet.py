@@ -6,7 +6,8 @@ throughput, not availability.  Each detector draws only its own input.  The
 threshold rule draws every worker's counters into one trace (one
 counter-arithmetic pass over all benign workers), folds it into 1-second
 interval averages and classifies them on the columns; the KS screen draws
-only misprediction-histogram counts and screens every window at once.
+only misprediction-histogram counts, a block of windows per call (the
+counts do not depend on the batching; see ``profiles``), and screens them.
 Either way the result is one (worker x interval) flag grid, which gives the
 verdicts and the benign false-positive rate.  Window i closes at interval
 boundary i+1, so a worker whose first suspect window is i is isolated there
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import ks as _ks
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile, _fleet_counts
-from .profiles import draw_attack_histogram, draw_benign_histogram
+from .profiles import draw_attack_counts, draw_benign_counts
 from .threshold import ThresholdConfig, at_least, check_minimums, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
@@ -173,6 +174,16 @@ class FleetReport:
         return out
 
 
+def _ks_counts(benign: list[bool], rngs, intervals: int):
+    """Every window's histogram counts, worker by worker, lazily: each worker
+    draws its windows from its own generator, ``SCREEN_BLOCK`` windows per
+    call, so at most one block is held at a time."""
+    for is_benign, rng in zip(benign, rngs):
+        draw = draw_benign_counts if is_benign else draw_attack_counts
+        for start in range(0, intervals, _ks.SCREEN_BLOCK):
+            yield from draw(rng, min(_ks.SCREEN_BLOCK, intervals - start))
+
+
 def run_fleet(cfg: FleetConfig) -> FleetReport:
     """Classify every window into one (worker x interval) flag grid, derive
     isolations and costs from it.
@@ -205,12 +216,9 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         flags = np.zeros((n_workers, intervals), dtype=bool)
         flags[folded.worker, folded.window] = classify_intervals(folded, cfg.detector.threshold)[0]
     else:
-        # Window by window, each worker draws its histogram's counts from its own generator.
-        draws = [(draw_benign_histogram if b else draw_attack_histogram, rng)
-                 for b, rng in zip(benign.tolist(), rngs(1))]
-        counts = (draw(rng)[1] for _ in range(intervals) for draw, rng in draws)
+        counts = _ks_counts(benign.tolist(), rngs(1), intervals)
         suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
-        flags = suspect.reshape(intervals, n_workers).T
+        flags = suspect.reshape(n_workers, intervals)
 
     # first[w]: the worker's first suspect window, or `intervals` if none.
     first = np.where(flags.any(axis=1), flags.argmax(axis=1), intervals)

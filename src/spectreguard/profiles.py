@@ -18,6 +18,16 @@ worker's counters (``_attack_counts``), then each benign worker's rng draws
 ``generate_attack`` are its one-worker calls; the fleet simulator calls it
 once for the whole fleet.
 
+The KS screen reads only misprediction counts, so ``draw_benign_counts`` and
+``draw_attack_counts`` draw any number of windows in one block, with no
+branch offsets.  A benign window takes one row of ``BENIGN_MAX_BRANCHES + 1``
+uniforms (its size, then its counts), an attack window one row of
+``ATTACK_TAIL_BRANCHES + 2`` normals.  Each window takes a fixed number of
+values, and a numpy ``random`` or ``normal`` block gives the values, and
+leaves the generator in the state, of its rows drawn one at a time: the
+counts do not depend on how the windows are batched.  ``make_*_histogram``
+keep the offsets-then-counts stream that ``gen --histogram-out`` writes.
+
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
 calibration above caps the attainable benign deviation, so the synthetic
@@ -93,7 +103,7 @@ BENIGN_SURVIVAL_TARGETS: dict[float, float] = {
 BENIGN_BODY_SIGMA = 0.55
 BENIGN_TAIL_WEIGHT = 0.0075
 
-# Misprediction histogram shapes (see make_attack_histogram, make_benign_histogram).
+# Misprediction histogram shapes (see draw_attack_counts, draw_benign_counts).
 ATTACK_TAIL_BRANCHES = 62
 DELAY_LOOP_MEAN = 1_200_000.0
 MISTRAIN_RATIO = 0.2
@@ -390,35 +400,45 @@ def generate_attack(
 _ATTACK_TAIL = np.array([TAIL_START * TAIL_DECAY**i for i in range(ATTACK_TAIL_BRANCHES)])
 
 
-def draw_attack_histogram(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One attack run's branch offsets and counts: decay topped by the delay loop.
+def draw_attack_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
+    """The misprediction counts of ``windows`` attack runs, one int64 array each.
 
     Rank 1 is the transient-window delay loop (mean ``DELAY_LOOP_MEAN``),
     rank 2 the mistrained bounds check (``MISTRAIN_RATIO`` of it, always
     below it); the remaining ``ATTACK_TAIL_BRANCHES`` are runtime
     scaffolding decaying by ``TAIL_DECAY`` from ``TAIL_START``.  Counts
-    carry log-normal jitter of sigma ``JITTER_SIGMA``.
+    carry log-normal jitter of sigma ``JITTER_SIGMA``: one row of
+    ``ATTACK_TAIL_BRANCHES + 2`` normals per run, drawn in one block.
     """
-    offsets = rng.choice(1 << 20, size=ATTACK_TAIL_BRANCHES + 2, replace=False)
-    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, ATTACK_TAIL_BRANCHES + 2))
-    delay = max(2, int(round(DELAY_LOOP_MEAN * jitter[0])))
-    mistrain = int(round(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[1]))
-    mistrain = min(mistrain, delay - 1)  # the delay loop always ranks first
-    tail = np.maximum(1, np.rint(_ATTACK_TAIL * jitter[2:])).astype(np.int64)
-    return offsets, np.concatenate(([delay, max(1, mistrain)], tail))
+    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, (windows, ATTACK_TAIL_BRANCHES + 2)))
+    delay = np.maximum(2, np.rint(DELAY_LOOP_MEAN * jitter[:, 0]))
+    # the delay loop always ranks first
+    mistrain = np.minimum(np.rint(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[:, 1]), delay - 1)
+    tail = np.rint(_ATTACK_TAIL * jitter[:, 2:])
+    return list(np.maximum(1, np.column_stack((delay, mistrain, tail))).astype(np.int64))
 
 
-def draw_benign_histogram(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Branch offsets and counts of a broad, flat spread typical of benign programs.
+def _benign_branch_counts(unit: np.ndarray) -> np.ndarray:
+    """Counts log-uniform over ``BENIGN_COUNT_RANGE`` from uniforms on [0, 1),
+    rounded and at least 1; ``rng.uniform`` maps its doubles the same way."""
+    low, high = map(math.log, BENIGN_COUNT_RANGE)
+    return np.maximum(1, np.rint(np.exp(low + (high - low) * unit))).astype(np.int64)
 
-    ``BENIGN_MIN_BRANCHES``..``BENIGN_MAX_BRANCHES`` branches, each with a
-    log-uniform count over ``BENIGN_COUNT_RANGE``.
+
+def draw_benign_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
+    """The misprediction counts of ``windows`` benign runs, one int64 array each.
+
+    A broad, flat spread typical of benign programs: ``BENIGN_MIN_BRANCHES``
+    to ``BENIGN_MAX_BRANCHES`` branches, uniformly, each with a log-uniform
+    count over ``BENIGN_COUNT_RANGE``.  Each run takes one row of
+    ``BENIGN_MAX_BRANCHES + 1`` uniforms, drawn in one block: the first picks
+    the size, the next ones give the counts and the rest go unused.
     """
-    n = int(rng.integers(BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES + 1))
-    offsets = rng.choice(1 << 20, size=n, replace=False)
-    low, high = BENIGN_COUNT_RANGE
-    counts = np.exp(rng.uniform(math.log(low), math.log(high), n))
-    return offsets, np.maximum(1, np.rint(counts)).astype(np.int64)
+    unit = rng.random((windows, BENIGN_MAX_BRANCHES + 1))
+    span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
+    sizes = BENIGN_MIN_BRANCHES + (unit[:, 0] * span).astype(np.intp)
+    counts = _benign_branch_counts(unit[:, 1:])
+    return [row[:size] for row, size in zip(counts, sizes.tolist())]
 
 
 def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:
@@ -428,10 +448,18 @@ def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:
 
 
 def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """One ``draw_attack_histogram``, with its offsets as branch ids."""
-    return _histogram(*draw_attack_histogram(rng))
+    """One attack run's histogram: distinct branch offsets, then the counts
+    of ``draw_attack_counts``."""
+    offsets = rng.choice(1 << 20, size=ATTACK_TAIL_BRANCHES + 2, replace=False)
+    return _histogram(offsets, draw_attack_counts(rng, 1)[0])
 
 
 def make_benign_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """One ``draw_benign_histogram``, with its offsets as branch ids."""
-    return _histogram(*draw_benign_histogram(rng))
+    """One benign run's histogram, with ``draw_benign_counts``'s law.
+
+    The size, then distinct branch offsets, then one uniform per count: the
+    stream this generator has always drawn, which the pinned histograms fix.
+    """
+    n = int(rng.integers(BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES + 1))
+    offsets = rng.choice(1 << 20, size=n, replace=False)
+    return _histogram(offsets, _benign_branch_counts(rng.random(n)))

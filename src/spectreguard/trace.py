@@ -145,9 +145,6 @@ class CounterSnapshot:
             if getattr(self, misses) > getattr(self, total):
                 raise InvariantViolation(misses, f"exceeds {total}")
 
-    def to_wire(self) -> dict:
-        return {wire: getattr(self, field) for wire, field in _WIRE_KEYS}
-
 
 # Counters carried through normalization; iTLB itself drops out (it would
 # always normalize to 1).
@@ -609,10 +606,10 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     tail, so one bulk parse reads the integers of every record: a line either
     path reads gives the same record, and a bad line gives the same error.
 
-    Raises ParseError (another schema, bad JSON, duplicate, unknown or
-    missing keys, wrong types, integers outside int64) with the offending
-    line number, or InvariantViolation with the offending field name and
-    line number.  When several lines are bad, the first of them in file
+    Raises ParseError (invalid UTF-8, another schema, bad JSON, duplicate,
+    unknown or missing keys, wrong types, integers outside int64) with the
+    offending line number, or InvariantViolation with the offending field
+    name and line number.  When several lines are bad, the first of them in file
     order is reported.
     """
     codes: dict[str, int] = {}
@@ -621,14 +618,22 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     tails: list[str] = []
     error = None
     match_row = re.compile(_CANONICAL_ROW).fullmatch
-    # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.  An
+    # invalid UTF-8 byte b is read as the lone surrogate U+DC00 + b, which the
+    # canonical row regex never matches, so only the other lines check for one.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
             match = match_row(line)
             if match is not None:
                 name, tail = match.groups()
                 tails.append(tail)
             else:
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    error = ParseError(line_number, f"invalid UTF-8 byte 0x{byte:02x}")
+                    break
                 stripped = line.strip()
                 if stripped.startswith("#"):
                     key, colon, version = stripped[1:].partition(":")
@@ -666,8 +671,9 @@ def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
     """Write a batch as canonical JSONL to an open text handle; returns the
     number of records.
 
-    ``ingest_trace`` reads the written file back exactly.  Each line equals
-    ``json.dumps(snapshot.to_wire(), separators=(",", ":"))``.
+    ``ingest_trace`` reads the written file back exactly.  Each line is the
+    JSON object of one record's wire keys in canonical order, written as
+    ``json.dumps`` writes it with ``separators=(",", ":")``.
     """
     quoted = [json.dumps(name) for name in batch.names]
     handle.write(f"# schema: {TRACE_SCHEMA}\n")

@@ -5,13 +5,15 @@ replaced with a single classification of the folded fleet.  It walks the
 interval boundaries; at boundary i each worker, in name order, has its
 window i-1 classified (a suspect verdict isolates it there) and then runs
 interval i's executions and subsequent requests.  Tests require both
-simulators to give equal reports.
+simulators to give equal reports.  A KS worker draws one window's
+histogram counts at a time from its histogram generator and classifies
+them as a histogram; ``reference_ks_p_values`` returns those p-values.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -31,8 +33,8 @@ from spectreguard.profiles import (
     BenignProfile,
     generate_attack,
     generate_benign,
-    make_attack_histogram,
-    make_benign_histogram,
+    draw_attack_counts,
+    draw_benign_counts,
 )
 from spectreguard.threshold import classify_threshold
 from spectreguard.trace import IntervalAverage, TraceBatch, fold_intervals
@@ -62,16 +64,18 @@ class WorkerRecord:
     subsequent_requests: int = 0
     flagged_at_interval: int | None = None
     served_after_isolation: int = 0
+    ks_p_values: list[float] = field(default_factory=list)
 
 
 def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
     if detector.kind == "threshold":
         return classify_threshold(avg, detector.threshold).suspect
-    if isinstance(record.workload, BenignWorkload):
-        hist = make_benign_histogram(record.histogram_rng)
-    else:
-        hist = make_attack_histogram(record.histogram_rng)
-    return _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha).suspect
+    draw = draw_benign_counts if isinstance(record.workload, BenignWorkload) else draw_attack_counts
+    (counts,) = draw(record.histogram_rng, 1)
+    hist = _ks.BranchHistogram.from_entries({str(i): c for i, c in enumerate(counts.tolist())})
+    verdict = _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha)
+    record.ks_p_values.append(verdict.ks.p_value)
+    return verdict.suspect
 
 
 def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
@@ -112,6 +116,15 @@ def _build_workers(cfg: FleetConfig) -> tuple[list[WorkerRecord], TraceBatch]:
 
 def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
     """Fold the fleet's trace, walk the interval boundaries, account costs."""
+    return _simulate(cfg)[0]
+
+
+def reference_ks_p_values(cfg: FleetConfig) -> np.ndarray:
+    """The KS p-value of each (worker in name order, window) of a KS fleet."""
+    return np.array([record.ks_p_values for record in _simulate(cfg)[1]])
+
+
+def _simulate(cfg: FleetConfig) -> tuple[FleetReport, list[WorkerRecord]]:
     workers, trace = _build_workers(cfg)
     folded = fold_intervals(trace)
     due = {
@@ -211,4 +224,4 @@ def run_fleet_reference(cfg: FleetConfig) -> FleetReport:
         series=tuple(series),
         baseline_rps=cfg.baseline_rps,
         detection_factor=1.0 - cfg.cost_model.detection_overhead_rel,
-    )
+    ), workers

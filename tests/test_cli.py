@@ -534,6 +534,15 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: line 2: Exceeds the limit (4300 digits)")
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_invalid_utf8_in_trace_names_its_line(self, tmp_path, capsys, command):
+        bad = trace_line("w0", 1, 1, 0, 0).replace('"w0"', '"w\udcff"').encode("utf-8", "surrogateescape")
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(trace_line("w0", 0, 1, 0, 0).encode() + bad)
+        assert run(command, "--trace", str(trace), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8 byte 0xff\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
     @pytest.mark.parametrize("data,reason", [
         (b'{"n_benign": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
         (b'{"n_benign": 2, "note": "\xff"}', "'utf-8' codec can't decode byte 0xff"),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleet_reference import run_fleet_reference
+from fleet_reference import reference_ks_p_values, run_fleet_reference
 from fleet_reference import _build_workers as build_reference_workers
 from spectreguard import fleet, ks, profiles
 from spectreguard.fleet import (
@@ -224,6 +224,7 @@ ORACLE_GRID = [
     pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions_per_interval=1),
                  id="ks-1004-workers"),
 ]
+KS_ORACLE_GRID = [param for param in ORACLE_GRID if param.values[0].detector.kind == "ks"]
 
 
 class TestReferenceLoop:
@@ -232,6 +233,22 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("cfg", ORACLE_GRID)
     def test_reports_equal(self, cfg):
         assert run_fleet(cfg).to_json_dict() == run_fleet_reference(cfg).to_json_dict()
+
+    @pytest.mark.parametrize("cfg", KS_ORACLE_GRID)
+    def test_ks_p_values_equal(self, cfg, monkeypatch):
+        # Benign windows never flag and attack windows always do, so verdicts
+        # cannot show the draws; the p-values show every count.  The fleet
+        # draws each worker's windows in blocks, the reference one at a time.
+        screened = []
+        screen = ks.screen_counts
+        monkeypatch.setattr(ks, "screen_counts",
+                            lambda *args: screened.append(screen(*args)) or screened[-1])
+        run_fleet(cfg)
+        (p_values,) = screened
+        n_workers = cfg.n_benign + cfg.n_attack
+        expected = reference_ks_p_values(cfg)
+        assert expected.shape == (n_workers, cfg.intervals)
+        assert np.array_equal(p_values.reshape(expected.shape), expected)
 
     def test_ks_fleet_screens_counts_without_building_histograms(self, monkeypatch):
         def forbidden(*_args, **_kwargs):
@@ -246,6 +263,8 @@ class TestReferenceLoop:
         monkeypatch.setattr(profiles, "_histogram", lambda *a: built.append(1) or histogram(*a))
         monkeypatch.setattr(ks, "classify_ks", forbidden)
         monkeypatch.setattr(ks, "ks_two_sample", forbidden)
+        monkeypatch.setattr(profiles, "make_benign_histogram", forbidden)
+        monkeypatch.setattr(profiles, "make_attack_histogram", forbidden)
         assert run_fleet(cfg).to_json_dict() == expected
         # None per window, and none per attacker: the fleet takes the attack
         # counter columns without generate_attack's recorded histogram.

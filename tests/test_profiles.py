@@ -9,9 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectreguard.profiles import (
+    BENIGN_COUNT_RANGE,
+    BENIGN_MAX_BRANCHES,
     BENIGN_MD_MEAN,
+    BENIGN_MIN_BRANCHES,
     FULL_AMPLIFICATION,
     MAX_AMPLIFICATION,
     METRIC_INTERCEPT,
@@ -20,8 +24,8 @@ from spectreguard.profiles import (
     AttackProfile,
     AttackVariant,
     BenignProfile,
-    draw_attack_histogram,
-    draw_benign_histogram,
+    draw_attack_counts,
+    draw_benign_counts,
     generate_attack,
     generate_benign,
     make_attack_histogram,
@@ -38,6 +42,10 @@ DATA = Path(__file__).parent / "data"
 # benign first, from default_rng(s) for s in 0..199.
 PINNED_HISTOGRAM = DATA / "pinned_histogram.csv"
 PINNED_ENTRIES_SHA256 = DATA / "histogram_entries.sha256"
+# sha256 over json.dumps([benign, attack]) of three windows of each kind's
+# counts-only draw, benign first, from default_rng(s) for s in 0..199.
+PINNED_COUNTS_SHA256 = DATA / "histogram_counts.sha256"
+DRAWS = {"benign": draw_benign_counts, "attack": draw_attack_counts}
 
 
 def branch_metrics(snapshots):
@@ -217,14 +225,46 @@ class TestHistogramGenerators:
             digest.update(json.dumps([benign.entries, attack.entries]).encode())
         assert digest.hexdigest() == PINNED_ENTRIES_SHA256.read_text().strip()
 
-    def test_draws_match_histograms_and_advance_the_generator_alike(self):
-        # The fleet screens the counts of a draw and never builds the histogram.
-        pairs = [(draw_benign_histogram, make_benign_histogram),
-                 (draw_attack_histogram, make_attack_histogram)]
-        for seed in range(300):
-            drawn, made = np.random.default_rng(seed), np.random.default_rng(seed)
-            for draw, make in [*pairs, *reversed(pairs)]:
-                counts = draw(drawn)[1]
-                assert counts.dtype == np.int64
-                assert counts.tolist() == list(make(made).entries.values())
-                assert drawn.bit_generator.state == made.bit_generator.state
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(DRAWS)), min_size=1,
+                                              max_size=4), st.integers(1, 9))
+    def test_batched_draws_equal_one_window_draws(self, seed, kinds, windows):
+        # The fleet draws a worker's windows in blocks; the stream may not
+        # depend on how they are batched.
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kind in kinds:
+            block = DRAWS[kind](batched, windows)
+            one_by_one = [DRAWS[kind](single, 1)[0] for _ in range(windows)]
+            assert [c.dtype for c in block] == [np.dtype(np.int64)] * windows
+            assert [c.tolist() for c in block] == [c.tolist() for c in one_by_one]
+            assert batched.bit_generator.state == single.bit_generator.state
+
+    def test_counts_pinned_over_seeds(self):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            benign = draw_benign_counts(rng, 3)
+            attack = draw_attack_counts(rng, 3)
+            digest.update(json.dumps([[c.tolist() for c in draws]
+                                      for draws in (benign, attack)]).encode())
+        assert digest.hexdigest() == PINNED_COUNTS_SHA256.read_text().strip()
+
+    def test_counts_follow_the_histograms_law(self):
+        rng = np.random.default_rng(7)
+        benign = draw_benign_counts(rng, 20_000)
+        sizes = np.array([c.size for c in benign])
+        assert (sizes.min(), sizes.max()) == (BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES)
+        span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
+        expected = sizes.size / span
+        per_size = np.bincount(sizes - BENIGN_MIN_BRANCHES, minlength=span)
+        # chi-square of 260 degrees of freedom: mean 260, sd 22.8
+        assert ((per_size - expected) ** 2 / expected).sum() < 380
+        logs = np.log(np.concatenate(benign))
+        low, high = np.log(BENIGN_COUNT_RANGE)
+        assert logs.min() >= low - 1e-3 and logs.max() <= high + 1e-3
+        assert logs.mean() == pytest.approx((low + high) / 2, abs=0.01)
+        assert logs.std() == pytest.approx((high - low) / 12**0.5, rel=0.01)
+        attack = np.array(draw_attack_counts(rng, 2_000))
+        assert (attack[:, 0] > attack[:, 1]).all() and (attack >= 1).all()
+        assert np.median(attack[:, 0]) == pytest.approx(1_200_000, rel=0.01)
+        assert np.median(attack[:, 1] / attack[:, 0]) == pytest.approx(0.2, rel=0.02)

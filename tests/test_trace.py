@@ -54,6 +54,27 @@ def snap(worker="w0", ts=0, itlb=1000, br=604_710, br_miss=0, llc=30_000,
     )
 
 
+# The reference row form: each wire key of the trace format, in canonical
+# order, with the snapshot field it carries.
+WIRE_FIELDS = (
+    ("worker_id", "worker_id"),
+    ("ts_ns", "timestamp_ns"),
+    ("itlb", "itlb_accesses"),
+    ("br_insn", "branch_instructions"),
+    ("br_miss", "branch_misses"),
+    ("llc_ref", "cache_references"),
+    ("llc_miss", "cache_misses"),
+    ("l1d_acc", "l1d_read_accesses"),
+    ("l1d_miss", "l1d_read_misses"),
+    ("md_reset", "mem_disambiguation_resets"),
+)
+
+
+def to_wire(snapshot):
+    """One snapshot as the dict its JSONL record decodes to."""
+    return {wire: getattr(snapshot, field) for wire, field in WIRE_FIELDS}
+
+
 class TestSnapshotInvariants:
     def test_negative_count_rejected(self):
         with pytest.raises(InvariantViolation) as err:
@@ -395,7 +416,7 @@ class TestTraceIO:
 
     def test_invariant_violation_reported_with_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        record = snap().to_wire()
+        record = to_wire(snap())
         record["br_miss"] = record["br_insn"] + 1
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(InvariantViolation) as err:
@@ -404,8 +425,8 @@ class TestTraceIO:
 
     def test_unknown_key_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        good = json.dumps(snap().to_wire())
-        record = snap().to_wire()
+        good = json.dumps(to_wire(snap()))
+        record = to_wire(snap())
         record["surprise"] = 1
         path.write_text(good + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ParseError) as err:
@@ -421,7 +442,7 @@ class TestTraceIO:
 
     def test_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        record = snap().to_wire()
+        record = to_wire(snap())
         record["itlb"] = 12.5
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError):
@@ -436,17 +457,18 @@ class TestTraceIO:
             lines = out.getvalue().splitlines()
             assert lines[0] == "# schema: trace-v1"
             assert lines[1:] == [
-                json.dumps(s.to_wire(), separators=(",", ":")) for s in batch
+                json.dumps(to_wire(s), separators=(",", ":")) for s in batch
             ]
 
 
 def _write_lines(path, *lines):
-    path.write_text("".join(line + "\n" for line in lines))
+    # A lone surrogate U+DC80..U+DCFF is written as the invalid UTF-8 byte it escapes.
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     return path
 
 
 def _wire_line(**overrides):
-    record = snap().to_wire()
+    record = to_wire(snap())
     record.update(overrides)
     return json.dumps(record)
 
@@ -454,6 +476,8 @@ def _wire_line(**overrides):
 # An itlb of 5,001 digits, past Python's int-string limit; json.dumps cannot
 # write it, so it is spliced into the text.
 HUGE_ITLB_LINE = _wire_line().replace('"itlb": 1000', '"itlb": ' + "1" * 5001)
+# A worker name holding the byte 0xff, which is not UTF-8.
+BAD_UTF8_LINE = _wire_line().replace('"w0"', '"w\udcff"')
 
 
 class TestIngestRobustness:
@@ -510,6 +534,12 @@ class TestIngestRobustness:
                      "Exceeds the limit (4300 digits)", id="huge-integer-then-invariant"),
         pytest.param(_wire_line(itlb=-5), HUGE_ITLB_LINE, InvariantViolation, "itlb_accesses",
                      id="invariant-then-huge-integer"),
+        pytest.param(BAD_UTF8_LINE, _wire_line(itlb=-5), ParseError,
+                     "line 2: invalid UTF-8 byte 0xff", id="invalid-utf8-then-invariant"),
+        pytest.param(_wire_line(itlb=-5), BAD_UTF8_LINE, InvariantViolation, "itlb_accesses",
+                     id="invariant-then-invalid-utf8"),
+        pytest.param("# note \udcfe", _wire_line(itlb=-5), ParseError,
+                     "line 2: invalid UTF-8 byte 0xfe", id="invalid-utf8-comment-then-invariant"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path, first, second, error, text):
         path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), first, _wire_line(), second)
@@ -519,9 +549,22 @@ class TestIngestRobustness:
         assert text in str(err.value)
 
 
+    @pytest.mark.parametrize("line,byte", [
+        (b"# \xff", 0xff),
+        (b'{"worker_id":"caf\xc3"}', 0xc3),  # a sequence cut short
+        (b'{"worker_id":"\xed\xb3\xbf"}', 0xed),  # an encoded surrogate
+        (b"\xc0\xaf", 0xc0),  # an overlong form
+    ])
+    def test_invalid_utf8_rejected_with_line_number(self, tmp_path, line, byte):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(_wire_line().encode() + b"\n" + line + b"\n" + b"{not json\n")
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"line 2: invalid UTF-8 byte 0x{byte:02x}"
+
     def test_one_record_breaking_two_invariants(self, tmp_path):
         # A negative count is checked before misses > total, in every path.
-        record = snap().to_wire()
+        record = to_wire(snap())
         record.update(md_reset=-1, br_miss=record["br_insn"] + 1)
         message = "mem_disambiguation_resets: count must be >= 0, got -1"
         path = _write_lines(tmp_path / "bad.jsonl", _wire_line(), json.dumps(record))
@@ -573,7 +616,7 @@ def _outcome(read, path):
             batch.counts.tolist(), batch.line.tolist())
 
 
-WIRE = list(snap().to_wire())
+WIRE = list(to_wire(snap()))
 INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**18 - 1, -(10**18 - 1),
                10**18, 10**19, 10**20 - 1, 0]
 # Value texts that are not canonical integers, or are at the 18-digit limit.
@@ -595,7 +638,7 @@ def _with_value(record, key, text):
 
 BAD_LINES = ["{not json", "[]", "null", '"w0"', "{}", "{",
              # a raw tab in a name is invalid JSON
-             _canonical(snap(worker="a\tb").to_wire()).replace("\\t", "\t")]
+             _canonical(to_wire(snap(worker="a\tb"))).replace("\\t", "\t")]
 
 
 @st.composite
@@ -640,14 +683,14 @@ def trace_lines(draw):
 class TestLineEnds:
     """A line ends at "\n" alone: a bare "\r" is JSON whitespace."""
 
-    LINE = _canonical(snap().to_wire())
+    LINE = _canonical(to_wire(snap()))
 
     def test_carriage_return_inside_a_record(self, tmp_path):
         path = tmp_path / "cr.jsonl"
         record = self.LINE.replace(',"ts_ns"', ',\r"ts_ns"')
         path.write_bytes(f"{record}\n{self.LINE}\n".encode())
         batch = ingest_trace(path)
-        assert batch.counts.tolist() == [list(snap().to_wire().values())[1:]] * 2
+        assert batch.counts.tolist() == [list(to_wire(snap()).values())[1:]] * 2
         assert batch.line.tolist() == [1, 2]
 
     def test_carriage_return_inside_a_comment(self, tmp_path):
@@ -688,23 +731,23 @@ class TestIngestPaths:
         assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
 
     @pytest.mark.parametrize("line", [
-        *(_with_value(snap().to_wire(), key, token)
+        *(_with_value(to_wire(snap()), key, token)
           for key, token in zip(WIRE[1:] * 2, TOKENS)),
-        *(_canonical(snap(worker=name).to_wire(), ensure_ascii=ascii)
+        *(_canonical(to_wire(snap(worker=name)), ensure_ascii=ascii)
           for name in FAST_NAMES + SLOW_NAMES for ascii in (True, False)),
         *BAD_LINES,
     ])
     def test_lines_match_decoder_reference(self, tmp_path, line):
-        path = _write_lines(tmp_path / "t.jsonl", _canonical(snap().to_wire()), line)
+        path = _write_lines(tmp_path / "t.jsonl", _canonical(to_wire(snap())), line)
         assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
 
     @pytest.mark.parametrize("lines", [
         # a bad line after an invariant violation: the violation is reported
         [_wire_line(), _wire_line(itlb=-1), "{not json"],
-        [_with_value(snap().to_wire(), "itlb", -1), "{not json"],
-        [_with_value(snap().to_wire(), "br_miss", 10**6), _wire_line(l1d_acc=2**64)],
+        [_with_value(to_wire(snap()), "itlb", -1), "{not json"],
+        [_with_value(to_wire(snap()), "br_miss", 10**6), _wire_line(l1d_acc=2**64)],
         # 18 digits take the fast path, 19 the decoder; both in range
-        [_canonical(snap(ts=ts).to_wire()) for ts in (10**18 - 1, 2**63 - 1, -(2**63))],
+        [_canonical(to_wire(snap(ts=ts))) for ts in (10**18 - 1, 2**63 - 1, -(2**63))],
     ])
     def test_files_match_decoder_reference(self, tmp_path, lines):
         path = _write_lines(tmp_path / "t.jsonl", *lines)
