@@ -416,7 +416,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="write a synthetic trace (and histogram)")
     gen.add_argument("--profile", required=True,
-                     choices=["benign", "pht", "btb", "rsb", "stl"])
+                     choices=["benign", *(variant.value for variant in AttackVariant)])
     gen.add_argument("--n", type=int, default=1000)
     gen.add_argument("--amplification", type=int, default=None)
     gen.add_argument("--pages", type=int, default=0)

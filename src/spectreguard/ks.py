@@ -8,6 +8,7 @@ rejected, so the program is flagged as a suspect.
 
 One distance kernel serves one pair (``ks_two_sample``) and the fleet's batch
 (``screen_counts``).  The template is data (``data/attack_template.csv``).
+Histogram CSVs follow the trace line rule; read errors name file and line.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+
+from .trace import ParseError, _is_data_line
 
 HISTOGRAM_SCHEMA = "histogram-v1"
 HISTOGRAM_HEADER = ("branch_id", "mispredictions")
@@ -230,46 +233,47 @@ def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram) -> n
 def read_histogram_csv(path: str | Path) -> BranchHistogram:
     """Load a histogram CSV (header ``branch_id,mispredictions``).
 
-    ``#`` comment lines are skipped, except a ``# schema:`` header that
-    names a schema other than ``histogram-v1``.
+    Lines follow ``trace._is_data_line``, and the data lines go to one CSV
+    reader, so a quoted branch id may span lines.  Errors name the file and
+    the line a row starts on, except ``PATH: empty histogram file``.
     """
+    data_lines: list[int] = []  # the file line of each line the CSV reader takes
+
+    def data(handle: TextIO) -> Iterator[str]:
+        for line_number, line in enumerate(handle, start=1):
+            if _is_data_line(line_number, line, HISTOGRAM_SCHEMA):
+                data_lines.append(line_number)
+                yield line
+
     entries: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = []
-        for raw in handle:
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                key, colon, version = stripped[1:].partition(":")
-                if colon and key.strip() == "schema" and version.strip() != HISTOGRAM_SCHEMA:
-                    raise HistogramFormatError(
-                        f"unsupported histogram schema {version.strip()!r}"
-                    )
-                continue
-            rows.append(raw)
-        reader = csv.reader(rows)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        rows = csv.reader(data(handle))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HistogramFormatError(f"{path}: empty histogram file") from None
-        if tuple(header) != HISTOGRAM_HEADER:
-            raise HistogramFormatError(
-                f"{path}: expected header {','.join(HISTOGRAM_HEADER)!r}, got {header!r}"
-            )
-        for row in reader:
-            if len(row) != 2:
-                raise HistogramFormatError(f"{path}: malformed row {row!r}")
-            branch_id, raw_count = row
-            try:
-                count = int(raw_count)
-            except ValueError:
-                raise HistogramFormatError(
-                    f"{path}: misprediction count {raw_count!r} is not an integer"
-                ) from None
-            if branch_id in entries:
-                raise HistogramFormatError(f"{path}: duplicate branch id {branch_id!r}")
-            entries[branch_id] = count
+            header = next(rows, None)
+            if header is not None and tuple(header) != HISTOGRAM_HEADER:
+                expected = ",".join(HISTOGRAM_HEADER)
+                raise ParseError(data_lines[0], f"expected header {expected!r}, got {header!r}")
+            taken = rows.line_num
+            for row in rows:
+                line_number, taken = data_lines[taken], rows.line_num
+                if len(row) != 2:
+                    raise ParseError(line_number, f"malformed row {row!r}")
+                branch_id, raw_count = row
+                try:
+                    count = int(raw_count)
+                except ValueError:
+                    raise ParseError(
+                        line_number, f"misprediction count {raw_count!r} is not an integer"
+                    ) from None
+                if count < 1:
+                    raise ParseError(line_number, f"misprediction count {raw_count!r} is below 1")
+                if branch_id in entries:
+                    raise ParseError(line_number, f"duplicate branch id {branch_id!r}")
+                entries[branch_id] = count
+        except ParseError as exc:
+            raise HistogramFormatError(f"{path}: {exc}") from None
+    if not entries:
+        raise HistogramFormatError(f"{path}: empty histogram file")
     return BranchHistogram.from_entries(entries)
 
 

@@ -316,33 +316,22 @@ class IntervalFolder:
         window = (ts // self.interval_ns) * self.interval_ns
 
         completed: list[IntervalAverage] = []
-        state = self._open.get(worker)
-        if state is not None:
-            open_window, last_ts, samples = state
-            if ts < last_ts:
-                raise OutOfOrderTimestamp(
-                    f"worker {worker!r}: timestamp {ts} after {last_ts}"
-                )
-            if window > open_window:
-                if samples:
-                    completed.append(self._emit(worker, open_window, samples))
-                state = None
+        open_window, last_ts, samples = self._open.get(worker, (window, ts, []))
+        if ts < last_ts:
+            raise OutOfOrderTimestamp(
+                f"worker {worker!r}: timestamp {ts} after {last_ts}"
+            )
+        if window > open_window:
+            if samples:
+                completed.append(self._emit(worker, open_window, samples))
+            open_window, samples = window, []
 
+        # a dropped sample still moves the timestamp watermark
         if snapshot.itlb_accesses == 0:
             self.dropped_zero_itlb += 1
-            if state is None:
-                # keep the timestamp watermark even for dropped samples
-                self._open[worker] = (window, ts, [])
-            else:
-                self._open[worker] = (state[0], ts, state[2])
-            return completed
-
-        metrics = normalize(snapshot)
-        if state is None:
-            self._open[worker] = (window, ts, [metrics])
         else:
-            state[2].append(metrics)
-            self._open[worker] = (state[0], ts, state[2])
+            samples.append(normalize(snapshot))
+        self._open[worker] = (open_window, ts, samples)
         return completed
 
     def flush(self) -> list[IntervalAverage]:
@@ -527,6 +516,26 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_object)
 _COLUMN_TYPES = (int,) * len(_COLUMN_WIRE)
 
 
+def _is_data_line(line_number: int, line: str, schema: str) -> bool:
+    """Whether a trace or histogram CSV line is data: blank and ``#`` lines are
+    not.  Raises ParseError for a ``# schema:`` header naming a schema other
+    than ``schema``, or for an invalid UTF-8 byte b anywhere in the line (read
+    with ``surrogateescape`` as the lone surrogate U+DC00 + b)."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ParseError(line_number, f"invalid UTF-8 byte 0x{byte:02x}") from None
+    stripped = line.strip()
+    if stripped.startswith("#"):
+        key, colon, version = stripped[1:].partition(":")
+        if colon and key.strip() == "schema" and version.strip() != schema:
+            kind = schema.partition("-")[0]
+            raise ParseError(line_number, f"unsupported {kind} schema {version.strip()!r}")
+        return False
+    return bool(stripped)
+
+
 def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
     """Check one record's keys and types; returns its worker and column values."""
     try:
@@ -597,8 +606,7 @@ def _parse_tails(tails: list[str]) -> np.ndarray:
 def ingest_trace(path: str | Path) -> TraceBatch:
     """Read and validate a JSONL trace file into a batch, in file order.
 
-    Blank lines and ``#`` comment lines are skipped, except a ``# schema:``
-    header that names a schema other than ``trace-v1``.  Lines in exactly
+    ``_is_data_line`` skips blank and comment lines.  Lines in exactly
     ``emit_trace``'s row form (canonical key order, no whitespace, a
     printable-ASCII worker name without quotes or backslashes, integers of
     at most 18 digits) are matched by one regex each.  Every other line goes
@@ -620,7 +628,7 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     match_row = re.compile(_CANONICAL_ROW).fullmatch
     # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.  An
     # invalid UTF-8 byte b is read as the lone surrogate U+DC00 + b, which the
-    # canonical row regex never matches, so only the other lines check for one.
+    # canonical row regex never matches: only _is_data_line looks for one.
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
             match = match_row(line)
@@ -629,22 +637,9 @@ def ingest_trace(path: str | Path) -> TraceBatch:
                 tails.append(tail)
             else:
                 try:
-                    line.encode()
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    error = ParseError(line_number, f"invalid UTF-8 byte 0x{byte:02x}")
-                    break
-                stripped = line.strip()
-                if stripped.startswith("#"):
-                    key, colon, version = stripped[1:].partition(":")
-                    if colon and key.strip() == "schema" and version.strip() != TRACE_SCHEMA:
-                        error = ParseError(line_number, f"unsupported trace schema {version.strip()!r}")
-                        break
-                    continue
-                if not stripped:
-                    continue
-                try:
-                    name, values = _parse_line(line_number, stripped)
+                    if not _is_data_line(line_number, line, TRACE_SCHEMA):
+                        continue
+                    name, values = _parse_line(line_number, line.strip())
                 except ParseError as exc:
                     error = exc
                     break

@@ -126,6 +126,20 @@ class TestGenAndDetect:
         assert [r["worker_id"] for r in records] == ["btb", "pht"]
         assert all(r["k_effective"] == r["n"] == taken for r in records)
 
+    def test_bad_histogram_in_dir_names_its_file_and_line(self, tmp_path, capsys):
+        hist_dir = tmp_path / "hists"
+        hist_dir.mkdir()
+        run("gen", "--profile", "pht", "--n", "5", "--out", str(tmp_path / "x.jsonl"),
+            "--histogram-out", str(hist_dir / "a.csv"))
+        bad = hist_dir / "b.csv"
+        bad.write_bytes(b"# schema: histogram-v1\nbranch_id,mispredictions\nb\xff1,5\n")
+        capsys.readouterr()
+        verdicts = tmp_path / "v.jsonl"
+        assert run("detect", "--detector", "ks", "--histograms", str(hist_dir),
+                   "--out", str(verdicts)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: invalid UTF-8 byte 0xff\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hists", "x.jsonl"]
+
 
 class TestPinnedArtifacts:
     def test_detect_bytes(self, tmp_path):

@@ -16,6 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.parametrize("module,loaded", [
     ("spectreguard", []),
     ("spectreguard.channel", ["channel"]),
+    ("spectreguard.ks", ["ks", "trace"]),
     ("spectreguard.fleet", ["fleet", "ks", "profiles", "threshold", "trace"]),
     ("spectreguard.cli", ["cli", "ks", "profiles", "threshold", "trace"]),
 ])

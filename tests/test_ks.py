@@ -17,6 +17,7 @@ from spectreguard.ks import (
     EmptyHistogram,
     EmptySample,
     ExactModeTooLarge,
+    HISTOGRAM_SCHEMA,
     HistogramError,
     HistogramFormatError,
     classify_ks,
@@ -29,6 +30,10 @@ from spectreguard.ks import (
     write_histogram_csv,
 )
 from spectreguard.profiles import make_attack_histogram, make_benign_histogram
+from spectreguard.trace import TRACE_SCHEMA, ParseError, ingest_trace
+
+TRACE_RECORD = (b'{"worker_id":"w0","ts_ns":0,"itlb":1,"br_insn":0,"br_miss":0,"llc_ref":0,'
+                b'"llc_miss":0,"l1d_acc":0,"l1d_miss":0,"md_reset":0}')
 
 
 def write_file(hist, path):
@@ -257,8 +262,15 @@ class TestHistogramCsv:
     @pytest.mark.parametrize("text,message", [
         ("", "empty histogram file"),
         ("# schema: histogram-v1\n\n", "empty histogram file"),
-        ("branch_id,mispredictions\nb1,5\nb2\n", "malformed row ['b2']"),
-        ("branch_id,mispredictions\nb1,5,7\n", "malformed row ['b1', '5', '7']"),
+        ("branch_id,mispredictions\n", "empty histogram file"),
+        ("branch_id,mispredictions\nb1,5\nb2\n", "line 3: malformed row ['b2']"),
+        ("branch_id,mispredictions\nb1,5,7\n", "line 2: malformed row ['b1', '5', '7']"),
+        ("branch,count\nb1,5\n",
+         "line 1: expected header 'branch_id,mispredictions', got ['branch', 'count']"),
+        ("branch_id,mispredictions\nb1,0\n", "line 2: misprediction count '0' is below 1"),
+        ("# schema: histogram-v2\n", "line 1: unsupported histogram schema 'histogram-v2'"),
+        ('\nbranch_id,mispredictions\n"a\nb",5,7\n',
+         "line 3: malformed row ['a\\nb', '5', '7']"),
     ])
     def test_missing_header_or_field_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -270,14 +282,62 @@ class TestHistogramCsv:
     def test_duplicate_branch_id_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("branch_id,mispredictions\nb1,5\nb2,3\nb1,7\n")
-        with pytest.raises(HistogramFormatError, match="duplicate branch id 'b1'"):
+        with pytest.raises(HistogramFormatError, match="line 4: duplicate branch id 'b1'"):
             read_histogram_csv(path)
+
+    def test_ids_with_commas_quotes_and_line_breaks_round_trip(self, tmp_path):
+        hist = BranchHistogram.from_entries(
+            {"a,b": 7, 'say "hi"': 5, "two\nlines": 3, "\"\n,": 2, "plain": 1})
+        path = tmp_path / "hist.csv"
+        write_file(hist, path)
+        assert read_histogram_csv(path).entries == hist.entries
+
+    def test_multi_line_row_errors_name_the_line_the_row_starts_on(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('branch_id,mispredictions\n"x\ny",5\n"p\nq",0\n')
+        with pytest.raises(HistogramFormatError) as err:
+            read_histogram_csv(path)
+        assert str(err.value) == f"{path}: line 4: misprediction count '0' is below 1"
 
     def test_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("branch_id,mispredictions\nb1,5\nb2,2.5\n")
         with pytest.raises(HistogramFormatError, match="'2.5' is not an integer"):
             read_histogram_csv(path)
+
+    # Each case is line 2 of a trace and of a histogram CSV; line 4 of both holds
+    # byte 0xfe, so a skipped case line leaves that one as the first error.
+    @pytest.mark.parametrize("line,error", [
+        (b"", None),
+        (b"# note", None),
+        (b"#schema:SCHEMA", None),
+        (b"# schema", None),
+        (b"# schema: other-v9", "line 2: unsupported KIND schema 'other-v9'"),
+        (b"# caf\xff", "line 2: invalid UTF-8 byte 0xff"),
+        (TRACE_RECORD.replace(b'"w0"', b'"w\xff"'), "line 2: invalid UTF-8 byte 0xff"),
+    ], ids=["blank", "comment", "schema-unspaced", "schema-no-colon", "other-schema",
+            "0xff-comment", "0xff-data"])
+    def test_trace_and_histogram_readers_share_the_line_rule(self, tmp_path, line, error):
+        trace, hist = tmp_path / "t.jsonl", tmp_path / "h.csv"
+
+        def write(path, schema, first, third, *rest):
+            case = line.replace(b"SCHEMA", schema.encode())
+            path.write_bytes(b"".join(part + b"\n" for part in (first, case, third, *rest)))
+
+        write(trace, TRACE_SCHEMA, TRACE_RECORD, TRACE_RECORD, b"\xfe")
+        write(hist, HISTOGRAM_SCHEMA, b"branch_id,mispredictions", b"b1,5", b"\xfe")
+        expected = error or "line 4: invalid UTF-8 byte 0xfe"
+        with pytest.raises(ParseError) as trace_err:
+            ingest_trace(trace)
+        with pytest.raises(HistogramFormatError) as hist_err:
+            read_histogram_csv(hist)
+        assert str(trace_err.value) == expected.replace("KIND", "trace")
+        assert str(hist_err.value) == f"{hist}: " + expected.replace("KIND", "histogram")
+        if error is None:
+            write(trace, TRACE_SCHEMA, TRACE_RECORD, TRACE_RECORD)
+            write(hist, HISTOGRAM_SCHEMA, b"branch_id,mispredictions", b"b1,5")
+            assert ingest_trace(trace).line.tolist() == [1, 3]
+            assert read_histogram_csv(hist).entries == {"b1": 5}
 
     def test_packaged_template_loads(self):
         template = load_default_template()
