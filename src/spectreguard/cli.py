@@ -32,12 +32,14 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, get_args, get_type_hints
 
+import numpy as np
+
 from . import ks as ks_mod
 from . import threshold as threshold_mod
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile
 from .profiles import generate_attack, generate_benign
 from .trace import DEFAULT_INTERVAL_NS, emit_trace, fold_intervals, ingest_trace
-from .trace import _DuplicateKey, _unique_object
+from .trace import _DuplicateKey, _format_rows, _unique_object
 
 DEFAULT_SEED = 1729
 
@@ -162,28 +164,36 @@ _VERDICT_LINE = (
     '{"suspect": %s, "threshold": %s, "triggering_metric": %s, "value": %r, '
     '"window_start_ns": %d, "worker_id": %s}\n'
 )
+# The verdicts _verdict_lines_threshold formats with one % and yields as one string.
+_VERDICT_BLOCK = 1024
 
 
 def _verdict_lines_threshold(trace_path, cfg, interval_ns):
     folded = fold_intervals(ingest_trace(trace_path), interval_ns)
     suspect, stl, value = threshold_mod.classify_intervals(folded, cfg)
+    flags = np.array(["false", "true"], dtype=object)
     # (threshold, metric) text per rule, indexed by the STL-rule flag.  A
     # threshold is >= 0 and not NaN, so json writes it as repr or Infinity.
-    rules = [
+    rules = np.array([
         ("Infinity" if threshold == math.inf else repr(threshold), json.dumps(metric))
         for metric, threshold in (
             (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold),
             (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold),
         )
-    ]
-    quoted = [json.dumps(name) for name in folded.names]
-    # Window means of int64 counts are finite, so %r writes what json does.
-    columns = (folded.worker, folded.window, suspect, stl, value)
-    for w, k, flagged, by_stl, v in zip(*(column.tolist() for column in columns)):
-        # Python ints: k * interval_ns can leave the int64 range.
-        yield _VERDICT_LINE % (
-            "true" if flagged else "false", *rules[by_stl], v, k * interval_ns, quoted[w]
-        )
+    ], dtype=object)
+    quoted = np.array([json.dumps(name) for name in folded.names], dtype=object)
+    for start in range(0, len(folded), _VERDICT_BLOCK):
+        rows = slice(start, start + _VERDICT_BLOCK)
+        yield _format_rows(_VERDICT_LINE, (
+            flags[suspect[rows].astype(np.intp)],
+            rules[stl[rows].astype(np.intp)],
+            # Window means of int64 counts are finite, so %r of a Python
+            # float writes what json does.
+            value[rows].astype(object),
+            # Python ints: k * interval_ns can leave the int64 range.
+            folded.window[rows].astype(object) * interval_ns,
+            quoted[folded.worker[rows]],
+        ))
 
 
 def _verdict_lines_ks(histogram_paths, template, alpha, k):

@@ -248,6 +248,7 @@ def read_histogram_csv(path: str | Path) -> BranchHistogram:
     entries: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         rows = csv.reader(data(handle))
+        taken = 0  # the data lines the rows before the current one took
         try:
             header = next(rows, None)
             if header is not None and tuple(header) != HISTOGRAM_HEADER:
@@ -270,7 +271,9 @@ def read_histogram_csv(path: str | Path) -> BranchHistogram:
                 if branch_id in entries:
                     raise ParseError(line_number, f"duplicate branch id {branch_id!r}")
                 entries[branch_id] = count
-        except ParseError as exc:
+        except (ParseError, csv.Error) as exc:
+            if isinstance(exc, csv.Error):  # such as a field past csv's size limit
+                exc = ParseError(data_lines[taken], str(exc))
             raise HistogramFormatError(f"{path}: {exc}") from None
     if not entries:
         raise HistogramFormatError(f"{path}: empty histogram file")

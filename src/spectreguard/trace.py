@@ -14,11 +14,14 @@ Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes one to an open handle, and ``fold_intervals``
-folds one into an ``IntervalBatch`` of window means.  ``ingest_trace`` reads
-lines in exactly ``emit_trace``'s form by one regex match each; any other line
-goes through the JSON decoder (``_parse_line``), which stays the reference for
-what a line means and which error it raises, and its values are written back
-in that form.  All records' integers are then parsed in one bulk step.
+folds one into an ``IntervalBatch`` of window means.  The text paths work a
+block at a time.  ``ingest_trace`` reads the file in chunks of about
+``_READ_CHUNK`` characters and maps one regex over each chunk to take the
+lines in exactly ``emit_trace``'s form; any other line goes through the JSON
+decoder (``_parse_line``), which stays the reference for what a line means and
+which error it raises, and its values are written back in that form.  Each
+chunk's integers are parsed in one bulk step, and no regex match outlives its
+chunk.  ``emit_trace`` formats ``_EMIT_BLOCK`` rows with one ``%``.
 ``CounterSnapshot`` states the counter invariants and stays the per-record wire
 type: a batch iterates snapshots and an interval batch iterates
 ``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
@@ -35,6 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -586,33 +590,77 @@ _INT = "-?(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_ROW = (
     r'\{"worker_id":"([ !#-\[\]-~]*)"(' + _TAIL % ((_INT,) * len(_COLUMN_WIRE)) + r")\}\r?\n?"
 )
-# The bytes of the tail keys, once "l1d_" (the only digit in a key) is cut.
-_KEY_BYTES = bytes(set("".join(_COLUMN_WIRE).replace("l1d_", "").encode() + b'":'))
+# A tail read as numbers: "," and ":" become spaces and the other key bytes go,
+# so the "1" of "l1d_acc" and of "l1d_miss" is left as a number before the
+# value.  _TAIL_VALUES picks the nine values out of each row of eleven numbers.
+_TAIL_TABLE = bytes.maketrans(b",:", b"  ")
+_TAIL_DELETE = bytes(set("".join(_COLUMN_WIRE).encode() + b'"') - set(b"0123456789"))
+_TAIL_VALUES = [0, 1, 2, 3, 4, 5, 7, 9, 10]
+_TAIL_WIDTH = 11
+# The lines ingest_trace reads at once: readlines' hint, in characters.
+_READ_CHUNK = 1 << 18
+_NAME, _ROW_TAIL = itemgetter(1), itemgetter(2)
 
 
 def _parse_tails(tails: list[str]) -> np.ndarray:
     """The (n, 9) counts of canonical row tails, in one bulk parse.
 
-    A tail holds only ``,"key":`` prefixes and integers, so cutting "l1d_"
-    and deleting the other key bytes leaves ``,v,v,...``.  Every integer is
-    in int64 range, where np.fromstring is exact (outside it, it would
-    saturate): the regex allows at most 18 digits, and ``_parse_line``
-    rejects a decoded value outside int64.
+    A tail holds only ``,"key":`` prefixes and integers, so one translate
+    leaves numbers between spaces: the values, and the "1" of each "l1d_"
+    key, which the column selection drops.  Every integer is in int64 range,
+    where np.fromstring is exact (outside it, it would saturate): the regex
+    allows at most 18 digits, and ``_parse_line`` rejects a decoded value
+    outside int64.
     """
-    text = "".join(tails).encode("ascii").replace(b"l1d_", b"").translate(None, _KEY_BYTES)
-    return np.fromstring(text[1:], dtype=np.int64, sep=",").reshape(-1, len(_COLUMN_WIRE))
+    text = "".join(tails).encode("ascii").translate(_TAIL_TABLE, _TAIL_DELETE)
+    numbers = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, _TAIL_WIDTH)
+    return numbers[:, _TAIL_VALUES]
+
+
+def _read_chunk(chunk: list[str], first: int):
+    """The worker names, canonical tails and line numbers of the records in
+    one chunk of lines, whose first line is line ``first``, and the
+    ParseError that ends the read in this chunk, or None.
+
+    One map of the row regex takes the canonical rows; only the lines it
+    rejects go through ``_is_data_line`` and the decoder, in file order, up
+    to the first bad one.  The matches die with this call.
+    """
+    rows = list(map(re.compile(_CANONICAL_ROW).fullmatch, chunk))
+    data = np.ones(len(rows), dtype=bool)
+    error = None
+    if None in rows:
+        for i, row in enumerate(rows):
+            if row is not None:
+                continue
+            try:
+                if not _is_data_line(first + i, chunk[i], TRACE_SCHEMA):
+                    data[i] = False
+                    continue
+                name, values = _parse_line(first + i, chunk[i].strip())
+            except ParseError as exc:
+                error = exc
+                del rows[i:]
+                data = data[:i]
+                break
+            rows[i] = (None, name, _TAIL % values)  # indexed as a match is
+        rows = list(filter(None, rows))
+    return list(map(_NAME, rows)), list(map(_ROW_TAIL, rows)), first + np.flatnonzero(data), error
 
 
 def ingest_trace(path: str | Path) -> TraceBatch:
     """Read and validate a JSONL trace file into a batch, in file order.
 
-    ``_is_data_line`` skips blank and comment lines.  Lines in exactly
-    ``emit_trace``'s row form (canonical key order, no whitespace, a
+    ``_is_data_line`` skips blank and comment lines.  The file is read in
+    chunks of about ``_READ_CHUNK`` characters (``_read_chunk``).  Lines in
+    exactly ``emit_trace``'s row form (canonical key order, no whitespace, a
     printable-ASCII worker name without quotes or backslashes, integers of
-    at most 18 digits) are matched by one regex each.  Every other line goes
-    through the JSON decoder, and its values are written back as a canonical
-    tail, so one bulk parse reads the integers of every record: a line either
-    path reads gives the same record, and a bad line gives the same error.
+    at most 18 digits) are taken by one map of a regex over the chunk.
+    Every other line goes through the JSON decoder, and its values are
+    written back as a canonical tail, so one bulk parse per chunk reads the
+    integers of every record: a line either path reads gives the same
+    record, and a bad line gives the same error.  No regex match outlives
+    its chunk (a match keeps its whole line alive).
 
     Raises ParseError (invalid UTF-8, another schema, bad JSON, duplicate,
     unknown or missing keys, wrong types, integers outside int64) with the
@@ -622,37 +670,29 @@ def ingest_trace(path: str | Path) -> TraceBatch:
     """
     codes: dict[str, int] = {}
     worker: list[int] = []
-    lines: list[int] = []
-    tails: list[str] = []
+    counts = [np.empty((0, len(_COLUMN_WIRE)), dtype=np.int64)]
+    lines = [np.empty(0, dtype=np.int64)]
     error = None
-    match_row = re.compile(_CANONICAL_ROW).fullmatch
+    first = 1
     # Lines end at "\n" only: JSON allows a bare "\r" as whitespace.  An
     # invalid UTF-8 byte b is read as the lone surrogate U+DC00 + b, which the
     # canonical row regex never matches: only _is_data_line looks for one.
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            match = match_row(line)
-            if match is not None:
-                name, tail = match.groups()
-                tails.append(tail)
-            else:
-                try:
-                    if not _is_data_line(line_number, line, TRACE_SCHEMA):
-                        continue
-                    name, values = _parse_line(line_number, line.strip())
-                except ParseError as exc:
-                    error = exc
-                    break
-                tails.append(_TAIL % values)
-            worker.append(codes.setdefault(name, len(codes)))
-            lines.append(line_number)
+        while error is None and (chunk := handle.readlines(_READ_CHUNK)):
+            names, tails, line, error = _read_chunk(chunk, first)
+            for name in dict.fromkeys(names):
+                codes.setdefault(name, len(codes))
+            worker.extend(map(codes.__getitem__, names))
+            counts.append(_parse_tails(tails))
+            lines.append(line)
+            first += len(chunk)
     # The invariants of the lines before a parse error are checked first,
     # so the first bad line in file order is the one reported.
     batch = TraceBatch(
         tuple(codes),
         np.array(worker, dtype=np.intp),
-        _parse_tails(tails),
-        np.array(lines, dtype=np.int64),
+        np.concatenate(counts),
+        np.concatenate(lines),
     )
     if error is not None:
         raise error
@@ -660,6 +700,16 @@ def ingest_trace(path: str | Path) -> TraceBatch:
 
 
 _ROW_FORMAT = '{"worker_id":%s' + _TAIL + "}\n"
+# The rows emit_trace formats with one % and writes as one string.
+_EMIT_BLOCK = 1024
+
+
+def _format_rows(row_format: str, columns: tuple[np.ndarray, ...]) -> str:
+    """``row_format`` filled from each row of the side-by-side object columns,
+    with one ``%``: the values are Python objects, so ``%s``, ``%r`` and
+    ``%d`` write them as they write any Python int, float or str."""
+    table = np.column_stack(columns)
+    return (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
 def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
@@ -668,12 +718,15 @@ def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
 
     ``ingest_trace`` reads the written file back exactly.  Each line is the
     JSON object of one record's wire keys in canonical order, written as
-    ``json.dumps`` writes it with ``separators=(",", ":")``.
+    ``json.dumps`` writes it with ``separators=(",", ":")``.  A block of
+    ``_EMIT_BLOCK`` rows (the quoted worker name, then the counts as Python
+    ints) is formatted by one ``%``.
     """
-    quoted = [json.dumps(name) for name in batch.names]
+    quoted = np.array([json.dumps(name) for name in batch.names], dtype=object)
     handle.write(f"# schema: {TRACE_SCHEMA}\n")
-    handle.writelines(
-        _ROW_FORMAT % (quoted[w], *row)
-        for w, row in zip(batch.worker.tolist(), batch.counts.tolist())
-    )
+    for start in range(0, len(batch), _EMIT_BLOCK):
+        rows = slice(start, start + _EMIT_BLOCK)
+        handle.write(_format_rows(
+            _ROW_FORMAT, (quoted[batch.worker[rows]], batch.counts[rows].astype(object))
+        ))
     return len(batch)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -220,6 +221,32 @@ class TestDetectLines:
         assert '"threshold": Infinity, "triggering_metric": "branch_per_itlb", ' \
                '"value": 0.15000000000000002' in text
         assert '"threshold": 0.30000000000000004, "triggering_metric": "md_reset_per_itlb"' in text
+
+    def test_verdict_blocks(self, tmp_path):
+        # Windows of one interval_ns just under 2**63, all closed in file order.
+        # Worker "neg"'s window -2 starts below -(2**63) and closes after every
+        # w* window 0, so it is verdict n, in the second block.
+        interval = 2**63 - 1
+        n = cli._VERDICT_BLOCK + 5
+        names = [f'w{i}"' for i in range(n)]
+        # Each rule flags some of the w* windows 0 and not others.
+        text = "".join(trace_line(name, 0, 3, 3 * (4_090 + i % 13), 15_000 if i % 5 else 7)
+                       for i, name in enumerate(names))
+        text += trace_line("neg", -(2**63), 3, 10, 7)
+        text += "".join(trace_line(name, interval, 5, 9, 7) for name in names)
+        text += trace_line("neg", 0, 3, 10, 7)
+        trace = tmp_path / "blocks.jsonl"
+        trace.write_text(text, encoding="utf-8")
+        out = tmp_path / "v.jsonl"
+        extra = ["--interval-ns", str(interval)]
+        assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines == per_window_lines(trace, extra)
+        assert len(lines) - 1 == 2 * n + 2 > 2 * cli._VERDICT_BLOCK
+        assert json.loads(lines[1 + n])["window_start_ns"] == -2 * interval < -(2**63)
+        verdicts = [json.loads(line) for line in lines[1:n + 1]]
+        assert {(v["suspect"], v["triggering_metric"]) for v in verdicts} == {
+            (False, "branch_per_itlb"), (True, "branch_per_itlb"), (True, "md_reset_per_itlb")}
 
 
 class TestSweep:
@@ -522,6 +549,19 @@ class TestKsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "alpha must be in (0, 1)" in captured.err
+
+
+    def test_field_past_the_csv_size_limit_names_file_and_line(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("# schema: histogram-v1\nbranch_id,mispredictions\nb1,5\n"
+                       + "x" * 200_000 + ",7\n")
+        out = tmp_path / "ks.json"
+        assert run("ks", str(big), str(big), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {big}: line 4: field larger than field limit "
+                                f"({csv.field_size_limit()})\n")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 class TestErrors:

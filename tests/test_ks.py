@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from fractions import Fraction
@@ -298,6 +299,22 @@ class TestHistogramCsv:
         with pytest.raises(HistogramFormatError) as err:
             read_histogram_csv(path)
         assert str(err.value) == f"{path}: line 4: misprediction count '0' is below 1"
+
+    # Each text holds one field longer than csv's field size limit; the error
+    # names the line its row starts on.
+    @pytest.mark.parametrize("text,line", [
+        ("branch_id,mispredictions\nb1,5\n" + "x" * 200_000 + ",7\n", 3),
+        ("# schema: histogram-v1\n\nbranch_id,mispredictions\nb1," + "7" * 200_000 + "\n", 4),
+        ('branch_id,mispredictions\nb1,5\n"y\n' + "x" * 200_000 + '",7\n', 3),
+        ("x" * 200_000 + ",mispredictions\nb1,5\n", 1),
+    ], ids=["branch-id", "count", "quoted-two-lines", "header"])
+    def test_field_past_the_csv_size_limit_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        with pytest.raises(HistogramFormatError) as err:
+            read_histogram_csv(path)
+        limit = csv.field_size_limit()
+        assert str(err.value) == f"{path}: line {line}: field larger than field limit ({limit})"
 
     def test_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

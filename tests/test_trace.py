@@ -460,6 +460,17 @@ class TestTraceIO:
                 json.dumps(to_wire(s), separators=(",", ":")) for s in batch
             ]
 
+    def test_emit_blocks_match_json_dumps_line_by_line(self):
+        n = 2 * trace._EMIT_BLOCK + 5
+        counts = generate_benign(BenignProfile.default(), n, seed=13).counts
+        names = ('b\u00e9-"0"', "plain", "tab\tname")
+        batch = TraceBatch(names, np.arange(n, dtype=np.intp) % 3, counts)
+        out = io.StringIO()
+        assert emit_trace(batch, out) == n > 2 * trace._EMIT_BLOCK
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "# schema: trace-v1"
+        assert lines[1:] == [json.dumps(to_wire(s), separators=(",", ":")) for s in batch]
+
 
 def _write_lines(path, *lines):
     # A lone surrogate U+DC80..U+DCFF is written as the invalid UTF-8 byte it escapes.
@@ -579,16 +590,16 @@ class TestIngestRobustness:
 
 
 def _reference_ingest(path):
-    """ingest_trace with every record through the JSON decoder (_parse_line)."""
+    """ingest_trace one line at a time, with every record through the JSON
+    decoder (_parse_line) and every line through the line rule."""
     codes, worker, rows, lines = {}, [], [], []
     error = None
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
             try:
-                name, values = trace._parse_line(line_number, stripped)
+                if not trace._is_data_line(line_number, line, trace.TRACE_SCHEMA):
+                    continue
+                name, values = trace._parse_line(line_number, line.strip())
             except ParseError as exc:
                 error = exc
                 break
@@ -638,7 +649,13 @@ def _with_value(record, key, text):
 
 BAD_LINES = ["{not json", "[]", "null", '"w0"', "{}", "{",
              # a raw tab in a name is invalid JSON
-             _canonical(to_wire(snap(worker="a\tb"))).replace("\\t", "\t")]
+             _canonical(to_wire(snap(worker="a\tb"))).replace("\\t", "\t"),
+             # the byte 0xff in a canonical row's name, which is not UTF-8
+             _canonical(to_wire(snap())).replace('"w0"', '"w\udcff"')]
+# Comment lines the line rule reads: schema headers, right and wrong, and a
+# byte that is not UTF-8.
+COMMENT_LINES = ["# schema: trace-v1", "  # note", "#", "# a\rb", "#schema:trace-v1",
+                 "# schema", "# schema: trace-v9", "# schema:", "# caf\udcff"]
 
 
 @st.composite
@@ -652,7 +669,7 @@ def trace_lines(draw):
     if kind == "blank":
         return draw(st.sampled_from(["", "   ", "\t", "\r"]))
     if kind == "comment":
-        return draw(st.sampled_from(["# schema: trace-v1", "  # note", "#", "# a\rb"]))
+        return draw(st.sampled_from(COMMENT_LINES))
     if kind == "bad":
         return draw(st.sampled_from(BAD_LINES))
     name = draw(st.sampled_from(FAST_NAMES + SLOW_NAMES))
@@ -679,6 +696,63 @@ def trace_lines(draw):
         return _canonical(record)[:-1] + f',"{key}":{json.dumps(record[key])}}}'
     return _with_value(record, draw(st.sampled_from(WIRE[1:])), draw(st.sampled_from(TOKENS)))
 
+
+def _read_chunks(path):
+    """The read chunk (from 0) of each line of a file, as ingest_trace reads it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
+        sizes = [len(chunk) for chunk in iter(lambda: handle.readlines(trace._READ_CHUNK), [])]
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+class TestReadChunks:
+    """ingest_trace across read chunks reads as the decoder alone does."""
+
+    def _file(self, tmp_path, special):
+        """A trace of canonical rows that spans more than two read chunks, with
+        ``special[(c, k)]`` as the k-th line after the middle of chunk c;
+        returns the path and the line number of each special line."""
+        rows = [_canonical(to_wire(snap(worker=f"w{i % 5}", ts=i))) for i in range(9000)]
+        path = _write_lines(tmp_path / "t.jsonl", *rows)
+        chunk = _read_chunks(path)
+        where = {key: int(np.median(np.flatnonzero(chunk == key[0]))) + key[1]
+                 for key in special}
+        for key, i in where.items():
+            rows[i] = special[key]
+        _write_lines(path, *rows)
+        chunk = _read_chunks(path)
+        assert chunk[-1] >= 2
+        assert all(chunk[i] == c for (c, _k), i in where.items())
+        return path, {key: i + 1 for key, i in where.items()}
+
+    def test_decoder_lines_comments_and_crlf_in_a_later_chunk(self, tmp_path):
+        path, _lines = self._file(tmp_path, {
+            (1, 0): json.dumps(to_wire(snap(worker="w2", ts=10**6))),
+            (1, 1): "# a comment",
+            (1, 2): _canonical(to_wire(snap(worker="w1", ts=10**6))) + "\r",
+            (2, 0): "",
+            (2, 1): _canonical(to_wire(snap(worker='q"uote', ts=5))),
+        })
+        expected = _outcome(_reference_ingest, path)
+        assert _outcome(ingest_trace, path) == expected
+        assert len(expected[2]) == 9000 - 2
+
+    def test_invariant_violation_before_a_parse_error_in_a_later_chunk(self, tmp_path):
+        path, lines = self._file(tmp_path, {
+            (1, 0): json.dumps(to_wire(snap(worker="w2", ts=10**6))),
+            (1, 1): _wire_line(itlb=-1),
+            (2, 0): "{not json",
+        })
+        with pytest.raises(InvariantViolation) as err:
+            ingest_trace(path)
+        assert (err.value.field_name, err.value.line_number) == ("itlb_accesses", lines[1, 1])
+        assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
+
+    def test_parse_error_in_a_later_chunk(self, tmp_path):
+        path, lines = self._file(tmp_path, {(1, 0): "  # note", (2, 0): "{not json"})
+        with pytest.raises(ParseError) as err:
+            ingest_trace(path)
+        assert err.value.line_number == lines[2, 0]
+        assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
 
 class TestLineEnds:
     """A line ends at "\n" alone: a bare "\r" is JSON whitespace."""
@@ -727,7 +801,7 @@ class TestIngestPaths:
     def test_matches_decoder_reference(self, tmp_path_factory, lines, eol, final_eol):
         path = tmp_path_factory.mktemp("ingest") / "t.jsonl"
         text = eol.join(lines) + (eol if final_eol and lines else "")
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert _outcome(ingest_trace, path) == _outcome(_reference_ingest, path)
 
     @pytest.mark.parametrize("line", [
@@ -736,6 +810,7 @@ class TestIngestPaths:
         *(_canonical(to_wire(snap(worker=name)), ensure_ascii=ascii)
           for name in FAST_NAMES + SLOW_NAMES for ascii in (True, False)),
         *BAD_LINES,
+        *COMMENT_LINES,
     ])
     def test_lines_match_decoder_reference(self, tmp_path, line):
         path = _write_lines(tmp_path / "t.jsonl", _canonical(to_wire(snap())), line)
