@@ -14,8 +14,8 @@ report: a JSON object whose ``schema`` is ``fleet-report-v3`` and whose
 config's keys are the fields of ``fleet.FleetConfig`` and its sections,
 read from the dataclasses, with three aliases (``_CONFIG_ALIASES``).
 
-Exit codes: 0 success, 1 input/usage error (any ``ValueError`` or ``OSError``),
-2 internal invariant violation.
+Exit codes: 0 success, 1 input/usage error (any ``ValueError`` or ``OSError``).
+Any other exception ends with a traceback and status 1.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, get_args, get_type_hints
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -55,7 +55,6 @@ _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_INTERNAL = 2
 
 
 class InputError(ValueError):
@@ -196,21 +195,17 @@ def _verdict_lines_threshold(trace_path, cfg, interval_ns):
         ))
 
 
+def _ks_line(verdict, **extra) -> str:
+    """A KS verdict and ``extra`` keys as one sorted JSON line."""
+    result = verdict.ks
+    return _SORTED_JSON({"suspect": verdict.suspect, "d": result.statistic, "p": result.p_value,
+                         "n": result.n, "m": result.m, **extra}) + "\n"
+
+
 def _verdict_lines_ks(histogram_paths, template, alpha, k):
     for path in histogram_paths:
-        hist = ks_mod.read_histogram_csv(path)
-        verdict = ks_mod.classify_ks(hist, template, alpha=alpha, k=k)
-        yield _SORTED_JSON(
-            {
-                "worker_id": Path(path).stem,
-                "suspect": verdict.suspect,
-                "d": verdict.ks.statistic,
-                "p": verdict.ks.p_value,
-                "n": verdict.ks.n,
-                "m": verdict.ks.m,
-                "k_effective": verdict.ks.n,
-            }
-        ) + "\n"
+        verdict = ks_mod.classify_ks(ks_mod.read_histogram_csv(path), template, alpha=alpha, k=k)
+        yield _ks_line(verdict, worker_id=Path(path).stem, k_effective=verdict.ks.n)
 
 
 def _cmd_detect(args) -> int:
@@ -285,7 +280,7 @@ def _cmd_channel(args) -> int:
         return EXIT_OK
 
     amplifications = _positive_ints("--amplifications", args.amplifications, MAX_AMPLIFICATION)
-    requests = _positive_ints("--requests", args.requests)
+    requests = _positive_ints("--requests", args.requests, channel_mod.MAX_REQUESTS)
     grid = channel_mod.success_rate_curve(amplifications, requests, channel_mod.js_worker_params())
     rows = (
         f"{a},{n},{_float(grid[i, j])}"
@@ -303,25 +298,13 @@ _CONFIG_ALIASES = {"rng_seed": "seed", "branch_per_itlb_threshold": "branch_per_
                    "stl_reset_threshold": "stl_reset"}
 
 
-def _config_value(key: str, value, hint, minimum):
-    """A JSON integer (int field) or number (float field) >= minimum; never a bool or NaN."""
-    if hint is float:
-        kinds, kind = (int, float), "a number"
-    elif hint is int or (int in get_args(hint) and value is not None):
-        kinds, kind = (int,), "an integer"
-    else:  # the detector kind, the attack variant, an unset amplification
-        return value  # their dataclasses check them
-    if type(value) not in kinds or (minimum is not None and not value >= minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise InputError(f"fleet config {key!r} must be {kind}{bound}, got {value!r}")
-    return float(value) if hint is float else value
-
-
 def _config_object(cls, section: dict, name: str | None):
     """``cls`` from a config section, popping the keys it reads.
 
     The fleet's dataclass fields are sections of their own, and deeper ones
-    read their parent's.  A named section may have no key left over.
+    read their parent's.  Each value goes through the field's own rule
+    (``threshold.field_value``), which the error names by its key.  A named
+    section may have no key left over.
     """
     hints = get_type_hints(cls)
     values = {}
@@ -335,8 +318,10 @@ def _config_object(cls, section: dict, name: str | None):
         elif dataclasses.is_dataclass(hint):
             values[f.name] = _config_object(hint, section, None)
         elif key in section:
-            minimum = f.metadata.get("minimum")
-            values[f.name] = _config_value(key, section.pop(key), hint, minimum)
+            try:
+                values[f.name] = threshold_mod.field_value(f, hint, section.pop(key), key)
+            except ValueError as exc:
+                raise InputError(f"fleet config {exc}") from None
     if name is not None and section:
         raise InputError(f"unknown {name} config keys: {sorted(section)}")
     return cls(**values)
@@ -398,21 +383,10 @@ def _cmd_fleet(args) -> int:
 # --- ks -------------------------------------------------------------------
 
 def _cmd_ks(args) -> int:
-    left = ks_mod.read_histogram_csv(args.subject)
-    right = ks_mod.read_histogram_csv(args.reference)
-    subject = ks_mod.top_branches(left, args.top_k)
-    reference = ks_mod.top_branches(right, args.top_k)
-    mode = "exact" if args.exact else "asymptotic"
-    result = ks_mod.ks_two_sample(subject, reference, mode=mode)
-    payload = {
-        "d": result.statistic,
-        "p": result.p_value,
-        "n": result.n,
-        "m": result.m,
-        "suspect": result.p_value >= args.alpha,
-        "alpha": args.alpha,
-    }
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    subject, reference = map(ks_mod.read_histogram_csv, (args.subject, args.reference))
+    verdict = ks_mod.classify_ks(subject, reference, alpha=args.alpha, k=args.top_k,
+                                 mode="exact" if args.exact else "asymptotic")
+    text = _ks_line(verdict, alpha=args.alpha)
     if args.out:
         _atomic_write(args.out, [text])
     else:
@@ -503,9 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import numpy as np
 from . import ks as _ks
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile, _fleet_counts
 from .profiles import draw_attack_counts, draw_benign_counts
-from .threshold import ThresholdConfig, at_least, check_minimums, classify_intervals
+from .threshold import ThresholdConfig, at_least, check_fields, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
 DEGRADED_MODE = "degraded to strict process isolation"
@@ -56,7 +56,7 @@ class AttackWorkload:
             names = [v.value for v in AttackVariant]
             raise ValueError(f"'variant' must be one of {names}, got {self.variant!r}")
         object.__setattr__(self, "variant", AttackVariant(self.variant))
-        check_minimums(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,7 @@ class DetectorSpec:
     def __post_init__(self):
         if self.kind not in ("threshold", "ks"):
             raise ValueError(f"detector 'kind' must be 'threshold' or 'ks', got {self.kind!r}")
+        check_fields(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"detector 'alpha' must be in (0, 1), got {self.alpha!r}")
 
@@ -123,7 +124,7 @@ class FleetConfig:
     cost_model: ClassVar[CostModel] = CostModel()
 
     def __post_init__(self):
-        check_minimums(self)
+        check_fields(self)
         if self.n_benign + self.n_attack == 0:
             raise ValueError("fleet must have at least one worker")
         if self.baseline_rps == math.inf:

@@ -190,17 +190,16 @@ def classify_ks(
     template: BranchHistogram,
     alpha: float = DEFAULT_ALPHA,
     k: int = DEFAULT_TOP_K,
+    mode: str = "asymptotic",
 ) -> KsVerdict:
-    """Compare a histogram's top branches against a recorded attack template.
+    """Compare a histogram's top k branches against a recorded attack template.
 
     Suspect iff p >= alpha: the sample is indistinguishable from the template
-    at the (1 - alpha) confidence level.
+    at the (1 - alpha) confidence level.  ``mode`` is ``ks_two_sample``'s.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    subject = top_branches(hist, k)
-    reference = top_branches(template, k)
-    result = ks_two_sample(subject, reference)
+    result = ks_two_sample(top_branches(hist, k), top_branches(template, k), mode=mode)
     return KsVerdict(suspect=result.p_value >= alpha, ks=result)
 
 

@@ -3,9 +3,12 @@
 Two generator families live here:
 
 * ``BenignProfile`` draws branch/iTLB metrics from a truncated two-component
-  log-normal mixture, calibrated so the survival curve reproduces the
-  production false-positive measurements: 21.41% of interval averages at or
-  above 1024, 0.61% at 4096, 0.26% at 8192, and none at 65536.
+  log-normal mixture, calibrated per execution so the survival curve
+  reproduces the production false-positive measurements: 21.41% of executions
+  at or above 1024, 0.61% at 4096, 0.26% at 8192, and none at 65536.  Those
+  are window rates only when a window holds one execution; a window of e
+  executions averages them, and at e = 4 seeded fleets flag 0.33% of benign
+  windows at 4096.
 * ``AttackProfile`` models the branch/iTLB metric of a tuned single-branch
   attack as an affine function of the amplification factor, anchored at the
   measured reduced-amplification points (604.71 at factor 1, 3492.41 at

@@ -16,9 +16,10 @@ termination, which is why a sub-percent false-positive rate is acceptable.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import Field, dataclass, field, fields
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -50,18 +51,41 @@ class UnreachableTarget(Exception):
 
 
 def at_least(minimum: float, default, maximum: float = math.inf):
-    """A dataclass field that ``check_minimums`` keeps in [minimum, maximum]."""
+    """A dataclass field that ``field_value`` keeps in [minimum, maximum]."""
     return field(default=default, metadata={"minimum": minimum, "maximum": maximum})
 
 
-def check_minimums(config) -> None:
-    """Raise ValueError naming a field outside its bounds (NaN always is, None never)."""
+def field_value(f: Field, hint, value, name: str | None = None):
+    """``value`` as the settings field ``f``, annotated ``hint``, holds it.
+
+    An int field takes an int, never a bool (``int | None`` also None); a float
+    field an int or a float, held as a float; both within ``at_least``'s bounds,
+    which NaN never is.  Other fields are their class's to check.  A ValueError
+    names the field, or ``name``."""
+    if hint is float:
+        kinds, kind = (int, float), "a number"
+    elif hint is int or (int in get_args(hint) and value is not None):
+        kinds, kind = int, "an integer"
+    else:
+        return value
+    name, minimum = repr(name or f.name), f.metadata.get("minimum")
+    if (not isinstance(value, kinds) or isinstance(value, bool)
+            or minimum is not None and not value >= minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+    if value > f.metadata.get("maximum", math.inf):
+        raise ValueError(f"{name} must be <= {f.metadata['maximum']}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+_hints = functools.cache(get_type_hints)  # a settings class's annotations, resolved once
+
+
+def check_fields(config) -> None:
+    """Put every field of a settings dataclass through ``field_value``."""
+    hints = _hints(type(config))
     for f in fields(config):
-        value, minimum = getattr(config, f.name), f.metadata.get("minimum")
-        if minimum is not None and value is not None and not value >= minimum:
-            raise ValueError(f"{f.name!r} must be >= {minimum} and not NaN, got {value!r}")
-        if minimum is not None and value is not None and value > f.metadata["maximum"]:
-            raise ValueError(f"{f.name!r} must be <= {f.metadata['maximum']}, got {value!r}")
+        object.__setattr__(config, f.name, field_value(f, hints[f.name], getattr(config, f.name)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +95,7 @@ class ThresholdConfig:
     stl_reset_threshold: float = at_least(0, default=STL_THRESHOLD_DEFAULT)
 
     def __post_init__(self):
-        check_minimums(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

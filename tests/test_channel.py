@@ -133,6 +133,28 @@ class TestSimulateBit:
         zeros, ones = sample_bit_set(1000, js_worker_params(), 2_000, seed=9)
         assert zeros.mean() > ones.mean()
 
+    @pytest.mark.parametrize("bit,amplification,message", [
+        (0, 0, "amplification must be >= 1"),
+        (1, -5, "amplification must be >= 1"),
+        (2, 10, "bit must be 0 or 1"),
+        (-1, 10, "bit must be 0 or 1"),
+    ])
+    def test_bad_bit_or_amplification_rejected(self, bit, amplification, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_bit_batch(bit, amplification, js_worker_params(), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(miss_cycles=50.0), "need miss_cycles > hit_cycles > 0"),
+        (dict(hit_cycles=0.0), "need miss_cycles > hit_cycles > 0"),
+        (dict(per_iteration_overhead=-1.0), "noise and overhead parameters must be >= 0"),
+        (dict(network_noise_sd=-1.0), "noise and overhead parameters must be >= 0"),
+        (dict(timer_jitter_rel=-0.1), "timer parameters must be >= 0"),
+        (dict(timer_resolution_ns=-1.0), "timer parameters must be >= 0"),
+    ])
+    def test_bad_channel_params_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(js_worker_params(), **changes)
+
 
 class TestBoxTest:
     def test_disjoint_point_masses(self):
@@ -148,6 +170,11 @@ class TestBoxTest:
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSamples):
             box_test([5.0] * 10, [5.0] * 10)
+
+    @pytest.mark.parametrize("zeros,ones", [([], [1.0, 2.0]), ([1.0, 2.0], []), ([], [])])
+    def test_empty_sample_set_rejected(self, zeros, ones):
+        with pytest.raises(ValueError, match="both sample sets must be non-empty"):
+            box_test(zeros, ones)
 
     def test_calibrated_channel_decision_quality(self):
         # amplification 1000 with 250 request pairs recovers bits >= 99% of
@@ -422,6 +449,11 @@ class TestFailureSideWindow:
         with pytest.raises(ValueError, match="request count"):
             majority_success(n, 0.4)
 
+    @pytest.mark.parametrize("accuracy", [-0.1, 1.5, math.nan])
+    def test_accuracy_outside_unit_interval_rejected(self, accuracy):
+        with pytest.raises(ValueError, match=r"accuracy must be in \[0, 1\]"):
+            majority_success(5, accuracy)
+
     def test_request_count_at_cap_accepted(self):
         # the window's low end lies about 118 sd above n / 2: no failure side
         assert majority_success(MAX_REQUESTS, 0.5025) == 1.0
@@ -494,6 +526,11 @@ class TestRequiredRequests:
         n = required_requests(10, noise_free(), target_success=0.99, rng_seed=0)
         assert n == 1
 
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_target_outside_unit_interval_rejected(self, target):
+        with pytest.raises(ValueError, match=r"target_success must be in \(0, 1\)"):
+            required_requests(100, js_worker_params(), target_success=target)
+
     def test_unreachable_with_cap(self):
         params = js_worker_params()
         with pytest.raises(Unreachable):
@@ -564,6 +601,16 @@ class TestLeakage:
 
     def test_unit_amplification_anchor(self):
         assert UNIT_AMPLIFICATION_REQUESTS == 250_000
+
+    @pytest.mark.parametrize("amplification,requests,runtime,message", [
+        (0, 100, None, "amplification and requests_per_bit must be >= 1"),
+        (10, 0, None, "amplification and requests_per_bit must be >= 1"),
+        (10, 100, 0.0, "runtime must be positive"),
+        (10, 100, -1.0, "runtime must be positive"),
+    ])
+    def test_bad_inputs_rejected(self, amplification, requests, runtime, message):
+        with pytest.raises(ValueError, match=message):
+            leakage_rate(amplification, requests, runtime)
 
 
 class TestSuccessCurve:

@@ -540,6 +540,24 @@ class TestKsCommand:
         assert payload["p"] == 1.0
         assert payload["suspect"] is True
 
+    @pytest.mark.parametrize("flags", [[], ["--exact", "--top-k", "5"], ["--alpha", "0.99"]])
+    def test_verdict_is_classify_ks(self, tmp_path, capsys, monkeypatch, flags):
+        # the pair is decided by classify_ks alone, in the mode the flag asks for
+        subject, reference = tmp_path / "s.csv", tmp_path / "r.csv"
+        for seed, hist in ((3, subject), (4, reference)):
+            run("gen", "--profile", "pht", "--n", "5", "--seed", str(seed),
+                "--out", str(tmp_path / "t.jsonl"), "--histogram-out", str(hist))
+        calls = []
+        decide = ks.classify_ks
+        monkeypatch.setattr(ks, "classify_ks", lambda *a, **kw: calls.append(kw) or decide(*a, **kw))
+        assert run("ks", str(subject), str(reference), *flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (kwargs,) = calls
+        assert kwargs["mode"] == ("exact" if "--exact" in flags else "asymptotic")
+        verdict = decide(ks.read_histogram_csv(subject), ks.read_histogram_csv(reference), **kwargs)
+        assert payload == {"d": verdict.ks.statistic, "p": verdict.ks.p_value, "n": verdict.ks.n,
+                           "m": verdict.ks.m, "suspect": verdict.suspect, "alpha": kwargs["alpha"]}
+
     @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1"])
     def test_alpha_outside_unit_interval_is_input_error(self, tmp_path, capsys, alpha):
         hist = tmp_path / "h.csv"
@@ -650,6 +668,8 @@ class TestErrors:
          f"--amplifications: values must be <= {MAX_AMPLIFICATION}, got '10,{PAST_BOUND}'"),
         (["channel", "--amplifications", str(HUGE)],
          f"--amplifications: values must be <= {MAX_AMPLIFICATION}, got '{HUGE}'"),
+        (["channel", "--amplifications", "10", "--requests", "2000000000"],
+         f"--requests: values must be <= {channel.MAX_REQUESTS}, got '2000000000'"),
         # a flag that the command needs or rejects, or an input that is not there
         (["gen", "--profile", "benign", "--pages", "3"],
          "--amplification/--pages only apply to attack profiles"),
@@ -663,8 +683,9 @@ class TestErrors:
             "detect-threshold-alpha", "channel-seed", "detect-threshold-nan",
             "detect-stl-threshold", "gen-amplification-past-bound", "gen-pages-past-bound",
             "gen-amplification-huge", "gen-pages-huge", "channel-amplifications-past-bound",
-            "channel-amplifications-huge", "gen-benign-pages", "detect-no-trace",
-            "detect-no-histograms", "detect-empty-histogram-dir", "fleet-missing-config"])
+            "channel-amplifications-huge", "channel-requests-past-bound", "gen-benign-pages",
+            "detect-no-trace", "detect-no-histograms", "detect-empty-histogram-dir",
+            "fleet-missing-config"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         # relative inputs name files that do not exist: the flag is checked first
         monkeypatch.chdir(tmp_path)
@@ -691,9 +712,11 @@ class TestErrors:
         assert not (tmp_path / "g.csv").exists()
 
     def test_channel_grid_rejects_huge_request_count(self, tmp_path, capsys):
-        # its vote window would take ~15 GiB; the model refuses it before allocating
+        # its vote window would take ~15 GiB; the flag's bound is the model's
+        # MAX_REQUESTS, checked before anything is allocated
         assert run("channel", "--requests", "100000000000000", "--out", str(tmp_path / "g.csv")) == 1
-        assert "request count must be in [1, 1000000000]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --requests: values must be <= {channel.MAX_REQUESTS}, got '100000000000000'\n")
         assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("name,argv", [

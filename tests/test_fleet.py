@@ -21,7 +21,7 @@ from spectreguard.fleet import (
     FleetConfig,
     run_fleet,
 )
-from spectreguard.profiles import AttackVariant, BenignProfile, generate_benign
+from spectreguard.profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile, generate_benign
 from spectreguard.threshold import ThresholdConfig, sweep_thresholds
 from spectreguard.trace import TraceBatch, fold_intervals
 
@@ -355,7 +355,8 @@ class TestConfigValidation:
         ("executions_per_interval", 0),
     ])
     def test_field_below_minimum(self, field, value):
-        with pytest.raises(ValueError, match=f"'{field}' must be >= "):
+        minimum = next(f.metadata["minimum"] for f in fields(FleetConfig) if f.name == field)
+        with pytest.raises(ValueError, match=f"^'{field}' must be an integer >= {minimum}, got {value}$"):
             FleetConfig(**{field: value})
 
     @pytest.mark.parametrize(("field", "value"), [
@@ -365,8 +366,46 @@ class TestConfigValidation:
     ])
     def test_attack_field_below_minimum(self, field, value):
         # unchecked, a KS fleet would run such an attack and report it flagged
-        with pytest.raises(ValueError, match=f"'{field}' must be >= "):
+        minimum = next(f.metadata["minimum"] for f in fields(AttackWorkload) if f.name == field)
+        with pytest.raises(ValueError, match=f"^'{field}' must be an integer >= {minimum}, got {value}$"):
             AttackWorkload(**{field: value})
+
+    @pytest.mark.parametrize(("make", "message"), [
+        # a bool is an int to Python; read as a threshold of 1 it would flag every window
+        (lambda: ThresholdConfig(True), "'branch_per_itlb_threshold' must be a number >= 0, got True"),
+        (lambda: ThresholdConfig("5"), "'branch_per_itlb_threshold' must be a number >= 0, got '5'"),
+        (lambda: ThresholdConfig(stl_reset_threshold=None),
+         "'stl_reset_threshold' must be a number >= 0, got None"),
+        (lambda: FleetConfig(n_benign=2.5), "'n_benign' must be an integer >= 0, got 2.5"),
+        (lambda: FleetConfig(intervals=2.0), "'intervals' must be an integer >= 1, got 2.0"),
+        (lambda: FleetConfig(intervals=True), "'intervals' must be an integer >= 1, got True"),
+        (lambda: FleetConfig(baseline_rps="1000"), "'baseline_rps' must be a number >= 0, got '1000'"),
+        (lambda: AttackWorkload(pages=1.5), "'pages' must be an integer >= 0, got 1.5"),
+        (lambda: AttackWorkload(amplification=10.0), "'amplification' must be an integer >= 1, got 10.0"),
+        (lambda: AttackWorkload(amplification=MAX_AMPLIFICATION + 1),
+         f"'amplification' must be <= {MAX_AMPLIFICATION}, got {MAX_AMPLIFICATION + 1}"),
+        (lambda: AttackWorkload(pages=MAX_AMPLIFICATION + 1),
+         f"'pages' must be <= {MAX_AMPLIFICATION}, got {MAX_AMPLIFICATION + 1}"),
+        (lambda: DetectorSpec(alpha="0.5"), "'alpha' must be a number, got '0.5'"),
+        (lambda: DetectorSpec(alpha=True), "'alpha' must be a number, got True"),
+    ], ids=["threshold-bool", "threshold-str", "threshold-none", "n_benign-float",
+            "intervals-float", "intervals-bool", "baseline_rps-str", "pages-float",
+            "amplification-float", "amplification-past-bound", "pages-past-bound",
+            "alpha-str", "alpha-bool"])
+    def test_field_of_the_wrong_type_or_past_its_bound(self, make, message):
+        # one rule for every numeric field: the type is the annotation's, the
+        # bounds are the field's at_least metadata
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_number_fields_hold_floats(self):
+        assert ThresholdConfig(5000).branch_per_itlb_threshold == 5000.0
+        assert type(ThresholdConfig(5000).branch_per_itlb_threshold) is float
+        assert type(FleetConfig(baseline_rps=250).baseline_rps) is float
+        assert type(DetectorSpec(alpha=np.float64(0.2)).alpha) is float
+        assert FleetConfig(n_benign=3).n_benign == 3
+        assert AttackWorkload(amplification=None).amplification is None
 
     @pytest.mark.parametrize("variant", ["xyz", "PHT", 5, None])
     def test_unknown_attack_variant(self, variant):

@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 from spectreguard import cli, ks
 from spectreguard.ks import (
     BranchHistogram,
+    DEFAULT_TOP_K,
     EmptyHistogram,
     EmptySample,
     ExactModeTooLarge,
     HISTOGRAM_SCHEMA,
     HistogramError,
     HistogramFormatError,
+    KsVerdict,
     classify_ks,
     kolmogorov_survival,
     ks_two_sample,
@@ -145,6 +147,12 @@ class TestTopBranches:
         with pytest.raises(ValueError):
             top_branches(hist, 0)
 
+    @pytest.mark.parametrize("k", [1, DEFAULT_TOP_K])
+    def test_empty_histogram_rejected(self, k):
+        # the constructor, unlike from_entries, does not check its entries
+        with pytest.raises(EmptyHistogram, match="histogram has no branches"):
+            top_branches(BranchHistogram({}), k)
+
 
 class TestKsTwoSample:
     def test_identical_samples(self):
@@ -229,6 +237,25 @@ class TestClassify:
         tight = classify_ks(hist, template, alpha=0.01)
         if loose.suspect:
             assert tight.suspect
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        template = load_default_template()
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            classify_ks(template, template, alpha=alpha)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "exact"])
+    def test_mode_goes_to_ks_two_sample(self, mode):
+        hist = BranchHistogram.from_entries({"a": 9, "b": 4, "c": 1})
+        template = BranchHistogram.from_entries({"x": 7, "y": 7, "z": 2, "w": 1})
+        verdict = classify_ks(hist, template, alpha=0.5, k=3, mode=mode)
+        expected = ks_two_sample([9, 4, 1], [7, 7, 2], mode=mode)
+        assert verdict == KsVerdict(suspect=expected.p_value >= 0.5, ks=expected)
+
+    def test_exact_mode_keeps_its_size_cap(self):
+        template = load_default_template()
+        with pytest.raises(ExactModeTooLarge):
+            classify_ks(template, template, mode="exact")
 
 
 class TestHistogramCsv:

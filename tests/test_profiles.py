@@ -24,6 +24,7 @@ from spectreguard.profiles import (
     AttackProfile,
     AttackVariant,
     BenignProfile,
+    diluted_metric,
     draw_attack_counts,
     draw_benign_counts,
     generate_attack,
@@ -74,6 +75,11 @@ class TestBenignCalibration:
         (snapshot,) = generate_benign(BenignProfile.default(), 1, seed=0)
         assert snapshot.itlb_accesses > 0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_snapshots_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_benign(BenignProfile.default(), n, seed=0)
+
     def test_determinism(self):
         profile = BenignProfile.default()
         assert generate_benign(profile, 50, seed=5) == generate_benign(profile, 50, seed=5)
@@ -104,6 +110,16 @@ class TestAttackMetricLaw:
         pht = AttackProfile.for_variant("pht")
         assert pht.branch_metric(pages=125) < 4096.0
         assert pages_to_reach(pht.branch_metric(), 4096.0) == 125
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: diluted_metric(423171.54, -1), "pages must be >= 0"),
+        (lambda: AttackProfile.for_variant("pht").branch_metric(pages=-1), "pages must be >= 0"),
+        (lambda: AttackProfile.for_variant("pht").branch_metric(0), "amplification must be >= 1"),
+        (lambda: AttackProfile.for_variant("btb").branch_metric(-3), "amplification must be >= 1"),
+    ], ids=["diluted-pages", "branch-metric-pages", "amplification-0", "amplification-negative"])
+    def test_bad_amplification_or_pages_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_md_metric_only_for_stl(self):
         assert AttackProfile.for_variant("stl").md_reset_metric() == pytest.approx(

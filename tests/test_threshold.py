@@ -229,6 +229,11 @@ class TestEvasion:
         with pytest.raises(UnreachableTarget):
             evasion_cost(500.0, AttackProfile.for_variant("pht"))
 
+    @pytest.mark.parametrize("target", [0.0, -4096.0, -math.inf])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target_metric must be positive"):
+            evasion_cost(target, AttackProfile.for_variant("pht"))
+
     @pytest.mark.parametrize("variant", list(AttackVariant))
     def test_amplification_is_the_largest_below_the_target(self, variant):
         # (target - intercept) / slope can round across a whole number, so
