@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from . import threshold as threshold_mod
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile
 from .profiles import generate_attack, generate_benign
 from .trace import DEFAULT_INTERVAL_NS, emit_trace, fold_intervals, ingest_trace
-from .trace import _DuplicateKey, _format_rows, _unique_object
+from .trace import _format_blocks, _unique_object
 
 DEFAULT_SEED = 1729
 
@@ -97,9 +97,8 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def _write_csv(path: str | Path, schema: str, header: str, rows: Iterable[str]) -> None:
-    with _atomic_file(path) as handle:
-        handle.write(f"# schema: {schema}\n{header}\n")
-        handle.writelines(f"{row}\n" for row in rows)
+    _atomic_write(path, itertools.chain([f"# schema: {schema}\n{header}\n"],
+                                        (f"{row}\n" for row in rows)))
 
 
 def _float(x: float) -> str:
@@ -163,8 +162,6 @@ _VERDICT_LINE = (
     '{"suspect": %s, "threshold": %s, "triggering_metric": %s, "value": %r, '
     '"window_start_ns": %d, "worker_id": %s}\n'
 )
-# The verdicts _verdict_lines_threshold formats with one % and yields as one string.
-_VERDICT_BLOCK = 1024
 
 
 def _verdict_lines_threshold(trace_path, cfg, interval_ns):
@@ -181,18 +178,16 @@ def _verdict_lines_threshold(trace_path, cfg, interval_ns):
         )
     ], dtype=object)
     quoted = np.array([json.dumps(name) for name in folded.names], dtype=object)
-    for start in range(0, len(folded), _VERDICT_BLOCK):
-        rows = slice(start, start + _VERDICT_BLOCK)
-        yield _format_rows(_VERDICT_LINE, (
-            flags[suspect[rows].astype(np.intp)],
-            rules[stl[rows].astype(np.intp)],
-            # Window means of int64 counts are finite, so %r of a Python
-            # float writes what json does.
-            value[rows].astype(object),
-            # Python ints: k * interval_ns can leave the int64 range.
-            folded.window[rows].astype(object) * interval_ns,
-            quoted[folded.worker[rows]],
-        ))
+    yield from _format_blocks(_VERDICT_LINE, len(folded), lambda rows: (
+        flags[suspect[rows].astype(np.intp)],
+        rules[stl[rows].astype(np.intp)],
+        # Window means of int64 counts are finite, so %r of a Python
+        # float writes what json does.
+        value[rows].astype(object),
+        # Python ints: k * interval_ns can leave the int64 range.
+        folded.window[rows].astype(object) * interval_ns,
+        quoted[folded.worker[rows]],
+    ))
 
 
 def _ks_line(verdict, **extra) -> str:
@@ -306,7 +301,7 @@ def _config_object(cls, section: dict, name: str | None):
     (``threshold.field_value``), which the error names by its key.  A named
     section may have no key left over.
     """
-    hints = get_type_hints(cls)
+    hints = threshold_mod._hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
         key, hint = _CONFIG_ALIASES.get(f.name, f.name), hints[f.name]
@@ -346,10 +341,8 @@ def _cmd_fleet(args) -> int:
             # the trace decoder's hook: a repeated key, at any depth, is an error
             data = json.loads(Path(args.config).read_text(encoding="utf-8"),
                               object_pairs_hook=_unique_object)
-        except (OSError, ValueError) as exc:  # ValueError: also bad UTF-8, huge integers
+        except (OSError, ValueError) as exc:  # also bad UTF-8, repeated keys, huge integers
             raise InputError(f"cannot read fleet config: {exc}") from exc
-        except _DuplicateKey as exc:
-            raise InputError(f"fleet config has duplicate key {exc.key!r}") from None
         if not isinstance(data, dict):
             raise InputError("fleet config must be a JSON object")
     # precedence: flag > file > default.  The seed defaults to DEFAULT_SEED,

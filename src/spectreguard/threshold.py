@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -46,7 +46,7 @@ class EmptyPopulation(ValueError):
     """A threshold sweep needs at least one benign average."""
 
 
-class UnreachableTarget(Exception):
+class UnreachableTarget(ValueError):
     """No amplification level gets the attack below the target metric."""
 
 
@@ -60,12 +60,14 @@ def field_value(f: Field, hint, value, name: str | None = None):
 
     An int field takes an int, never a bool (``int | None`` also None); a float
     field an int or a float, held as a float; both within ``at_least``'s bounds,
-    which NaN never is.  Other fields are their class's to check.  A ValueError
-    names the field, or ``name``."""
+    which NaN never is.  A settings dataclass field takes an instance.  Other
+    fields are their class's to check.  A ValueError names the field, or ``name``."""
     if hint is float:
         kinds, kind = (int, float), "a number"
     elif hint is int or (int in get_args(hint) and value is not None):
         kinds, kind = int, "an integer"
+    elif is_dataclass(hint) and not isinstance(value, hint):
+        kinds, kind = hint, ("an " if hint.__name__[0] in "AEIOU" else "a ") + hint.__name__
     else:
         return value
     name, minimum = repr(name or f.name), f.metadata.get("minimum")

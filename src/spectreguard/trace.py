@@ -21,7 +21,8 @@ lines in exactly ``emit_trace``'s form; any other line goes through the JSON
 decoder (``_parse_line``), which stays the reference for what a line means and
 which error it raises, and its values are written back in that form.  Each
 chunk's integers are parsed in one bulk step, and no regex match outlives its
-chunk.  ``emit_trace`` formats ``_EMIT_BLOCK`` rows with one ``%``.
+chunk.  ``emit_trace`` and the CLI's verdict writer write their rows through
+``_format_blocks``, which fills ``_FORMAT_BLOCK`` rows with one ``%``.
 ``CounterSnapshot`` states the counter invariants and stays the per-record wire
 type: a batch iterates snapshots and an interval batch iterates
 ``IntervalAverage``s.  The streaming ``IntervalFolder`` folds one record at a
@@ -40,7 +41,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -500,18 +501,14 @@ def fold_intervals(
     )
 
 
-class _DuplicateKey(Exception):
-    def __init__(self, key: str):
-        self.key = key
-
-
 def _unique_object(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON decoders' object hook: a repeated key is a ValueError."""
     record = dict(pairs)
     if len(record) != len(pairs):
         seen: set[str] = set()
         for key, _value in pairs:
             if key in seen:
-                raise _DuplicateKey(key)
+                raise ValueError(f"duplicate key {key!r}")
             seen.add(key)
     return record
 
@@ -546,9 +543,7 @@ def _parse_line(line_number: int, line: str) -> tuple[str, tuple[int, ...]]:
         record = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(line_number, f"invalid JSON: {exc.msg}") from exc
-    except _DuplicateKey as exc:
-        raise ParseError(line_number, f"duplicate key {exc.key!r}") from None
-    except ValueError as exc:  # an integer past Python's digit limit
+    except ValueError as exc:  # a repeated key, or an integer past Python's digit limit
         raise ParseError(line_number, str(exc)) from None
     if not isinstance(record, dict):
         raise ParseError(line_number, "record is not a JSON object")
@@ -700,16 +695,18 @@ def ingest_trace(path: str | Path) -> TraceBatch:
 
 
 _ROW_FORMAT = '{"worker_id":%s' + _TAIL + "}\n"
-# The rows emit_trace formats with one % and writes as one string.
-_EMIT_BLOCK = 1024
+# The rows _format_blocks fills with one % and yields as one string.
+_FORMAT_BLOCK = 1024
 
 
-def _format_rows(row_format: str, columns: tuple[np.ndarray, ...]) -> str:
-    """``row_format`` filled from each row of the side-by-side object columns,
-    with one ``%``: the values are Python objects, so ``%s``, ``%r`` and
-    ``%d`` write them as they write any Python int, float or str."""
-    table = np.column_stack(columns)
-    return (row_format * len(table)) % tuple(table.ravel().tolist())
+def _format_blocks(row_format: str, n: int, columns: Callable[[slice], tuple]) -> Iterator[str]:
+    """``row_format`` filled from ``n`` rows, one string per ``_FORMAT_BLOCK`` rows.
+    ``columns(rows)`` gives the object columns of the slice ``rows`` side by side;
+    one ``%`` fills a block, so each Python int, float or str is written as
+    ``%s``, ``%r`` or ``%d`` writes it anywhere."""
+    for start in range(0, n, _FORMAT_BLOCK):
+        table = np.column_stack(columns(slice(start, start + _FORMAT_BLOCK)))
+        yield (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
 def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
@@ -718,15 +715,12 @@ def emit_trace(batch: TraceBatch, handle: TextIO) -> int:
 
     ``ingest_trace`` reads the written file back exactly.  Each line is the
     JSON object of one record's wire keys in canonical order, written as
-    ``json.dumps`` writes it with ``separators=(",", ":")``.  A block of
-    ``_EMIT_BLOCK`` rows (the quoted worker name, then the counts as Python
-    ints) is formatted by one ``%``.
+    ``json.dumps`` writes it with ``separators=(",", ":")``.  The rows (the
+    quoted worker name, then the counts as Python ints) are written by
+    ``_format_blocks``, ``_FORMAT_BLOCK`` at a time.
     """
     quoted = np.array([json.dumps(name) for name in batch.names], dtype=object)
     handle.write(f"# schema: {TRACE_SCHEMA}\n")
-    for start in range(0, len(batch), _EMIT_BLOCK):
-        rows = slice(start, start + _EMIT_BLOCK)
-        handle.write(_format_rows(
-            _ROW_FORMAT, (quoted[batch.worker[rows]], batch.counts[rows].astype(object))
-        ))
+    handle.writelines(_format_blocks(_ROW_FORMAT, len(batch), lambda rows: (
+        quoted[batch.worker[rows]], batch.counts[rows].astype(object))))
     return len(batch)

@@ -15,7 +15,7 @@ from spectreguard import channel, cli, fleet, ks
 from spectreguard.fleet import AttackWorkload, DetectorSpec, FleetConfig, run_fleet
 from spectreguard.profiles import MAX_AMPLIFICATION, AttackVariant
 from spectreguard.threshold import ThresholdConfig, classify_threshold
-from spectreguard.trace import fold_intervals, ingest_trace
+from spectreguard.trace import _FORMAT_BLOCK, fold_intervals, ingest_trace
 
 
 PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
@@ -222,12 +222,13 @@ class TestDetectLines:
                '"value": 0.15000000000000002' in text
         assert '"threshold": 0.30000000000000004, "triggering_metric": "md_reset_per_itlb"' in text
 
-    def test_verdict_blocks(self, tmp_path):
+    @pytest.mark.parametrize("n", [_FORMAT_BLOCK, _FORMAT_BLOCK + 5])
+    def test_verdict_blocks(self, tmp_path, n):
         # Windows of one interval_ns just under 2**63, all closed in file order.
         # Worker "neg"'s window -2 starts below -(2**63) and closes after every
-        # w* window 0, so it is verdict n, in the second block.
+        # w* window 0, so it is verdict n, in the second block (its first row
+        # when n is one block).
         interval = 2**63 - 1
-        n = cli._VERDICT_BLOCK + 5
         names = [f'w{i}"' for i in range(n)]
         # Each rule flags some of the w* windows 0 and not others.
         text = "".join(trace_line(name, 0, 3, 3 * (4_090 + i % 13), 15_000 if i % 5 else 7)
@@ -242,7 +243,7 @@ class TestDetectLines:
         assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines == per_window_lines(trace, extra)
-        assert len(lines) - 1 == 2 * n + 2 > 2 * cli._VERDICT_BLOCK
+        assert len(lines) - 1 == 2 * n + 2 > 2 * _FORMAT_BLOCK
         assert json.loads(lines[1 + n])["window_start_ns"] == -2 * interval < -(2**63)
         verdicts = [json.loads(line) for line in lines[1:n + 1]]
         assert {(v["suspect"], v["triggering_metric"]) for v in verdicts} == {
@@ -518,7 +519,7 @@ class TestFleetConfigSurface:
         ('{"detector": {"branch_per_itlb_threshold": 5000}}',
          "unknown detector config keys: ['branch_per_itlb_threshold']"),
         ('{"attack": {"variant": "btb", "amp": 3}}', "unknown attack config keys: ['amp']"),
-        ('{"n_benign": 2, "n_benign": 7}', "fleet config has duplicate key 'n_benign'"),
+        ('{"n_benign": 2, "n_benign": 7}', "cannot read fleet config: duplicate key 'n_benign'"),
         ('{"detector": [1]}', "fleet config 'detector' must be a JSON object"),
         ('[{"n_benign": 2}]', "fleet config must be a JSON object"),
     ])

@@ -388,13 +388,23 @@ class TestConfigValidation:
          f"'pages' must be <= {MAX_AMPLIFICATION}, got {MAX_AMPLIFICATION + 1}"),
         (lambda: DetectorSpec(alpha="0.5"), "'alpha' must be a number, got '0.5'"),
         (lambda: DetectorSpec(alpha=True), "'alpha' must be a number, got True"),
+        # unchecked, these failed inside run_fleet, or the KS fleet never read the attack
+        (lambda: FleetConfig(n_benign=2, intervals=2, detector="ks"),
+         "'detector' must be a DetectorSpec, got 'ks'"),
+        (lambda: FleetConfig(detector=None), "'detector' must be a DetectorSpec, got None"),
+        (lambda: FleetConfig(attack="pht"), "'attack' must be an AttackWorkload, got 'pht'"),
+        (lambda: DetectorSpec(threshold=5000), "'threshold' must be a ThresholdConfig, got 5000"),
+        (lambda: FleetConfig(detector=DetectorSpec(kind="ks"), attack="pht"),
+         "'attack' must be an AttackWorkload, got 'pht'"),
     ], ids=["threshold-bool", "threshold-str", "threshold-none", "n_benign-float",
             "intervals-float", "intervals-bool", "baseline_rps-str", "pages-float",
             "amplification-float", "amplification-past-bound", "pages-past-bound",
-            "alpha-str", "alpha-bool"])
+            "alpha-str", "alpha-bool", "detector-str", "detector-none", "attack-str",
+            "detector-threshold-int", "ks-detector-attack-str"])
     def test_field_of_the_wrong_type_or_past_its_bound(self, make, message):
-        # one rule for every numeric field: the type is the annotation's, the
-        # bounds are the field's at_least metadata
+        # one rule for every field: the type is the annotation's (a settings
+        # section takes an instance of its class), the bounds are the field's
+        # at_least metadata
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == message

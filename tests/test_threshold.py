@@ -228,6 +228,9 @@ class TestEvasion:
     def test_unreachable_target(self):
         with pytest.raises(UnreachableTarget):
             evasion_cost(500.0, AttackProfile.for_variant("pht"))
+        # a library error, so the CLI's one ValueError catch reports it
+        with pytest.raises(ValueError):
+            evasion_cost(100.0, AttackProfile.for_variant("pht"))
 
     @pytest.mark.parametrize("target", [0.0, -4096.0, -math.inf])
     def test_non_positive_target_rejected(self, target):

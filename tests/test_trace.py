@@ -460,13 +460,16 @@ class TestTraceIO:
                 json.dumps(to_wire(s), separators=(",", ":")) for s in batch
             ]
 
-    def test_emit_blocks_match_json_dumps_line_by_line(self):
-        n = 2 * trace._EMIT_BLOCK + 5
-        counts = generate_benign(BenignProfile.default(), n, seed=13).counts
+    @pytest.mark.parametrize("n", [0, 1, trace._FORMAT_BLOCK, trace._FORMAT_BLOCK + 1,
+                                   2 * trace._FORMAT_BLOCK + 5])
+    def test_emit_blocks_match_json_dumps_line_by_line(self, n):
+        # generate_benign rejects n = 0, so the empty batch is built directly
+        counts = (generate_benign(BenignProfile.default(), n, seed=13).counts if n
+                  else np.empty((0, len(trace._COLUMN_FIELDS)), dtype=np.int64))
         names = ('b\u00e9-"0"', "plain", "tab\tname")
         batch = TraceBatch(names, np.arange(n, dtype=np.intp) % 3, counts)
         out = io.StringIO()
-        assert emit_trace(batch, out) == n > 2 * trace._EMIT_BLOCK
+        assert emit_trace(batch, out) == n
         lines = out.getvalue().splitlines()
         assert lines[0] == "# schema: trace-v1"
         assert lines[1:] == [json.dumps(to_wire(s), separators=(",", ":")) for s in batch]
