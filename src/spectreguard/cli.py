@@ -237,6 +237,9 @@ def _cmd_sweep(args) -> int:
     thresholds = _DEFAULT_THRESHOLDS
     if args.thresholds:
         thresholds = _numbers("--thresholds", args.thresholds, float, "numbers")
+        if not threshold_mod._ascending(thresholds):
+            raise InputError("--thresholds: values must be strictly ascending and not NaN, "
+                             f"got {args.thresholds!r}")
     averages = fold_intervals(ingest_trace(args.trace), args.interval_ns)
     points = threshold_mod.sweep_thresholds(averages, thresholds)
     rows = (f"{_float(t)},{_float(fp)}" for t, fp in points)

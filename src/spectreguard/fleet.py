@@ -6,8 +6,9 @@ throughput, not availability.  Each detector draws only its own input.  The
 threshold rule draws every worker's counters into one trace (one
 counter-arithmetic pass over all benign workers), folds it into 1-second
 interval averages and classifies them on the columns; the KS screen draws
-only misprediction-histogram counts, a block of windows per call (the
-counts do not depend on the batching; see ``profiles``), and screens them.
+only misprediction-histogram counts, in zero-padded blocks of
+``ks.SCREEN_BLOCK`` windows (the counts do not depend on the batching; see
+``profiles``), and screens a block at a time.
 Either way the result is one (worker x interval) flag grid, which gives the
 verdicts and the benign false-positive rate.  Window i closes at interval
 boundary i+1, so a worker whose first suspect window is i is isolated there
@@ -29,8 +30,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import ks as _ks
-from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile, _fleet_counts
-from .profiles import draw_attack_counts, draw_benign_counts
+from .profiles import BENIGN_MAX_BRANCHES, MAX_AMPLIFICATION, AttackVariant, BenignProfile
+from .profiles import _attack_count_rows, _benign_count_rows, _fleet_counts
 from .threshold import ThresholdConfig, at_least, check_fields, classify_intervals
 from .trace import TraceBatch, fold_intervals
 
@@ -176,13 +177,35 @@ class FleetReport:
 
 
 def _ks_counts(benign: list[bool], rngs, intervals: int):
-    """Every window's histogram counts, worker by worker, lazily: each worker
-    draws its windows from its own generator, ``SCREEN_BLOCK`` windows per
-    call, so at most one block is held at a time."""
+    """Every window's histogram counts, worker by worker, in zero-padded blocks
+    of ``SCREEN_BLOCK`` rows, so at most one block is held at a time.  Each
+    worker draws its windows from its own generator, a block's share of them
+    per call.  A benign worker's uniforms fill rows of one buffer, and their
+    count arithmetic runs once per block; an attacker's rows are written over."""
+    unit = np.zeros((_ks.SCREEN_BLOCK, BENIGN_MAX_BRANCHES + 1))
+    attacks, rows = [], 0  # the block's (first row, attack counts); its rows drawn
+
+    def block():
+        counts = _benign_count_rows(unit[:rows])
+        for first, attack in attacks:
+            counts[first:first + len(attack)] = 0
+            counts[first:first + len(attack), :attack.shape[1]] = attack
+        return counts
+
     for is_benign, rng in zip(benign, rngs):
-        draw = draw_benign_counts if is_benign else draw_attack_counts
-        for start in range(0, intervals, _ks.SCREEN_BLOCK):
-            yield from draw(rng, min(_ks.SCREEN_BLOCK, intervals - start))
+        left = intervals
+        while left:
+            take = min(left, _ks.SCREEN_BLOCK - rows)
+            if is_benign:
+                rng.random(out=unit[rows:rows + take])
+            else:
+                attacks.append((rows, _attack_count_rows(rng, take)))
+            rows, left = rows + take, left - take
+            if rows == _ks.SCREEN_BLOCK:
+                yield block()
+                attacks, rows = [], 0
+    if rows:
+        yield block()
 
 
 def run_fleet(cfg: FleetConfig) -> FleetReport:

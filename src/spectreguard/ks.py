@@ -6,8 +6,10 @@ hottest branches against a recorded attack template: a high p-value means the
 "drawn from the same distribution as the template" hypothesis cannot be
 rejected, so the program is flagged as a suspect.
 
-One distance kernel serves one pair (``ks_two_sample``) and the fleet's batch
-(``screen_counts``).  The template is data (``data/attack_template.csv``).
+One distance kernel serves one pair and the fleet's batch: ``ks_two_sample``
+passes it one row, ``screen_counts`` a block of zero-padded count rows, sorted
+once and each screened by its top ``DEFAULT_TOP_K``.  The template is data
+(``data/attack_template.csv``).
 Histogram CSVs follow the trace line rule; read errors name file and line.
 """
 
@@ -16,9 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -103,20 +105,41 @@ def top_branches(hist: BranchHistogram, k: int) -> list[int]:
     return sorted(hist.entries.values(), reverse=True)[:k]
 
 
-def _ecdf_distance(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _ecdf_distance(rows: np.ndarray, reference: np.ndarray,
+                   sizes: np.ndarray | None = None) -> np.ndarray:
     """sup |ECDF_row - ECDF_reference| for each row of a 2-D array.
 
-    Discrete data: the supremum is attained at observed points, so each row is
-    merged with the reference and the ECDFs are compared at the last of each run
-    of equal values.  Rows and reference sorted ascending merge fastest."""
-    n, m = rows.shape[1], reference.size
-    merged = np.concatenate((rows, np.broadcast_to(reference, (len(rows), m))), axis=1)
-    order = np.argsort(merged, axis=1, kind="stable")
-    values = np.take_along_axis(merged, order, axis=1)
-    from_row = order < n
-    gap = np.abs(np.cumsum(from_row, axis=1) / n - np.cumsum(~from_row, axis=1) / m)
-    gap[:, :-1][values[:, 1:] == values[:, :-1]] = 0.0
-    return gap.max(axis=1)
+    A row's sample is its ``sizes[r]`` largest values (every value by default),
+    so a zero-padded row of counts is screened by its nonzero ones.  Discrete
+    data: the supremum is attained at observed points.  With rows sorted once,
+    a row value v at the last of its run of equal values has i = column + 1
+    values of its sample at or below it, and j = searchsorted(ref, v, "right")
+    of the reference; a reference value r has those j, and i = the sample's
+    values with searchsorted(ref, v, "left") <= searchsorted(ref, r, "left"),
+    counted by one offset ``bincount``.  The distance is max |i/n - j/m|."""
+    reference = np.sort(reference)
+    m, width = reference.size, rows.shape[1]
+    sizes = np.full(len(rows), width) if sizes is None else sizes
+    top = int(sizes.max())
+    rows = np.sort(rows, axis=1)[:, width - top:]
+    pad = (top - sizes)[:, None]  # leading columns of a row outside its sample
+    column = np.arange(top)
+    sampled = column >= pad
+    i = column + 1 - pad
+    last = np.ones(rows.shape, dtype=bool)
+    last[:, :-1] = rows[:, 1:] != rows[:, :-1]
+    n = sizes[:, None]
+    row_gap = np.abs(i / n - np.searchsorted(reference, rows, "right") / m)
+    row_gap[~(sampled & last)] = 0.0
+    # the reference at the last of each run of equal values: j there, and the
+    # bin of its run; values outside a row's sample go to bin m + 1, past all
+    at = np.flatnonzero(np.append(reference[1:] != reference[:-1], True))
+    bins = np.where(sampled, np.searchsorted(reference, rows, "left"), m + 1)
+    bins += (m + 2) * np.arange(len(rows))[:, None]
+    below = np.bincount(bins.ravel(), minlength=len(rows) * (m + 2)).reshape(-1, m + 2)
+    i_ref = below.cumsum(axis=1)[:, np.searchsorted(reference, reference[at], "left")]
+    ref_gap = np.abs(i_ref / n - (at + 1) / m)
+    return np.maximum(row_gap.max(axis=1), ref_gap.max(axis=1))
 
 
 def kolmogorov_survival(lam: float) -> float:
@@ -203,29 +226,27 @@ def classify_ks(
     return KsVerdict(suspect=result.p_value >= alpha, ks=result)
 
 
-SCREEN_BLOCK = 128  # samples per block in screen_counts: under 1 MB at any count
+SCREEN_BLOCK = 128  # count rows per block of run_fleet's screen: 128 x 400 int64 is 400 kB
 
 
-def screen_counts(samples: Iterable[np.ndarray], template: BranchHistogram) -> np.ndarray:
+def screen_counts(blocks: Iterable[np.ndarray], template: BranchHistogram) -> np.ndarray:
     """Asymptotic KS p-value of each sample's top ``DEFAULT_TOP_K`` counts against the template's.
 
-    The batch form of ``classify_ks`` (suspect iff p >= alpha), with its p-values:
-    the template is ranked once, and each block of ``SCREEN_BLOCK`` samples
-    takes one kernel call per distinct size."""
-    reference = np.sort(top_branches(template, DEFAULT_TOP_K))
+    The batch form of ``classify_ks`` (suspect iff p >= alpha), with its
+    p-values.  Each block is a 2-D array of zero-padded count rows, one sample
+    each (a 1-D array is one sample): one ``_ecdf_distance`` call per block,
+    and one ``kolmogorov_survival`` call per distinct scaled distance."""
+    reference = np.array(top_branches(template, DEFAULT_TOP_K))
+    m = reference.size
+    survival = cache(kolmogorov_survival)  # few distinct distances recur
     p_values: list[float] = []
-    samples = iter(samples)
-    while tops := [np.sort(counts)[-DEFAULT_TOP_K:] for counts in islice(samples, SCREEN_BLOCK)]:
-        sizes = [top.size for top in tops]
-        if 0 in sizes:
+    for block in blocks:
+        block = np.atleast_2d(block)
+        sizes = np.minimum(np.count_nonzero(block, axis=1), DEFAULT_TOP_K)
+        if not sizes.all():
             raise EmptySample("every sample must be non-empty")
-        block = np.empty(len(tops))
-        for n in set(sizes):
-            at = [i for i, size in enumerate(sizes) if size == n]
-            scale = math.sqrt(n * reference.size / (n + reference.size))
-            distances = _ecdf_distance(np.stack([tops[i] for i in at]), reference)
-            block[at] = [kolmogorov_survival(d * scale) for d in distances.tolist()]
-        p_values += block.tolist()
+        lam = _ecdf_distance(block, reference, sizes) * np.sqrt(sizes * m / (sizes + m))
+        p_values += map(survival, lam.tolist())
     return np.array(p_values)
 
 

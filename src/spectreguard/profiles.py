@@ -21,15 +21,18 @@ worker's counters (``_attack_counts``), then each benign worker's rng draws
 ``generate_attack`` are its one-worker calls; the fleet simulator calls it
 once for the whole fleet.
 
-The KS screen reads only misprediction counts, so ``draw_benign_counts`` and
-``draw_attack_counts`` draw any number of windows in one block, with no
-branch offsets.  A benign window takes one row of ``BENIGN_MAX_BRANCHES + 1``
-uniforms (its size, then its counts), an attack window one row of
+The KS screen reads only misprediction counts, with no branch offsets.  A
+benign window takes one row of ``BENIGN_MAX_BRANCHES + 1`` uniforms (its
+size, then its counts), an attack window one row of
 ``ATTACK_TAIL_BRANCHES + 2`` normals.  Each window takes a fixed number of
 values, and a numpy ``random`` or ``normal`` block gives the values, and
 leaves the generator in the state, of its rows drawn one at a time: the
-counts do not depend on how the windows are batched.  ``make_*_histogram``
-keep the offsets-then-counts stream that ``gen --histogram-out`` writes.
+counts do not depend on how the windows are batched.  One count arithmetic
+turns such rows into zero-padded count rows (``_benign_count_rows``,
+``_attack_count_rows``); the fleet fills its screen blocks with it, and
+``draw_benign_counts`` and ``draw_attack_counts`` are views of its rows.
+``make_*_histogram`` keep the offsets-then-counts stream that
+``gen --histogram-out`` writes.
 
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
@@ -403,6 +406,16 @@ def generate_attack(
 _ATTACK_TAIL = np.array([TAIL_START * TAIL_DECAY**i for i in range(ATTACK_TAIL_BRANCHES)])
 
 
+def _attack_count_rows(rng: np.random.Generator, windows: int) -> np.ndarray:
+    """The counts of ``draw_attack_counts``, one row per run."""
+    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, (windows, ATTACK_TAIL_BRANCHES + 2)))
+    delay = np.maximum(2, np.rint(DELAY_LOOP_MEAN * jitter[:, 0]))
+    # the delay loop always ranks first
+    mistrain = np.minimum(np.rint(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[:, 1]), delay - 1)
+    tail = np.rint(_ATTACK_TAIL * jitter[:, 2:])
+    return np.maximum(1, np.column_stack((delay, mistrain, tail))).astype(np.int64)
+
+
 def draw_attack_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
     """The misprediction counts of ``windows`` attack runs, one int64 array each.
 
@@ -413,12 +426,7 @@ def draw_attack_counts(rng: np.random.Generator, windows: int) -> list[np.ndarra
     carry log-normal jitter of sigma ``JITTER_SIGMA``: one row of
     ``ATTACK_TAIL_BRANCHES + 2`` normals per run, drawn in one block.
     """
-    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, (windows, ATTACK_TAIL_BRANCHES + 2)))
-    delay = np.maximum(2, np.rint(DELAY_LOOP_MEAN * jitter[:, 0]))
-    # the delay loop always ranks first
-    mistrain = np.minimum(np.rint(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[:, 1]), delay - 1)
-    tail = np.rint(_ATTACK_TAIL * jitter[:, 2:])
-    return list(np.maximum(1, np.column_stack((delay, mistrain, tail))).astype(np.int64))
+    return list(_attack_count_rows(rng, windows))
 
 
 def _benign_branch_counts(unit: np.ndarray) -> np.ndarray:
@@ -426,6 +434,17 @@ def _benign_branch_counts(unit: np.ndarray) -> np.ndarray:
     rounded and at least 1; ``rng.uniform`` maps its doubles the same way."""
     low, high = map(math.log, BENIGN_COUNT_RANGE)
     return np.maximum(1, np.rint(np.exp(low + (high - low) * unit))).astype(np.int64)
+
+
+def _benign_count_rows(unit: np.ndarray) -> np.ndarray:
+    """The counts of benign runs from their rows of ``BENIGN_MAX_BRANCHES + 1``
+    uniforms, one zero-padded row of ``BENIGN_MAX_BRANCHES`` per run: a run's
+    counts fill its row from the left, and 0 (never a count) marks no branch."""
+    span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
+    sizes = BENIGN_MIN_BRANCHES + (unit[:, 0] * span).astype(np.intp)
+    counts = _benign_branch_counts(unit[:, 1:])
+    counts[np.arange(BENIGN_MAX_BRANCHES) >= sizes[:, None]] = 0
+    return counts
 
 
 def draw_benign_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
@@ -437,11 +456,8 @@ def draw_benign_counts(rng: np.random.Generator, windows: int) -> list[np.ndarra
     ``BENIGN_MAX_BRANCHES + 1`` uniforms, drawn in one block: the first picks
     the size, the next ones give the counts and the rest go unused.
     """
-    unit = rng.random((windows, BENIGN_MAX_BRANCHES + 1))
-    span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
-    sizes = BENIGN_MIN_BRANCHES + (unit[:, 0] * span).astype(np.intp)
-    counts = _benign_branch_counts(unit[:, 1:])
-    return [row[:size] for row, size in zip(counts, sizes.tolist())]
+    rows = _benign_count_rows(rng.random((windows, BENIGN_MAX_BRANCHES + 1)))
+    return [row[:size] for row, size in zip(rows, np.count_nonzero(rows, axis=1).tolist())]
 
 
 def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:

@@ -150,6 +150,12 @@ def classify_intervals(
     return branch_hit | stl, stl, np.where(stl, md, branch)
 
 
+def _ascending(thresholds: list[float]) -> bool:
+    """The rule of ``sweep_thresholds``'s thresholds: strictly ascending, none NaN."""
+    return not any(math.isnan(t) for t in thresholds) and all(
+        a < b for a, b in zip(thresholds, thresholds[1:]))
+
+
 def sweep_thresholds(
     benign_averages: IntervalBatch | Sequence[IntervalAverage],
     thresholds: Sequence[float],
@@ -163,9 +169,7 @@ def sweep_thresholds(
     if len(benign_averages) == 0:
         raise EmptyPopulation("benign population is empty")
     thresholds = list(thresholds)
-    if any(math.isnan(t) for t in thresholds) or any(
-        b <= a for a, b in zip(thresholds, thresholds[1:])
-    ):
+    if not _ascending(thresholds):
         raise ValueError("thresholds must be strictly ascending numbers, not NaN")
     if isinstance(benign_averages, IntervalBatch):
         branch = benign_averages.metric("branch_instructions")

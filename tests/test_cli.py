@@ -333,18 +333,21 @@ class TestFleetCommand:
         assert run("fleet", "--config", str(config), "--out", str(tmp_path / "again.json")) == 0
         assert (tmp_path / "again.json").read_text() == reports["ks"]
 
-    def test_report_body_is_the_pinned_report(self, tmp_path):
+    @pytest.mark.parametrize("name,fleet", [
+        ("fleet_ks_report.json", {"n_benign": 4, "n_attack": 1, "intervals": 3, "seed": 9}),
+        ("fleet_ks_blocks_report.json", {"n_benign": 40, "n_attack": 3, "intervals": 7,
+                                         "seed": 11}),
+    ])
+    def test_report_body_is_the_pinned_report(self, tmp_path, name, fleet):
         # Without schema and detector the payload is FleetReport.to_json_dict.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(
-            {"n_benign": 4, "n_attack": 1, "intervals": 3, "seed": 9, "detector": {"kind": "ks"}}
-        ))
+        config.write_text(json.dumps({**fleet, "detector": {"kind": "ks"}}))
         out = tmp_path / "r.json"
         assert run("fleet", "--config", str(config), "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload.pop("schema") == "fleet-report-v3"
         payload.pop("detector")
-        pinned = Path(__file__).parent / "data" / "fleet_ks_report.json"
+        pinned = Path(__file__).parent / "data" / name
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == pinned.read_text()
 
     def test_attack_section_reaches_the_simulator(self, tmp_path):
@@ -679,6 +682,9 @@ class TestErrors:
         (["detect", "--detector", "ks", "--histograms", "."], "no histogram CSVs under ."),
         (["fleet", "--config", "cfg.json"],
          "cannot read fleet config: [Errno 2] No such file or directory: 'cfg.json'"),
+        *((["sweep", "--trace", "t.jsonl", "--thresholds", text],
+           f"--thresholds: values must be strictly ascending and not NaN, got {text!r}")
+          for text in ("2,1", "nan", "1,1")),
     ], ids=["gen-n", "gen-pages", "gen-amplification", "detect-interval-ns",
             "sweep-interval-ns", "ks-top-k", "detect-top-k", "detect-threshold-top-k",
             "detect-threshold-alpha", "channel-seed", "detect-threshold-nan",
@@ -686,7 +692,8 @@ class TestErrors:
             "gen-amplification-huge", "gen-pages-huge", "channel-amplifications-past-bound",
             "channel-amplifications-huge", "channel-requests-past-bound", "gen-benign-pages",
             "detect-no-trace", "detect-no-histograms", "detect-empty-histogram-dir",
-            "fleet-missing-config"])
+            "fleet-missing-config", "sweep-thresholds-descending", "sweep-thresholds-nan",
+            "sweep-thresholds-repeated"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         # relative inputs name files that do not exist: the flag is checked first
         monkeypatch.chdir(tmp_path)

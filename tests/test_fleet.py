@@ -223,6 +223,11 @@ ORACLE_GRID = [
                               subrequests=5003), id="threshold-1004-workers"),
     pytest.param(oracle_fleet("ks", n_benign=1001, intervals=1, executions_per_interval=1),
                  id="ks-1004-workers"),
+    # screen blocks of SCREEN_BLOCK windows that split workers: 301 windows,
+    # and one worker's windows past a block's end
+    pytest.param(oracle_fleet("ks", n_benign=40, intervals=7), id="ks-301-windows"),
+    pytest.param(oracle_fleet("ks", n_benign=1, n_attack=1, intervals=ks.SCREEN_BLOCK + 3),
+                 id="ks-block-straddling-worker"),
 ]
 KS_ORACLE_GRID = [param for param in ORACLE_GRID if param.values[0].detector.kind == "ks"]
 
@@ -449,7 +454,7 @@ class TestConfigValidation:
 
 
 class TestPinnedReports:
-    """Exact report bytes of two small fleets, checked into tests/data."""
+    """Exact report bytes of small fleets, checked into tests/data."""
 
     @pytest.mark.parametrize(
         ("name", "cfg"),
@@ -476,6 +481,12 @@ class TestPinnedReports:
             (
                 "fleet_ks_report.json",
                 FleetConfig(n_benign=4, n_attack=1, intervals=3, rng_seed=9,
+                            detector=DetectorSpec(kind="ks")),
+            ),
+            (
+                # 301 windows: three screen blocks, workers split across them
+                "fleet_ks_blocks_report.json",
+                FleetConfig(n_benign=40, n_attack=3, intervals=7, rng_seed=11,
                             detector=DetectorSpec(kind="ks")),
             ),
         ],

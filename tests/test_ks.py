@@ -425,17 +425,68 @@ class TestBatchKernel:
             assert p == classify_ks(hist, template).ks.p_value
 
     def test_fleet_shaped_batch_matches_classify_ks(self):
-        # Several blocks, both sample sizes in each, read once from a generator.
+        # Zero-padded 2-D blocks of up to SCREEN_BLOCK rows, the fleet's form,
+        # with both sample sizes in each and the last block short, read once
+        # from a generator.  Each sample alone as a 1-D call is the oracle.
         rng = np.random.default_rng(8)
         hists = [(make_benign_histogram if i % 3 else make_attack_histogram)(rng)
                  for i in range(2 * ks.SCREEN_BLOCK + 5)]
+        samples = [np.array(list(h.entries.values())) for h in hists]
+        width = max(s.size for s in samples)
+
+        def blocks():
+            for start in range(0, len(samples), ks.SCREEN_BLOCK):
+                chunk = samples[start:start + ks.SCREEN_BLOCK]
+                block = np.zeros((len(chunk), width), dtype=np.int64)
+                for row, s in zip(block, chunk):
+                    row[:s.size] = s
+                yield block
+
         template = load_default_template()
-        p_values = screen_counts((np.array(list(h.entries.values())) for h in hists), template)
-        assert p_values.tolist() == [classify_ks(h, template).ks.p_value for h in hists]
+        p_values = screen_counts(blocks(), template).tolist()
+        assert p_values == [screen_counts([s], template)[0] for s in samples]
+        assert p_values == [classify_ks(h, template).ks.p_value for h in hists]
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptySample):
             screen_counts([np.array([3]), np.array([], dtype=np.int64)], load_default_template())
+
+
+class TestBlockKernel:
+    """_ecdf_distance on zero-padded count rows screened by their top values."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.sampled_from([6, 10**7]), sample, st.integers(0, 2**32 - 1))
+    def test_padded_rows_equal_the_pair_kernel_bit_for_bit(self, n_rows, most, reference, seed):
+        # Rows of 1 to 150 values, zero-padded to one width with the zeros
+        # anywhere, each taking its top k of 1, 3 or DEFAULT_TOP_K values, so
+        # some are shorter than their k.  A small alphabet ties values within
+        # rows and with the reference, which ties its own.
+        rng = np.random.default_rng(seed)
+        samples = [rng.integers(1, most + 1, size=rng.integers(1, 151)) for _ in range(n_rows)]
+        tops = rng.choice([1, 3, DEFAULT_TOP_K], size=n_rows)
+        rows = np.zeros((n_rows, 160), dtype=np.int64)
+        for row, s in zip(rows, samples):
+            row[rng.permutation(row.size)[:len(s)]] = s
+        sizes = np.minimum([len(s) for s in samples], tops)
+        reference = np.array(reference, dtype=np.int64)
+        distances = ks._ecdf_distance(rows, reference, sizes).tolist()
+        assert distances == [pair_ecdf_distance(np.sort(s)[-k:], reference)
+                             for s, k in zip(samples, tops.tolist())]
+
+    def test_screen_reads_a_padded_block_as_its_rows(self):
+        # The fleet's form, one 2-D block of zero-padded rows, and one
+        # 1-D sample at a time give the same p-values.
+        rng = np.random.default_rng(3)
+        samples = [rng.integers(1, 40, size=n) for n in (1, 64, 99, 100, 101, 400)]
+        block = np.zeros((len(samples), 400), dtype=np.int64)
+        for row, s in zip(block, samples):
+            row[:s.size] = s
+        template = load_default_template()
+        p_values = screen_counts([block], template).tolist()
+        assert p_values == screen_counts(samples, template).tolist()
+        with pytest.raises(EmptySample):
+            screen_counts([np.zeros((2, 5), dtype=np.int64)], template)
 
 
 class TestKolmogorovSurvival:
