@@ -14,12 +14,15 @@ Two generator families live here:
   measured reduced-amplification points (604.71 at factor 1, 3492.41 at
   factor 10) and at the per-variant full-strength means.
 
-Every trace's counters are laid out by ``_fleet_counts``: each attack
-worker's counters (``_attack_counts``), then each benign worker's rng draws
-(``_benign_draws``), turned into counters in one pass over all of them
-(``_benign_counts``), then the timestamps.  ``generate_benign`` and
-``generate_attack`` are its one-worker calls; the fleet simulator calls it
-once for the whole fleet.
+Every trace's counters are laid out by ``_fleet_counts``: the attack
+workers' (``_attack_counts``), the benign workers', then the timestamps.  A
+benign worker only makes its generator calls (``_benign_draws``), writing raw
+uniforms on [0, 1) and standard normals into its column of one draw block;
+the mixture pick, the affine maps (numpy's ``uniform`` and ``normal`` are
+exactly ``low + (high - low) * u`` and ``loc + scale * z``) and ``exp`` then
+run once over the block.  No normal below both components' ``(log(upper_cutoff)
+- 1e-9 - mu) / sigma`` gives a metric at the cutoff, so only the records at or
+above it are checked, and redrawn if rejected, before the worker's next call.
 
 The KS screen reads only misprediction counts, with no branch offsets.  A
 benign window takes one row of ``BENIGN_MAX_BRANCHES + 1`` uniforms (its
@@ -157,14 +160,10 @@ def pages_to_reach(metric: float, target: float) -> int | None:
     return math.floor(bound) + 1
 
 
-def _log_of_unit_mean(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    # N(-sigma^2/2, sigma), so that E[exp(draw)] == 1
-    return rng.normal(-0.5 * sigma * sigma, sigma, size)
-
-
 def _lognormal_mean_preserving(rng: np.random.Generator, mean: float, sigma: float,
                                size: int) -> np.ndarray:
-    return mean * np.exp(_log_of_unit_mean(rng, sigma, size))
+    # exp(N(-sigma^2/2, sigma)) has mean 1
+    return mean * np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size))
 
 
 def _lognormal_survival(mu: float, sigma: float, x: float) -> float:
@@ -232,19 +231,6 @@ class BenignProfile:
         at_cutoff = mixture(self.upper_cutoff)
         return (mixture(x) - at_cutoff) / (1.0 - at_cutoff)
 
-    def sample_branch_metric(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.empty(size)
-        pending = np.arange(size)
-        while pending.size:
-            pick_tail = rng.random(pending.size) < self.tail_weight
-            mu = np.where(pick_tail, self.tail_mu, self.body_mu)
-            sigma = np.where(pick_tail, self.tail_sigma, self.body_sigma)
-            draws = np.exp(rng.normal(mu, sigma))
-            accepted = draws < self.upper_cutoff
-            out[pending[accepted]] = draws[accepted]
-            pending = pending[~accepted]
-        return out
-
 
 @dataclass(frozen=True)
 class AttackProfile:
@@ -277,11 +263,6 @@ class AttackProfile:
         return BENIGN_MD_MEAN + (STL_ATTACK_MD_MEAN - BENIGN_MD_MEAN) * scale
 
 
-def _window_timestamps(n: int, samples_per_window: int) -> np.ndarray:
-    window, slot = np.divmod(np.arange(n), samples_per_window)
-    return window * DEFAULT_INTERVAL_NS + slot * (DEFAULT_INTERVAL_NS // samples_per_window)
-
-
 def _log_uniform_ints(rng: np.random.Generator, low: int, high: int, size: int) -> np.ndarray:
     return np.exp(rng.uniform(math.log(low), math.log(high), size)).astype(np.int64)
 
@@ -303,28 +284,42 @@ def _fill_counts(out: np.ndarray, itlb: np.ndarray, *metrics: np.ndarray) -> Non
     out[:, 8] = np.rint(md * itlb)
 
 
-_BENIGN_DRAWS = 8  # rows of one record's benign draws
+def _branch_metric(profile: BenignProfile, pick: np.ndarray, z: np.ndarray) -> np.ndarray:
+    tail = pick < profile.tail_weight
+    return np.exp(np.where(tail, profile.tail_mu, profile.body_mu)
+                  + np.where(tail, profile.tail_sigma, profile.body_sigma) * z)
 
 
-def _benign_draws(out: np.ndarray, profile: BenignProfile, rng: np.random.Generator) -> None:
-    """One worker's benign draws into out, one record per column; see _benign_counts."""
-    n = out.shape[1]
-    out[0] = profile.sample_branch_metric(rng, n)
-    out[1] = rng.uniform(math.log(BENIGN_ITLB_RANGE[0]), math.log(BENIGN_ITLB_RANGE[1]), n)
-    out[2] = rng.uniform(0.005, 0.04, n)
-    out[3] = _log_of_unit_mean(rng, 0.5, n)
-    out[4] = rng.uniform(0.05, 0.30, n)
-    out[5] = _log_of_unit_mean(rng, 0.5, n)
-    out[6] = rng.uniform(0.01, 0.10, n)
-    out[7] = _log_of_unit_mean(rng, BENIGN_MD_SIGMA, n)
+def _benign_draws(raw: np.ndarray, profile: BenignProfile, rng: np.random.Generator,
+                  clear_below: float) -> None:
+    """One worker's raw benign draws into raw, a row per call, a record per column."""
+    pick, z, *rows = raw
+    rng.random(out=pick)
+    rng.standard_normal(out=z)
+    if z.max() >= clear_below:
+        pending = np.flatnonzero(z >= clear_below)
+        while (pending := pending[_branch_metric(profile, pick[pending], z[pending])
+                                  >= profile.upper_cutoff]).size:
+            pick[pending] = rng.random(pending.size)
+            z[pending] = rng.standard_normal(pending.size)
+    for row, draw in zip(rows, (rng.random, rng.random, rng.standard_normal, rng.random,
+                                rng.standard_normal, rng.random, rng.standard_normal)):
+        draw(out=row)
 
 
-def _benign_counts(out: np.ndarray, draws: np.ndarray) -> None:
-    """The counters of any number of workers' benign draws, laid side by side."""
-    metric, log_itlb, miss, cache_ref, cache_miss, l1d, l1d_miss, md = draws
-    _fill_counts(out, np.exp(log_itlb).astype(np.int64), metric, metric * miss,
-                 30.0 * np.exp(cache_ref), cache_miss, 300.0 * np.exp(l1d), l1d_miss,
-                 BENIGN_MD_MEAN * np.exp(md))
+def _benign_counts(out: np.ndarray, raw: np.ndarray, profile: BenignProfile) -> None:
+    """The counters of any number of workers' raw benign draws, laid side by side;
+    a normal z of sigma s maps to -s * s / 2 + s * z, a mean-one log-normal's log."""
+    pick, z, itlb, miss, cache_ref, cache_miss, l1d, l1d_miss, md = raw
+    metric = _branch_metric(profile, pick, z)
+    low, high = map(math.log, BENIGN_ITLB_RANGE)
+    _fill_counts(out, np.exp(low + (high - low) * itlb).astype(np.int64), metric,
+                 metric * (0.005 + (0.04 - 0.005) * miss),
+                 30.0 * np.exp(-0.5 * 0.5 * 0.5 + 0.5 * cache_ref),
+                 0.05 + (0.30 - 0.05) * cache_miss,
+                 300.0 * np.exp(-0.5 * 0.5 * 0.5 + 0.5 * l1d), 0.01 + (0.10 - 0.01) * l1d_miss,
+                 BENIGN_MD_MEAN * np.exp(-0.5 * BENIGN_MD_SIGMA * BENIGN_MD_SIGMA
+                                         + BENIGN_MD_SIGMA * md))
 
 
 def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVariant | str,
@@ -350,18 +345,25 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | 
     """The counters of n_attack attack workers, then n_benign benign workers
     of profile, n records each, one worker after another; each worker draws
     from the next generator of rngs.  attack is (variant, amplification,
-    pages); profile and attack are read only when those workers exist.  The
-    benign counter arithmetic runs once, over every benign worker's draws."""
+    pages); profile and attack are read only when those workers exist."""
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = np.empty((n_attack + n_benign, n, _COLUMNS), dtype=np.int64)
-    draws = np.empty((_BENIGN_DRAWS, n_benign, n))
     for out in counts[:n_attack]:
         _attack_counts(out, next(rngs), *attack)
-    for worker in range(n_benign):
-        _benign_draws(draws[:, worker], profile, next(rngs))
-    _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), draws.reshape(_BENIGN_DRAWS, -1))
-    counts[:, :, 0] = _window_timestamps(n, samples_per_window)
+    if n_benign:
+        if not (profile.body_sigma > 0 and profile.tail_sigma > 0):
+            raise ValueError("the benign profile's sigmas must be > 0")
+        raw = np.empty((9, n_benign, n))
+        log_cutoff = math.log(profile.upper_cutoff) - 1e-9  # far above a few ulp of rounding
+        clear_below = min((log_cutoff - profile.body_mu) / profile.body_sigma,
+                          (log_cutoff - profile.tail_mu) / profile.tail_sigma)
+        for rows in raw.swapaxes(0, 1):
+            _benign_draws(rows, profile, next(rngs), clear_below)
+        _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), raw.reshape(9, -1), profile)
+    window, slot = np.divmod(np.arange(n), samples_per_window)
+    slot_ns = DEFAULT_INTERVAL_NS // samples_per_window
+    counts[:, :, 0] = window * DEFAULT_INTERVAL_NS + slot * slot_ns
     return counts.reshape(-1, _COLUMNS)
 
 
@@ -372,7 +374,7 @@ def generate_benign(
     worker_id: str = "bench-0",
     samples_per_window: int = 1,
 ) -> TraceBatch:
-    """Draw n benign snapshots; one per window unless samples_per_window > 1."""
+    """Draw n benign snapshots, one per window unless samples_per_window > 1; a one-worker fleet."""
     counts = _fleet_counts(iter([np.random.default_rng(seed)]), profile, 0, 1, n,
                            samples_per_window, None)
     return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts)

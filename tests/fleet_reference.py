@@ -8,10 +8,17 @@ interval i's executions and subsequent requests.  Tests require both
 simulators to give equal reports.  A KS worker draws one window's
 histogram counts at a time from its histogram generator and classifies
 them as a histogram; ``reference_ks_p_values`` returns those p-values.
+
+``reference_fleet_counts`` is the per-worker counter draw that
+``spectreguard.profiles._fleet_counts`` replaced with raw rows mapped once
+per fleet: each benign worker draws its truncated branch metric through
+numpy's ``uniform`` and ``normal``, redraws each rejection at once, and takes
+its other counters' laws whole.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,14 +37,20 @@ from spectreguard.fleet import (
     SeriesPoint,
 )
 from spectreguard.profiles import (
+    BENIGN_ITLB_RANGE,
+    BENIGN_MD_MEAN,
+    BENIGN_MD_SIGMA,
     BenignProfile,
+    _COLUMNS,
+    _attack_counts,
+    _fill_counts,
     generate_attack,
     generate_benign,
     draw_attack_counts,
     draw_benign_counts,
 )
 from spectreguard.threshold import classify_threshold
-from spectreguard.trace import IntervalAverage, TraceBatch, fold_intervals
+from spectreguard.trace import DEFAULT_INTERVAL_NS, IntervalAverage, TraceBatch, fold_intervals
 
 
 @dataclass(frozen=True)
@@ -225,3 +238,65 @@ def _simulate(cfg: FleetConfig) -> tuple[FleetReport, list[WorkerRecord]]:
         baseline_rps=cfg.baseline_rps,
         detection_factor=1.0 - cfg.cost_model.detection_overhead_rel,
     ), workers
+
+
+def sample_branch_metric(profile: BenignProfile, rng: np.random.Generator,
+                         size: int) -> tuple[np.ndarray, int]:
+    """size draws of the truncated mixture and the passes they took: one
+    pass draws a pick and a metric for each pending record and keeps those
+    below the cutoff."""
+    out = np.empty(size)
+    pending = np.arange(size)
+    passes = 0
+    while pending.size:
+        passes += 1
+        pick_tail = rng.random(pending.size) < profile.tail_weight
+        mu = np.where(pick_tail, profile.tail_mu, profile.body_mu)
+        sigma = np.where(pick_tail, profile.tail_sigma, profile.body_sigma)
+        draws = np.exp(rng.normal(mu, sigma))
+        accepted = draws < profile.upper_cutoff
+        out[pending[accepted]] = draws[accepted]
+        pending = pending[~accepted]
+    return out, passes
+
+
+def log_of_unit_mean(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    # N(-sigma^2/2, sigma), so that E[exp(draw)] == 1
+    return rng.normal(-0.5 * sigma * sigma, sigma, size)
+
+
+def benign_draws(out: np.ndarray, profile: BenignProfile, rng: np.random.Generator) -> int:
+    """One worker's benign draws into out, one record per column; the
+    branch metric's passes."""
+    n = out.shape[1]
+    out[0], passes = sample_branch_metric(profile, rng, n)
+    out[1] = rng.uniform(math.log(BENIGN_ITLB_RANGE[0]), math.log(BENIGN_ITLB_RANGE[1]), n)
+    out[2] = rng.uniform(0.005, 0.04, n)
+    out[3] = log_of_unit_mean(rng, 0.5, n)
+    out[4] = rng.uniform(0.05, 0.30, n)
+    out[5] = log_of_unit_mean(rng, 0.5, n)
+    out[6] = rng.uniform(0.01, 0.10, n)
+    out[7] = log_of_unit_mean(rng, BENIGN_MD_SIGMA, n)
+    return passes
+
+
+def reference_fleet_counts(rngs, profile: BenignProfile | None, n_attack: int, n_benign: int,
+                           n: int, samples_per_window: int,
+                           attack: tuple | None) -> tuple[np.ndarray, list[int]]:
+    """``_fleet_counts``'s counters, one worker at a time, and each benign
+    worker's branch-metric passes."""
+    counts = np.empty((n_attack + n_benign, n, _COLUMNS), dtype=np.int64)
+    for out in counts[:n_attack]:
+        _attack_counts(out, next(rngs), *attack)
+    passes = []
+    for out in counts[n_attack:]:
+        draws = np.empty((8, n))
+        passes.append(benign_draws(draws, profile, next(rngs)))
+        metric, log_itlb, miss, cache_ref, cache_miss, l1d, l1d_miss, md = draws
+        _fill_counts(out, np.exp(log_itlb).astype(np.int64), metric, metric * miss,
+                     30.0 * np.exp(cache_ref), cache_miss, 300.0 * np.exp(l1d), l1d_miss,
+                     BENIGN_MD_MEAN * np.exp(md))
+    window, slot = np.divmod(np.arange(n), samples_per_window)
+    counts[:, :, 0] = window * DEFAULT_INTERVAL_NS + slot * (DEFAULT_INTERVAL_NS
+                                                             // samples_per_window)
+    return counts.reshape(-1, _COLUMNS), passes

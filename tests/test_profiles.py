@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleet_reference import reference_fleet_counts
 from spectreguard.profiles import (
     BENIGN_COUNT_RANGE,
+    BENIGN_ITLB_RANGE,
     BENIGN_MAX_BRANCHES,
     BENIGN_MD_MEAN,
+    BENIGN_MD_SIGMA,
     BENIGN_MIN_BRANCHES,
     FULL_AMPLIFICATION,
     MAX_AMPLIFICATION,
@@ -34,6 +39,7 @@ from spectreguard.profiles import (
     pages_to_reach,
 )
 from spectreguard import cli
+from spectreguard.profiles import _fleet_counts
 from spectreguard.trace import emit_trace, fold_intervals, normalize
 
 DATA = Path(__file__).parent / "data"
@@ -46,6 +52,10 @@ PINNED_ENTRIES_SHA256 = DATA / "histogram_entries.sha256"
 # sha256 over json.dumps([benign, attack]) of three windows of each kind's
 # counts-only draw, benign first, from default_rng(s) for s in 0..199.
 PINNED_COUNTS_SHA256 = DATA / "histogram_counts.sha256"
+# One line per case of FLEET_COUNTS_CASES, "<sha256>  <case>": the sha256 of
+# _fleet_counts(...).tobytes(), written before the benign draws went to raw
+# rows transformed once per fleet.
+PINNED_FLEET_COUNTS_SHA256 = DATA / "fleet_counts.sha256"
 DRAWS = {"benign": draw_benign_counts, "attack": draw_attack_counts}
 
 
@@ -284,3 +294,127 @@ class TestHistogramGenerators:
         assert (attack[:, 0] > attack[:, 1]).all() and (attack >= 1).all()
         assert np.median(attack[:, 0]) == pytest.approx(1_200_000, rel=0.01)
         assert np.median(attack[:, 1] / attack[:, 0]) == pytest.approx(0.2, rel=0.02)
+
+
+def fleet_rngs(seed: int, workers: int):
+    """The counter generators run_fleet gives its workers, spec order."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
+            for i in range(workers)]
+
+
+_DEFAULT = BenignProfile.default()
+ORACLE_PROFILES = {
+    "default": _DEFAULT,
+    # Rejects about 7% of branch metrics: at 48 records most workers redraw,
+    # and some redraw a redrawn record.
+    "low-cutoff": dataclasses.replace(_DEFAULT, upper_cutoff=1500.0),
+    # One component, cut 2.5 sigma above its median: a rejected record is
+    # mostly its worker's largest normal, just past the screen's bound.
+    "screen-edge": dataclasses.replace(
+        _DEFAULT, tail_mu=_DEFAULT.body_mu, tail_sigma=_DEFAULT.body_sigma,
+        upper_cutoff=math.exp(_DEFAULT.body_mu + 2.5 * _DEFAULT.body_sigma)),
+}
+# (seed, profile, n_attack, n_benign, records per worker, records per
+# window); the attackers run full-strength PHT.
+FLEET_COUNTS_CASES = {
+    "fleet-threshold-seed1": (1, "default", 4, 400, 48, 4),
+    "fleet-threshold-seed2101": (2101, "default", 4, 400, 48, 4),
+    "long-horizon-seed5": (5, "default", 1, 200, 600, 1),
+    "cutoff1500-seed3": (3, "low-cutoff", 2, 60, 48, 2),
+}
+ORACLE_SEED = 17
+ORACLE_GRID = [
+    (n_attack, n_benign, n, profile)
+    for n_attack in (0, 1, 4) for n_benign in (1, 3, 400) for n in (1, 48, 600)
+    for profile in sorted(ORACLE_PROFILES)
+]
+
+
+def first_pass_top_normal(rng: np.random.Generator, n: int) -> float:
+    """The largest metric normal of a benign worker's first pass."""
+    rng.random(n)
+    return rng.standard_normal(n).max()
+
+
+class TestFleetCounts:
+    """The fleet's benign draws are the per-worker law's, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(FLEET_COUNTS_CASES))
+    def test_counts_pinned(self, case):
+        seed, profile, n_attack, n_benign, n, per_window = FLEET_COUNTS_CASES[case]
+        counts = _fleet_counts(iter(fleet_rngs(seed, n_attack + n_benign)),
+                               ORACLE_PROFILES[profile], n_attack, n_benign, n, per_window,
+                               ("pht", None, 0))
+        pinned = dict(line.split()[::-1] for line in
+                      PINNED_FLEET_COUNTS_SHA256.read_text().splitlines())
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == pinned[case]
+
+    @pytest.mark.parametrize(("n_attack", "n_benign", "n", "profile"), ORACLE_GRID)
+    def test_counts_equal_per_worker_oracle(self, n_attack, n_benign, n, profile):
+        ours, theirs = (fleet_rngs(ORACLE_SEED, n_attack + n_benign) for _ in range(2))
+        shape = (ORACLE_PROFILES[profile], n_attack, n_benign, n, 3, ("btb", 40, 2))
+        counts = _fleet_counts(iter(ours), *shape)
+        expected, _passes = reference_fleet_counts(iter(theirs), *shape)
+        assert counts.dtype == expected.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        # every generator made the same calls
+        assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in theirs]
+
+    @pytest.mark.parametrize("field", ["body_sigma", "tail_sigma"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan])
+    def test_sigma_not_above_zero_rejected(self, field, value):
+        # The screen needs each metric to grow with its normal; numpy's
+        # normal rejected a negative scale when the fleet drew through it.
+        profile = dataclasses.replace(BenignProfile.default(), **{field: value})
+        with pytest.raises(ValueError, match="sigmas must be > 0"):
+            generate_benign(profile, 5, seed=0)
+
+    def test_oracle_grid_takes_every_branch(self):
+        def run(profile, n):
+            profile = ORACLE_PROFILES[profile]
+            reach = min((math.log(profile.upper_cutoff) - mu) / sigma for mu, sigma in
+                        ((profile.body_mu, profile.body_sigma),
+                         (profile.tail_mu, profile.tail_sigma)))
+            # per worker: how far its largest first-pass normal is past the
+            # least one that can reach the cutoff, and its metric's passes
+            past = [first_pass_top_normal(rng, n) - reach for rng in fleet_rngs(ORACLE_SEED, 400)]
+            _counts, passes = reference_fleet_counts(iter(fleet_rngs(ORACLE_SEED, 400)),
+                                                     profile, 0, 400, n, 3, None)
+            return list(zip(past, passes))
+
+        # Most low-cutoff workers redraw, and some more than once.
+        workers = run("low-cutoff", 48)
+        assert sum(p > 1 for _past, p in workers) > 300 and max(p for _past, p in workers) > 2
+        # Some default workers trip the screen yet reject no draw.
+        assert any(past >= 0 and p == 1 for past, p in run("default", 600))
+        # At the screen's edge some workers reject a normal within 0.1 of it.
+        assert sum(0 <= past < 0.1 and p > 1 for past, p in run("screen-edge", 48)) > 5
+
+
+def test_numpy_uniform_and_normal_are_affine_maps_of_raw_draws():
+    """uniform(low, high) is low + (high - low) * random() and normal(loc,
+    scale) is loc + scale * standard_normal(), bit for bit, with scalar or
+    array parameters: the fleet draws the raw values and maps them itself.
+    A numpy that fused the multiply-add would fail here."""
+    profile = BenignProfile.default()
+    n = 2_000
+    for seed in range(20):
+        params = np.random.default_rng([seed, 1])
+        pick = params.random(n) < 0.3
+        mu = np.where(pick, profile.tail_mu, profile.body_mu)
+        sigma = np.where(pick, profile.tail_sigma, profile.body_sigma)
+        lows, widths = params.normal(0.0, 10.0, n), params.exponential(5.0, n)
+        uniforms = [tuple(map(math.log, BENIGN_ITLB_RANGE)), (0.005, 0.04), (0.05, 0.30),
+                    (0.01, 0.10), (lows, lows + widths)]
+        normals = [(-0.5 * 0.5 * 0.5, 0.5), (-0.5 * BENIGN_MD_SIGMA * BENIGN_MD_SIGMA,
+                                             BENIGN_MD_SIGMA), (mu, sigma), (lows, widths)]
+        numpy_rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for low, high in uniforms:
+            expected = low + (high - low) * raw_rng.random(n)
+            assert np.array_equal(numpy_rng.uniform(low, high, n).view(np.int64),
+                                  expected.view(np.int64))
+        for loc, scale in normals:
+            expected = loc + scale * raw_rng.standard_normal(n)
+            assert np.array_equal(numpy_rng.normal(loc, scale, n).view(np.int64),
+                                  expected.view(np.int64))
+        assert numpy_rng.bit_generator.state == raw_rng.bit_generator.state
