@@ -2,13 +2,17 @@
 
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
-throughput, not availability.  Each detector draws only its own input.  The
-threshold rule draws every worker's counters into one trace (one
-counter-arithmetic pass over all benign workers), folds it into 1-second
-interval averages and classifies them on the columns; the KS screen draws
-only misprediction-histogram counts, in zero-padded blocks of
-``ks.SCREEN_BLOCK`` windows (the counts do not depend on the batching; see
-``profiles``), and screens a block at a time.
+throughput, not availability.  Each detector draws only its own input, each
+worker from its own generator: one reused Generator set to every worker's
+seeded PCG64 state in turn, all states hashed at once
+(``_worker_generators``).  The threshold rule draws every worker's counters
+into one validated trace (one counter-arithmetic pass over all benign
+workers).  Those records lie on a (worker, window, execution) grid, so the
+fleet averages only the rule's two metrics per window, exactly as
+``fold_intervals`` would (``trace._grid_means``), and flags them with the
+rule's column form; the KS screen draws only misprediction-histogram counts,
+in zero-padded blocks of ``ks.SCREEN_BLOCK`` windows (the counts do not
+depend on the batching; see ``profiles``), and screens a block at a time.
 Either way the result is one (worker x interval) flag grid, which gives the
 verdicts and the benign false-positive rate.  Window i closes at interval
 boundary i+1, so a worker whose first suspect window is i is isolated there
@@ -25,19 +29,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from . import ks as _ks
 from .profiles import BENIGN_MAX_BRANCHES, MAX_AMPLIFICATION, AttackVariant, BenignProfile
 from .profiles import _attack_count_rows, _benign_count_rows, _fleet_counts
-from .threshold import ThresholdConfig, at_least, check_fields, classify_intervals
-from .trace import TraceBatch, fold_intervals
+from .threshold import ThresholdConfig, _flag_columns, at_least, check_fields
+from .trace import TraceBatch, _grid_means
 
 DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
 SUBREQUEST_LIMIT = 10_000
+
+# numpy's SeedSequence hash constants (a pool of four uint32 words) and the
+# multiplier of PCG64's 128-bit LCG.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,62 @@ class FleetReport:
         return out
 
 
+def _worker_generators(seed: int, keys: list[int], j: int) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(seed, spawn_key=(i, j)))`` for each i of
+    ``keys``, in turn, as one reused Generator whose PCG64 state is set for
+    each worker.  A caller must finish with a worker's draws before it asks
+    for the next worker's generator.
+
+    Every worker's state is computed at once.  numpy's SeedSequence hash runs
+    on uint32 columns, one entry per worker: ``mix_entropy`` mixes the seed's
+    32-bit words (zero-padded to the pool of 4) and the spawn key into the
+    pool, and ``generate_state(4, uint64)`` hashes 8 words out of it, read as
+    uint64 through numpy's '<u4' to '<u8' view.  PCG64 takes the first two
+    as the 128-bit initial state and the last two as its stream, and seeds
+    by ``srandom``, in Python ints.  ``test_states_equal_numpy`` checks the
+    result against numpy's own seeding.
+    """
+    words = [seed >> 32 * k & _U32 for k in range(max(4, -(-seed.bit_length() // 32)))]
+    entropy = [np.full(len(keys), w, dtype=np.uint32) for w in words + [j]]
+    entropy.insert(-1, np.array(keys, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _U32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = _MIX_L * x - _MIX_R * y
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, np.empty((len(keys), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _U32
+        value = value * const
+        state[:, i] = value ^ value >> 16
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128,
+                                "inc": inc}}
+        yield rng
+
+
 def _ks_counts(benign: list[bool], rngs, intervals: int):
     """Every window's histogram counts, worker by worker, in zero-padded blocks
     of ``SCREEN_BLOCK`` rows, so at most one block is held at a time.  Each
@@ -214,9 +281,13 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
 
     Worker i of the spec order (attackers, then benign workers) draws its
     counters from spawn key (i, 0) of the config seed, its histograms from
-    (i, 1); only the configured detector's draws are made.  Its row of the
-    grid, and its code in the trace, is its rank in name order, where every
-    ``attack-`` name precedes every ``worker-`` name.
+    (i, 1); only the configured detector's draws are made, from one reused
+    generator (``_worker_generators``).  Its row of the grid, and its code in
+    the trace, is its rank in name order, where every ``attack-`` name
+    precedes every ``worker-`` name.  A threshold fleet's trace is validated
+    as one ``TraceBatch``; each run of ``executions_per_interval`` records is
+    then one window, whose branch and reset means (``trace._grid_means``) the
+    rule flags (``threshold._flag_columns``), with no sort or full fold.
     """
     specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
     specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
@@ -225,22 +296,18 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     benign = np.array(order) >= cfg.n_attack
     n_workers, intervals = len(names), cfg.intervals
 
-    def rngs(j: int):
-        # the states of SeedSequence(seed).spawn(len(specs))[i].spawn(2)[j], in name order
-        return (np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(i, j)))
-                for i in order)
-
     # flags[w, k]: window k of worker w is suspect.
     if cfg.detector.kind == "threshold":
-        n_samples = intervals * cfg.executions_per_interval
-        counts = _fleet_counts(rngs(0), BenignProfile.default(), cfg.n_attack, cfg.n_benign,
-                               n_samples, cfg.executions_per_interval, astuple(cfg.attack))
-        folded = fold_intervals(TraceBatch(names, np.repeat(np.arange(n_workers), n_samples),
-                                           counts))
-        flags = np.zeros((n_workers, intervals), dtype=bool)
-        flags[folded.worker, folded.window] = classify_intervals(folded, cfg.detector.threshold)[0]
+        e = cfg.executions_per_interval
+        counts = _fleet_counts(_worker_generators(cfg.rng_seed, order, 0),
+                               BenignProfile.default(), cfg.n_attack, cfg.n_benign,
+                               intervals * e, e, astuple(cfg.attack))
+        # checks the counter invariants, naming the first bad record's worker
+        TraceBatch(names, np.repeat(np.arange(n_workers), intervals * e), counts)
+        means = _grid_means(counts, e, ("branch_instructions", "mem_disambiguation_resets"))
+        flags = _flag_columns(*means.T, cfg.detector.threshold)[0].reshape(n_workers, intervals)
     else:
-        counts = _ks_counts(benign.tolist(), rngs(1), intervals)
+        counts = _ks_counts(benign.tolist(), _worker_generators(cfg.rng_seed, order, 1), intervals)
         suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
         flags = suspect.reshape(n_workers, intervals)
 

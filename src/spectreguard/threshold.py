@@ -8,7 +8,8 @@ counter far above ordinary workloads.
 
 Rules are OR-ed, branch rule first, so the triggering metric is
 deterministic.  ``classify_intervals`` applies them to every window of an
-``IntervalBatch`` at once; ``detect`` and the fleet simulator use it.
+``IntervalBatch`` at once, and ``detect`` uses it; the fleet simulator calls
+its column rule ``_flag_columns`` on its own window means.
 ``classify_threshold`` classifies one ``IntervalAverage`` and is the
 reference the column form is tested against.  Flagging costs isolation, not
 termination, which is why a sub-percent false-positive rate is acceptable.
@@ -145,9 +146,18 @@ def classify_intervals(
     """
     branch = batch.metric("branch_instructions")
     md = batch.metric("mem_disambiguation_resets")
+    suspect, stl = _flag_columns(branch, md, cfg)
+    return suspect, stl, np.where(stl, md, branch)
+
+
+def _flag_columns(branch: np.ndarray, md: np.ndarray,
+                  cfg: ThresholdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The two rules over columns of window means of the branch and reset
+    metrics: (suspect, stl), stl where the STL rule fired and the branch rule,
+    checked first, did not."""
     branch_hit = branch >= cfg.branch_per_itlb_threshold
     stl = ~branch_hit & (md >= cfg.stl_reset_threshold)
-    return branch_hit | stl, stl, np.where(stl, md, branch)
+    return branch_hit | stl, stl
 
 
 def _ascending(thresholds: list[float]) -> bool:

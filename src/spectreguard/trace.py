@@ -14,10 +14,13 @@ Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
 of each record.  ``ingest_trace`` and the generators in ``profiles`` produce
 batches, ``emit_trace`` writes one to an open handle, and ``fold_intervals``
-folds one into an ``IntervalBatch`` of window means.  The text paths work a
-block at a time.  ``ingest_trace`` reads the file in chunks of about
-``_READ_CHUNK`` characters and maps one regex over each chunk to take the
-lines in exactly ``emit_trace``'s form; any other line goes through the JSON
+folds one into an ``IntervalBatch`` of window means; the CLI's ``detect``
+and ``sweep`` call it.  The fleet's records lie on a regular grid, so it
+takes only the means it reads from ``_grid_means``, which normalizes
+(``_per_itlb``) and sums (``_window_sums``) as the fold does.  The text
+paths work a block at a time.  ``ingest_trace`` reads the file in chunks of
+about ``_READ_CHUNK`` characters and maps one regex over each chunk to take
+the lines in exactly ``emit_trace``'s form; any other line goes through the JSON
 decoder (``_parse_line``), which stays the reference for what a line means and
 which error it raises, and its values are written back in that form.  Each
 chunk's integers are parsed in one bulk step, and no regex match outlives its
@@ -55,7 +58,7 @@ _INT64_MAX = 2**63 - 1
 # Integers up to 2**53 convert to float64 exactly, so numpy's division of
 # such counts is the correctly rounded quotient that Python's int / int gives.
 _FLOAT_EXACT_MAX = 2**53
-# fold_intervals sums windows of 3 to this many samples with _exact_sums; it
+# _window_sums sums windows of 3 to this many rows with _exact_sums; it
 # costs k(k - 1)/2 vectorized TwoSums for a block of k rows.
 _EXACT_SUM_MAX = 8
 
@@ -407,6 +410,71 @@ def _exact_sums(values: np.ndarray) -> np.ndarray:
     return np.where(half_way, moved, hi)
 
 
+def _per_itlb(counts: np.ndarray, itlb: np.ndarray) -> np.ndarray:
+    """Each row of int64 ``counts`` divided by its nonzero ``itlb``, as
+    Python's int / int divides: numpy's float division is that correctly
+    rounded quotient for integers up to ``_FLOAT_EXACT_MAX``, and a row with
+    a larger one is divided in Python."""
+    normalized = counts / itlb[:, None]
+    for i in np.flatnonzero(np.maximum(counts.max(axis=1, initial=0), itlb) > _FLOAT_EXACT_MAX):
+        denom = int(itlb[i])
+        normalized[i] = [value / denom for value in counts[i].tolist()]
+    return normalized
+
+
+def _window_sums(values: np.ndarray, offsets: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each window's column sums of ``values``, whose window w is the
+    ``count[w]`` rows from row ``offsets[w]``: correctly rounded, bit for bit
+    ``math.fsum``, so they do not depend on the order of a window's rows.
+
+    The correctly rounded sum is unique, so each window width takes its
+    cheapest exact route: a window of at most two rows takes one IEEE
+    addition (``np.add.reduceat``), which is already correctly rounded;
+    windows of 3 to ``_EXACT_SUM_MAX`` rows go through ``_exact_sums``, one
+    zero-padded block of all such windows per column; a wider window takes
+    ``math.fsum`` of slices of one contiguous column.
+    """
+    # Final for windows of one or two rows; sending those through
+    # _exact_sums too nearly doubles the fold.
+    sums = np.add.reduceat(values, offsets, axis=0)
+    narrow = np.flatnonzero((count > 2) & (count <= _EXACT_SUM_MAX))
+    if narrow.size:
+        # slot s of window w is its row s, or a 0.0 past its last row; one
+        # column at a time keeps the block (k, windows)
+        slot = np.arange(count[narrow].max())[:, None]
+        inside = slot < count[narrow]
+        at = np.where(inside, offsets[narrow] + slot, 0)
+        for col in range(values.shape[1]):
+            sums[narrow, col] = _exact_sums(np.where(inside, values[at, col], 0.0))
+    # memoryview slices: no array or list is made per window
+    wide = np.flatnonzero(count > _EXACT_SUM_MAX)
+    if wide.size:
+        bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
+        for col in range(values.shape[1]):
+            column = memoryview(np.ascontiguousarray(values[:, col]))
+            sums[wide, col] = [math.fsum(column[a:b]) for a, b in bounds]
+    return sums
+
+
+def _grid_means(counts: np.ndarray, samples: int, metrics: tuple[str, ...]) -> np.ndarray:
+    """The window means of the ``METRIC_FIELDS`` in ``metrics``, one column
+    each, of (n, 9) ``counts`` whose every run of ``samples`` rows is one
+    window with no zero-iTLB record, as the fleet lays out its workers' draws.
+
+    Bit for bit the means ``fold_intervals`` gives those windows (the same
+    ``_per_itlb`` and ``_window_sums``), with no sort, grouping, emit order
+    or unread column.  Raises ValueError for a record with zero iTLB
+    accesses, which ``fold_intervals`` would drop.
+    """
+    if not counts[:, 1].all():
+        raise ValueError("a grid record has zero iTLB accesses")
+    columns = [2 + METRIC_FIELDS.index(name) for name in metrics]
+    windows = len(counts) // samples
+    sums = _window_sums(_per_itlb(counts[:, columns], counts[:, 1]),
+                        np.arange(windows) * samples, np.full(windows, samples))
+    return sums / samples
+
+
 def fold_intervals(
     records: TraceBatch | Iterable[CounterSnapshot],
     interval_ns: int = DEFAULT_INTERVAL_NS,
@@ -416,15 +484,10 @@ def fold_intervals(
     Records are stably sorted by worker, so each worker's records keep their
     file order; a timestamp regression raises OutOfOrderTimestamp for the
     first offending record in file order.  Zero-iTLB samples are dropped and
-    counted.  Window sums are correctly rounded, bit for bit the
-    ``math.fsum`` that IntervalFolder takes, so means do not depend on the
-    order of samples within a window.  The correctly rounded sum is unique,
-    so each window width takes its cheapest exact route: a window of at
-    most two samples takes one IEEE addition (``np.add.reduceat``), which is
-    already correctly rounded; windows of 3 to ``_EXACT_SUM_MAX`` samples
-    go through ``_exact_sums``, one zero-padded block of all such windows
-    per metric column; a wider window takes ``math.fsum`` of slices of one
-    contiguous metric column.
+    counted.  Samples are normalized by ``_per_itlb``, and window sums are
+    ``_window_sums``: correctly rounded, bit for bit the ``math.fsum`` that
+    IntervalFolder takes, so means do not depend on the order of samples
+    within a window.
     """
     _check_interval(interval_ns)
     batch = records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
@@ -454,34 +517,10 @@ def fold_intervals(
     rows = batch.counts[order]
     kept = rows[:, 1] != 0
     rows, kept_group = rows[kept], group[kept]
-    normalized = rows[:, 2:] / rows[:, 1:2]
-    for i in np.flatnonzero(rows[:, 1:].max(axis=1, initial=0) > _FLOAT_EXACT_MAX):
-        row = rows[i].tolist()
-        normalized[i] = [value / row[1] for value in row[2:]]
-
     sample_count = np.bincount(kept_group, minlength=starts.size)
     emitted = np.flatnonzero(sample_count)
     count = sample_count[emitted]
-    offsets = np.cumsum(count) - count
-    # Final for windows of one or two samples (one IEEE addition is correctly
-    # rounded); sending those through _exact_sums too nearly doubles the fold.
-    sums = np.add.reduceat(normalized, offsets, axis=0)
-    narrow = np.flatnonzero((count > 2) & (count <= _EXACT_SUM_MAX))
-    if narrow.size:
-        # slot s of window w is its sample s, or a 0.0 past its last sample;
-        # one metric column at a time keeps the block (k, windows)
-        slot = np.arange(count[narrow].max())[:, None]
-        inside = slot < count[narrow]
-        at = np.where(inside, offsets[narrow] + slot, 0)
-        for col in range(normalized.shape[1]):
-            sums[narrow, col] = _exact_sums(np.where(inside, normalized[at, col], 0.0))
-    # memoryview slices: no array or list is made per window
-    wide = np.flatnonzero(count > _EXACT_SUM_MAX)
-    if wide.size:
-        bounds = list(zip(offsets[wide].tolist(), (offsets[wide] + count[wide]).tolist()))
-        for col in range(normalized.shape[1]):
-            values = memoryview(np.ascontiguousarray(normalized[:, col]))
-            sums[wide, col] = [math.fsum(values[a:b]) for a, b in bounds]
+    sums = _window_sums(_per_itlb(rows[:, 2:], rows[:, 1]), np.cumsum(count) - count, count)
 
     # Closed windows in the file order of their closing records, then the
     # open ones by (window, worker name).

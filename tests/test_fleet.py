@@ -11,7 +11,7 @@ import pytest
 
 from fleet_reference import reference_ks_p_values, run_fleet_reference
 from fleet_reference import _build_workers as build_reference_workers
-from spectreguard import fleet, ks, profiles
+from spectreguard import fleet, ks, profiles, trace
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
@@ -290,15 +290,15 @@ class TestReferenceLoop:
         # seeded from the SeedSequence spawn tree.  The KS fleets' histogram
         # generators are pinned by test_reports_equal[ks-1004-workers].
         _records, expected = build_reference_workers(cfg)
-        folded = []
-        fold = fleet.fold_intervals
-        monkeypatch.setattr(fleet, "fold_intervals",
-                            lambda batch: folded.append(batch) or fold(batch))
+        validated = []
+        post_init = TraceBatch.__post_init__
+        monkeypatch.setattr(TraceBatch, "__post_init__",
+                            lambda batch: validated.append(batch) or post_init(batch))
         run_fleet(cfg)
-        (trace,) = folded
-        assert trace.names == expected.names
-        assert np.array_equal(trace.worker, expected.worker)
-        assert np.array_equal(trace.counts, expected.counts)
+        (batch,) = validated
+        assert batch.names == expected.names
+        assert np.array_equal(batch.worker, expected.worker)
+        assert np.array_equal(batch.counts, expected.counts)
 
     def test_ks_fleet_draws_no_counters(self, monkeypatch):
         def forbidden(*_args, **_kwargs):
@@ -308,7 +308,21 @@ class TestReferenceLoop:
         expected = run_fleet_reference(cfg).to_json_dict()
         assert expected["attack_workers_flagged"] == cfg.n_attack  # the screen has suspects
         monkeypatch.setattr(fleet, "_fleet_counts", forbidden)
-        monkeypatch.setattr(fleet, "fold_intervals", forbidden)
+        monkeypatch.setattr(fleet, "_grid_means", forbidden)
+        monkeypatch.setattr(trace, "fold_intervals", forbidden)
+        assert run_fleet(cfg).to_json_dict() == expected
+
+    @pytest.mark.parametrize("executions", [1, 3, 9])
+    def test_threshold_fleet_never_folds_a_trace(self, executions, monkeypatch):
+        # The fleet means only its rule's two columns on the worker x window
+        # grid; the reference folds a whole trace.
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the threshold fleet called fold_intervals")
+
+        cfg = oracle_fleet(executions=executions, n_benign=40)
+        expected = run_fleet_reference(cfg).to_json_dict()
+        assert not hasattr(fleet, "fold_intervals")
+        monkeypatch.setattr(trace, "fold_intervals", forbidden)
         assert run_fleet(cfg).to_json_dict() == expected
 
     @pytest.mark.parametrize("kind", ["threshold", "ks"])
@@ -324,6 +338,36 @@ class TestReferenceLoop:
         n_workers = cfg.n_benign + cfg.n_attack
         n_records = n_workers * cfg.intervals * cfg.executions_per_interval
         assert validated == ([n_records] if kind == "threshold" else [])
+
+
+# Seeds of one (up to 2**32 - 1) to five (2**128 + 7) 32-bit words; a fifth
+# word is mixed into the filled pool of four, as the spawn key's words are.
+SEEDING_SEEDS = [0, 1, 5, 1729, 2101, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 3, 2**128 + 7]
+
+
+class TestWorkerGenerators:
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("seed", SEEDING_SEEDS)
+    def test_states_equal_numpy(self, seed, j):
+        # A failure here means numpy changed how SeedSequence hashes a spawn
+        # key or how PCG64 seeds from it, which _worker_generators recomputes.
+        keys = list(range(1005))
+        for i, rng in zip(keys, fleet._worker_generators(seed, keys, j), strict=True):
+            numpy_rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i, j))))
+            assert rng.bit_generator.state == numpy_rng.bit_generator.state, (
+                f"numpy's seeding of SeedSequence({seed}, spawn_key=({i}, {j})) changed")
+            # the reused generator's first draws after its state is set
+            assert rng.random(3).tolist() == numpy_rng.random(3).tolist()
+            assert rng.standard_normal(2).tolist() == numpy_rng.standard_normal(2).tolist()
+            assert rng.integers(0, 2**63, 2).tolist() == numpy_rng.integers(0, 2**63, 2).tolist()
+
+    def test_keys_in_any_order(self):
+        # run_fleet passes its workers' spec indices in name order
+        keys = [7, 3, 1000, 0, 3]
+        states = [rng.bit_generator.state for rng in fleet._worker_generators(9, keys, 1)]
+        assert states == [np.random.PCG64(np.random.SeedSequence(9, spawn_key=(i, 1))).state
+                          for i in keys]
 
 
 class TestConfigValidation:

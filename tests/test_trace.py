@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectreguard import trace
 from spectreguard.profiles import AttackVariant, BenignProfile, generate_attack, generate_benign
+from spectreguard.profiles import _fleet_counts
 from spectreguard.trace import (
     CounterSnapshot,
     IntervalFolder,
@@ -335,6 +336,67 @@ class TestBatchFoldOracle:
         assert _exact(folded) == _exact(expected)
         assert folded.dropped_zero_itlb == dropped == 1
         assert sorted(set(folded.sample_count.tolist())) == list(range(3, 9))
+
+
+_GRID_FIELDS = ("branch_instructions", "mem_disambiguation_resets")
+
+
+def _grid_batch(counts, workers):
+    """A batch of workers' records, one worker after another, as the fleet lays them out."""
+    names = tuple(f"worker-{i:03d}" for i in range(workers))
+    return TraceBatch(names, np.repeat(np.arange(workers), len(counts) // workers), counts)
+
+
+def _folded_on_grid(batch, windows):
+    """fold_intervals' two rule columns, each window at its (worker, window) row."""
+    folded = fold_intervals(batch)
+    at = folded.worker * windows + folded.window
+    assert np.array_equal(np.sort(at), np.arange(len(batch.names) * windows))
+    out = np.empty((len(at), len(_GRID_FIELDS)))
+    for col, name in enumerate(_GRID_FIELDS):
+        out[at, col] = folded.metric(name)
+    return out
+
+
+class TestGridMeans:
+    """``_grid_means`` is bit for bit ``fold_intervals`` on the fleet's grid."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 8, 9])
+    def test_fleet_grid_equals_fold_intervals(self, e):
+        # e = 2 | 3 and 8 | 9 cross the sum rule's two boundaries
+        windows, n_attack, n_benign = 5, 2, 30
+        rngs = iter([np.random.default_rng([e, i]) for i in range(n_attack + n_benign)])
+        counts = _fleet_counts(rngs, BenignProfile.default(), n_attack, n_benign, windows * e, e,
+                               (AttackVariant.PHT, 12, 0))
+        got = trace._grid_means(counts, e, _GRID_FIELDS)
+        expected = _folded_on_grid(_grid_batch(counts, n_attack + n_benign), windows)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 9])
+    def test_counts_above_2_53_equal_fold_intervals_and_fsum(self, e):
+        # per-record magnitudes from 2**10 to 2**62: rows above 2**53 divide
+        # as Python ints, and the sums mix far exponents
+        workers, windows = 3, 4
+        n = workers * windows * e
+        rng = np.random.default_rng(e)
+        counts = np.zeros((n, 9), dtype=np.int64)
+        counts[:, 0] = np.repeat(np.arange(workers * windows) % windows, e) * 10**9
+        for col in (1, 2, 8):
+            counts[:, col] = rng.integers(1, 2 ** rng.integers(10, 63, n))
+        assert (counts[:, [1, 2, 8]] > 2**53).any(axis=1).sum() > n // 4
+        got = trace._grid_means(counts, e, _GRID_FIELDS)
+        expected = _folded_on_grid(_grid_batch(counts, workers), windows)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        rows = counts.tolist()
+        exact = [[math.fsum(row[col] / row[1] for row in rows[w * e:(w + 1) * e]) / e
+                  for col in (2, 8)] for w in range(workers * windows)]
+        assert got.view(np.int64).tolist() == np.array(exact).view(np.int64).tolist()
+
+    def test_zero_itlb_rejected(self):
+        counts = np.ones((4, 9), dtype=np.int64)
+        counts[2, 1] = 0
+        with pytest.raises(ValueError, match="zero iTLB"):
+            trace._grid_means(counts, 2, _GRID_FIELDS)
 
 
 def _fsum_columns(values):
