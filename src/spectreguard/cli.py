@@ -446,7 +446,7 @@ def _build_parser() -> _Parser:
     ks.add_argument("reference")
     ks.add_argument("--alpha", type=float, default=ks_mod.DEFAULT_ALPHA)
     ks.add_argument("--top-k", type=int, default=ks_mod.DEFAULT_TOP_K)
-    ks.add_argument("--exact", action="store_true")
+    ks.add_argument("--exact", action="store_true", help="exact p-value, at any --top-k")
     ks.add_argument("--out", default=None)
 
     return parser

@@ -8,8 +8,8 @@ rejected, so the program is flagged as a suspect.
 
 One distance kernel serves one pair and the fleet's batch: ``ks_two_sample``
 passes it one row, ``screen_counts`` a block of zero-padded count rows, sorted
-once and each screened by its top ``DEFAULT_TOP_K``.  The template is data
-(``data/attack_template.csv``).
+once and each screened by its top ``DEFAULT_TOP_K``; exact p-values count
+lattice paths, at any size.  The template is data (``data/attack_template.csv``).
 Histogram CSVs follow the trace line rule; read errors name file and line.
 """
 
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -34,10 +33,6 @@ HISTOGRAM_HEADER = ("branch_id", "mispredictions")
 DEFAULT_ALPHA = 0.1
 DEFAULT_TOP_K = 100
 
-# Exact-mode enumeration visits C(n+m, n) assignments; 12 pooled samples
-# (924 assignments at worst) is the permitted ceiling.
-EXACT_MODE_MAX_POOLED = 12
-
 
 class HistogramError(ValueError):
     """Base class for histogram/KS failures."""
@@ -49,10 +44,6 @@ class EmptyHistogram(HistogramError):
 
 class EmptySample(HistogramError):
     """A KS input sample is empty."""
-
-
-class ExactModeTooLarge(HistogramError):
-    """Exact-mode enumeration was requested for too many pooled samples."""
 
 
 class HistogramFormatError(HistogramError):
@@ -165,16 +156,27 @@ def kolmogorov_survival(lam: float) -> float:
 
 
 def _exact_p_value(a: Sequence[int], b: Sequence[int]) -> float:
-    """Permutation p-value by full enumeration of label assignments.  Distances
-    are compared as the integers n*m*D, so no tie is missed to rounding."""
+    """Permutation p-value over the C(n+m, n) relabellings of the pooled values:
+    Hodges' lattice-path count, ties as in Schroer and Trenkler (1995).  Over the
+    tie groups in order, ``inside`` maps i, the labels given to a so far, to the
+    assignments whose gap |i*m - j*n| stayed below the observed n*m*D at every
+    group end; a group of t gives d to a in C(t, d) ways.  Counting the paths
+    outside keeps a tiny p exact.  Cost: O(n * (n+m)) big-integer additions."""
     n, m = len(a), len(b)
-    pooled = np.array([*a, *b])
-    # in_a[i, j]: assignment i puts pooled value j in sample a (row 0 as observed)
-    in_a = np.zeros((math.comb(n + m, n), n + m), dtype=np.int64)
-    np.put_along_axis(in_a, np.array(list(combinations(range(n + m), n))), 1, axis=1)
-    at_or_below = (pooled[:, None] <= pooled).astype(np.int64)
-    scaled = np.abs((in_a @ at_or_below) * m - ((1 - in_a) @ at_or_below) * n).max(axis=1)
-    return int(np.count_nonzero(scaled >= scaled[0])) / len(scaled)
+    values, sizes = np.unique([*a, *b], return_counts=True)
+    ends = sizes.cumsum().tolist()
+    ends_a = np.searchsorted(np.sort(a), values, "right").tolist()
+    observed = max(abs(i * m - (s - i) * n) for i, s in zip(ends_a, ends))
+    inside = {0: 1}
+    for t, s in zip(sizes.tolist(), ends):
+        step: dict[int, int] = {}
+        for i, count in inside.items():
+            for d in range(max(0, s - m - i), min(t, n - i) + 1):
+                if abs((i + d) * m - (s - i - d) * n) < observed:
+                    step[i + d] = step.get(i + d, 0) + count * math.comb(t, d)
+        inside = step
+    total = math.comb(n + m, n)
+    return (total - sum(inside.values())) / total
 
 
 def ks_two_sample(
@@ -183,8 +185,8 @@ def ks_two_sample(
     """Two-sided two-sample KS test for discrete samples.
 
     ``asymptotic`` evaluates the Kolmogorov limit at
-    lam = D * sqrt(n*m/(n+m)); ``exact`` enumerates every label permutation
-    (only permitted for n+m <= 12).
+    lam = D * sqrt(n*m/(n+m)); ``exact`` counts the permutation p-value at any
+    n and m, in O(n * (n+m)) big-integer additions (``_exact_p_value``).
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySample("both samples must be non-empty")
@@ -196,11 +198,7 @@ def ks_two_sample(
     statistic = float(_ecdf_distance(rows, reference)[0])
 
     if mode == "exact":
-        if n + m > EXACT_MODE_MAX_POOLED:
-            raise ExactModeTooLarge(
-                f"exact mode limited to {EXACT_MODE_MAX_POOLED} pooled samples, got {n + m}"
-            )
-        p_value = _exact_p_value(list(a), list(b))
+        p_value = _exact_p_value(a, b)
     else:
         lam = statistic * math.sqrt(n * m / (n + m))
         p_value = kolmogorov_survival(lam)

@@ -562,6 +562,18 @@ class TestKsCommand:
         assert payload == {"d": verdict.ks.statistic, "p": verdict.ks.p_value, "n": verdict.ks.n,
                            "m": verdict.ks.m, "suspect": verdict.suspect, "alpha": kwargs["alpha"]}
 
+    def test_exact_mode_at_the_default_top_k(self, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for profile, seed, hist in (("pht", 1, paths[0]), ("btb", 2, paths[1])):
+            run("gen", "--profile", profile, "--n", "5", "--seed", str(seed),
+                "--out", str(tmp_path / "t.jsonl"), "--histogram-out", str(hist))
+        assert run("ks", *map(str, paths), "--exact") == 0
+        payload = json.loads(capsys.readouterr().out)
+        top_a, top_b = (ks.top_branches(ks.read_histogram_csv(path), ks.DEFAULT_TOP_K)
+                        for path in paths)
+        assert payload["n"] + payload["m"] > 12
+        assert payload["p"] == ks.ks_two_sample(top_a, top_b, mode="exact").p_value
+
     @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1"])
     def test_alpha_outside_unit_interval_is_input_error(self, tmp_path, capsys, alpha):
         hist = tmp_path / "h.csv"

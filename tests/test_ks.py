@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from spectreguard import cli, ks
 from spectreguard.ks import (
     BranchHistogram,
+    DEFAULT_ALPHA,
     DEFAULT_TOP_K,
     EmptyHistogram,
     EmptySample,
-    ExactModeTooLarge,
     HISTOGRAM_SCHEMA,
     HistogramError,
     HistogramFormatError,
@@ -178,9 +178,24 @@ class TestKsTwoSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == oracle_exact_p([5, 3, 3, 1], [4, 3, 2, 2, 1, 1])
 
-    def test_exact_mode_size_cap(self):
-        with pytest.raises(ExactModeTooLarge):
-            ks_two_sample([1] * 7, [2] * 6, mode="exact")
+    def test_exact_mode_matches_oracle_past_c3_sizes(self):
+        rng = np.random.default_rng(31)
+        for size in range(9, 13):
+            for _ in range(25):
+                n = int(rng.integers(1, size))
+                a = rng.integers(1, 5, size=n).tolist()
+                b = rng.integers(1, 5, size=size - n).tolist()
+                assert ks_two_sample(a, b, mode="exact").p_value == oracle_exact_p(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([4] * 6, [4] * 6),  # all values equal: D = 0, p = 1.0
+        ([1, 1, 2, 3, 3], [7, 8, 8, 9, 9, 9, 9]),  # disjoint supports
+        ([5], [1, 2, 5, 5, 6, 9, 9, 9, 9, 12, 13]),  # n = 1
+        ([1, 2, 2, 3, 5, 5, 6, 7, 7, 8, 9], [2]),  # m = 1
+        ([1, 3, 3, 3, 3, 9], [3, 3, 3, 3, 5, 6]),  # one tie group spans both samples
+    ])
+    def test_exact_mode_edge_cases_match_oracle(self, a, b):
+        assert ks_two_sample(a, b, mode="exact").p_value == oracle_exact_p(a, b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptySample):
@@ -252,10 +267,39 @@ class TestClassify:
         expected = ks_two_sample([9, 4, 1], [7, 7, 2], mode=mode)
         assert verdict == KsVerdict(suspect=expected.p_value >= 0.5, ks=expected)
 
-    def test_exact_mode_keeps_its_size_cap(self):
+    def test_exact_mode_template_vs_itself(self):
         template = load_default_template()
-        with pytest.raises(ExactModeTooLarge):
-            classify_ks(template, template, mode="exact")
+        verdict = classify_ks(template, template, mode="exact")
+        assert verdict.ks.p_value == 1.0
+        assert verdict.ks.n == 64
+
+    def test_exact_mode_rejects_benign_histogram(self):
+        template = load_default_template()
+        benign = make_benign_histogram(np.random.default_rng(21))
+        verdict = classify_ks(benign, template, mode="exact")
+        assert verdict.ks.p_value < DEFAULT_ALPHA
+        assert not verdict.suspect
+
+    def test_asymptotic_p_is_close_to_exact_near_alpha(self):
+        # Near-template samples: each template count scaled by one log-shift
+        # per sample and a lognormal factor per count.  Where the exact p lies
+        # in (0.005, 0.8), the asymptotic p is at most 1% below it and at most
+        # 12% above it (these seeds reach -0.4% and +10%, the most just above
+        # p = 0.01), and both p-values fall on the same side of alpha.
+        template = load_default_template()
+        reference = top_branches(template, DEFAULT_TOP_K)
+        compared = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            scale = rng.lognormal(rng.uniform(-3.0, 3.0), 0.5, size=len(reference))
+            sample = np.maximum(1, np.rint(np.multiply(reference, scale))).astype(int).tolist()
+            exact = ks_two_sample(sample, reference, mode="exact").p_value
+            if 0.005 < exact < 0.8:
+                compared += 1
+                asymptotic = ks_two_sample(sample, reference).p_value
+                assert 0.99 * exact <= asymptotic <= 1.12 * exact
+                assert (asymptotic >= DEFAULT_ALPHA) == (exact >= DEFAULT_ALPHA)
+        assert compared >= 20
 
 
 class TestHistogramCsv:
