@@ -1,11 +1,12 @@
 """Drive the worker fleet under detector-triggered process isolation.
 
 Fifty benign tenants share a process with one attacker.  The orchestrator
-folds counter readings into 1-second averages, classifies each completed
-window, and migrates flagged workers into their own process; nobody is
-terminated.  The cost model prices the outcome: a flat 2% for the detection
-plus an affine throughput/memory penalty per isolated process, down to strict
-process isolation in the worst case.
+averages each worker's two threshold metrics over every 1-second window,
+flags the windows past a threshold, and migrates a worker into its own
+process at the close of its first flagged window; nobody is terminated.  The
+cost model prices the outcome: a flat 2% for the detection plus an affine
+throughput/memory penalty per isolated process, down to strict process
+isolation in the worst case.
 
     python3 demos/04_isolation_fleet.py
 """

@@ -14,12 +14,12 @@ rule's column form; the KS screen draws only misprediction-histogram counts,
 in zero-padded blocks of ``ks.SCREEN_BLOCK`` windows (the counts do not
 depend on the batching; see ``profiles``), and screens a block at a time.
 Either way the result is one (worker x interval) flag grid, which gives the
-verdicts and the benign false-positive rate.  Window i closes at interval
-boundary i+1, so a worker whose first suspect window is i is isolated there
-and runs every later interval isolated.  That one number per worker fixes the
-isolation timeline and a (worker x boundary) placement matrix, from which the
-series and the safety checks are read.  Requests past ``SUBREQUEST_LIMIT`` are
-counted; isolation cost is accounted with an affine throughput/memory model.
+verdicts and the benign false-positive rate.  One policy function
+(``_first_flag_policy``) maps it to the windows whose close decides to isolate
+a worker and a (worker x boundary) placement matrix; the timeline, latencies,
+series and both safety checks read those two alone.  Requests past
+``SUBREQUEST_LIMIT`` are counted; isolation cost is accounted with an affine
+throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
 byte-identical reports.
@@ -153,7 +153,10 @@ class SeriesPoint:
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Deterministic run summary; serialize with to_json_dict()."""
+    """Deterministic run summary; serialize with to_json_dict().  A sound policy gives
+    ``post_isolation_shared_events`` 0 (no execution runs shared after a decision to
+    isolate) and ``liveness_ok`` True (every decision before the last window is carried
+    out at the next boundary)."""
 
     seed: int
     mode: str
@@ -275,9 +278,18 @@ def _ks_counts(benign: list[bool], rngs, intervals: int):
         yield block()
 
 
+def _first_flag_policy(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``decided[w, k]``: window k's close (boundary k+1) decides to isolate
+    worker w, at its first flag; ``placement[w, b]``: w runs isolated after
+    boundary b.  A decided worker moves at once and never returns."""
+    placement = np.zeros((len(flags), flags.shape[1] + 1), dtype=bool)
+    placement[:, 1:] = np.logical_or.accumulate(flags, axis=1)
+    return placement[:, 1:] > placement[:, :-1], placement
+
+
 def run_fleet(cfg: FleetConfig) -> FleetReport:
-    """Classify every window into one (worker x interval) flag grid, derive
-    isolations and costs from it.
+    """Classify every window into one (worker x interval) flag grid; the
+    policy (``_first_flag_policy``) turns it into isolations and costs.
 
     Worker i of the spec order (attackers, then benign workers) draws its
     counters from spawn key (i, 0) of the config seed, its histograms from
@@ -311,29 +323,18 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
         flags = suspect.reshape(n_workers, intervals)
 
-    # first[w]: the worker's first suspect window, or `intervals` if none.
-    first = np.where(flags.any(axis=1), flags.argmax(axis=1), intervals)
-    # isolated[w, b]: worker w runs isolated after boundary b.  A worker only
-    # ever moves from shared to isolated; there is no de-isolation rule.
-    isolated = np.zeros((n_workers, intervals + 1), dtype=bool)
-    isolated[:, 1:] = np.logical_or.accumulate(flags, axis=1)
-
-    first_at = first.tolist()
-    isolated_count = isolated.sum(axis=0).tolist()
+    decided, placement = _first_flag_policy(flags)
+    isolated_count = placement.sum(axis=0).tolist()
     cost = cfg.cost_model
     series = tuple(
         SeriesPoint(t_sec, cost.throughput_rps(cfg.baseline_rps, count, n_workers),
                     cost.memory_bytes(cfg.worker_mem_bytes, count, n_workers), count)
         for t_sec, count in enumerate(isolated_count[1:], start=1)
     )
-    # Intervals a flagged worker ran shared after its flag: must stay 0.
-    after_flag = first[:, None] < np.arange(intervals)
-    shared_after_flag = int(np.count_nonzero(~isolated[:, :-1] & after_flag))
-    # Every worker flagged before the last window ran isolated at least once.
-    liveness_ok = bool(isolated[:, :-1].any(axis=1)[first < intervals - 1].all())
+    # intervals a worker ran shared after a decision to isolate it
+    shared = ~placement[:, 1:-1] & np.logical_or.accumulate(decided, axis=1)[:, :-1]
 
-    flagged = first < intervals
-    benign_windows = cfg.n_benign * intervals
+    flagged = flags.any(axis=1)
     isolated_total = isolated_count[-1]
     return FleetReport(
         seed=cfg.rng_seed,
@@ -345,28 +346,27 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         isolated_total=isolated_total,
         benign_workers_flagged=int(np.count_nonzero(flagged & benign)),
         attack_workers_flagged=int(np.count_nonzero(flagged & ~benign)),
-        benign_interval_fp_rate=(
-            int(np.count_nonzero(flags[benign])) / benign_windows
-            if benign_windows else 0.0
-        ),
+        benign_interval_fp_rate=float(flags[benign].mean()) if cfg.n_benign else 0.0,
         # windows close one interval after they start filling
         detection_latency_intervals={
-            names[w]: first_at[w] + 1 for w in np.flatnonzero(flagged & ~benign).tolist()
+            names[w]: int(decided[w].argmax()) + 1
+            for w in np.flatnonzero(decided.any(axis=1) & ~benign).tolist()
         },
         # verdicts by (interval, worker code)
         verdicts=tuple(
             {"interval": k, "worker_id": name, "suspect": s}
             for k, column in enumerate(flags.T.tolist()) for name, s in zip(names, column)
         ),
-        # isolations by (interval, worker code); a stable sort keeps code order
+        # moves from shared to isolated by (closing window, worker code)
         timeline=tuple(
-            {"interval": first_at[w], "worker_id": names[w], "action": "isolate"}
-            for w in np.argsort(first, kind="stable").tolist() if first_at[w] < intervals
+            {"interval": k, "worker_id": names[w], "action": "isolate"}
+            for k, w in np.argwhere((placement[:, 1:] > placement[:, :-1]).T).tolist()
         ),
         redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals
                                   - SUBREQUEST_LIMIT),
-        post_isolation_shared_events=cfg.executions_per_interval * shared_after_flag,
-        liveness_ok=liveness_ok,
+        post_isolation_shared_events=cfg.executions_per_interval * int(np.count_nonzero(shared)),
+        # every decision before the last window carried out at the next boundary
+        liveness_ok=bool(placement[:, 1:-1][decided[:, :-1]].all()),
         series=series,
         baseline_rps=cfg.baseline_rps,
         detection_factor=1.0 - cost.detection_overhead_rel,

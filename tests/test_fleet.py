@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 from fleet_reference import reference_ks_p_values, run_fleet_reference
 from fleet_reference import _build_workers as build_reference_workers
@@ -338,6 +340,84 @@ class TestReferenceLoop:
         n_workers = cfg.n_benign + cfg.n_attack
         n_records = n_workers * cfg.intervals * cfg.executions_per_interval
         assert validated == ([n_records] if kind == "threshold" else [])
+
+
+def first_flag_oracle(flags):
+    """The first-flag rule as run_fleet wrote it inline before the policy
+    function: the first suspect window by argmax, the placement by
+    accumulating the flags."""
+    n_workers, intervals = flags.shape
+    first = np.where(flags.any(axis=1), flags.argmax(axis=1), intervals)
+    decided = np.zeros_like(flags)
+    rows = np.flatnonzero(first < intervals)
+    decided[rows, first[rows]] = True
+    placement = np.zeros((n_workers, intervals + 1), dtype=bool)
+    placement[:, 1:] = np.logical_or.accumulate(flags, axis=1)
+    return decided, placement
+
+
+def bool_grid(rows):
+    return np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+
+
+class TestIsolationPolicy:
+    """``fleet._first_flag_policy`` and the checks that read its output."""
+
+    def test_hand_built_grid(self):
+        # no flag, a flag in window 0, a flag only in the last window, and
+        # two flags in a row
+        flags = bool_grid(["0000", "1000", "0001", "0110"])
+        decided, placement = fleet._first_flag_policy(flags)
+        assert np.array_equal(decided, bool_grid(["0000", "1000", "0001", "0100"]))
+        assert np.array_equal(placement, bool_grid(["00000", "01111", "00001", "00111"]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
+    def test_matches_the_inline_rule(self, flags):
+        decided, placement = fleet._first_flag_policy(flags)
+        expected_decided, expected_placement = first_flag_oracle(flags)
+        assert np.array_equal(decided, expected_decided)
+        assert np.array_equal(placement, expected_placement)
+        assert (decided.sum(axis=1) <= 1).all()
+
+    # the fleet of test_no_co_residency_after_flag
+    CHECKED = FleetConfig(n_benign=20, n_attack=2, intervals=6, rng_seed=3)
+
+    def test_a_move_one_boundary_late_fails_both_checks(self, monkeypatch):
+        sound = run_fleet(self.CHECKED)
+        assert (sound.post_isolation_shared_events, sound.liveness_ok) == (0, True)
+        policy = fleet._first_flag_policy
+
+        def late(flags):
+            decided, placement = policy(flags)
+            return decided, np.pad(placement[:, :-1], ((0, 0), (1, 0)))
+
+        monkeypatch.setattr(fleet, "_first_flag_policy", late)
+        report = run_fleet(self.CHECKED)
+        assert report.post_isolation_shared_events > 0
+        assert report.liveness_ok is False
+        # the timeline and series read the placements, the latencies the decisions
+        assert report.timeline == tuple({**entry, "interval": entry["interval"] + 1}
+                                        for entry in sound.timeline
+                                        if entry["interval"] + 1 < self.CHECKED.intervals)
+        assert [p.isolated_count for p in report.series[1:]] == [
+            p.isolated_count for p in sound.series[:-1]]
+        assert report.detection_latency_intervals == sound.detection_latency_intervals
+
+    def test_a_skipped_move_fails_liveness(self, monkeypatch):
+        sound = run_fleet(self.CHECKED)
+        policy = fleet._first_flag_policy
+
+        def skip_one(flags):
+            decided, placement = policy(flags)
+            placement[np.flatnonzero(decided[:, :-1].any(axis=1))[0]] = False
+            return decided, placement
+
+        monkeypatch.setattr(fleet, "_first_flag_policy", skip_one)
+        report = run_fleet(self.CHECKED)
+        assert report.post_isolation_shared_events > 0
+        assert report.liveness_ok is False
+        assert report.isolated_total == sound.isolated_total - 1
 
 
 # Seeds of one (up to 2**32 - 1) to five (2**128 + 7) 32-bit words; a fifth
