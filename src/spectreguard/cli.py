@@ -10,9 +10,9 @@ Every command is pure given its inputs and ``--seed`` (default 1729, never
 wall-clock entropy); artifacts are written atomically (temp file + rename)
 and start with a ``# schema: <name>-v1`` header line, except the fleet
 report: a JSON object whose ``schema`` is ``fleet-report-v3`` and whose
-``detector`` object is the detector's config-file section.  The fleet
-config's keys are the fields of ``fleet.FleetConfig`` and its sections,
-read from the dataclasses, with three aliases (``_CONFIG_ALIASES``).
+``detector`` object is the detector's config-file section.  Config keys are
+the fields of ``fleet.FleetConfig`` and its sections (three are aliased,
+``_CONFIG_ALIASES``); each key and numeric flag obeys its field's rule.
 
 Exit codes: 0 success, 1 input/usage error (any ``ValueError`` or ``OSError``).
 Any other exception ends with a traceback and status 1.
@@ -36,6 +36,7 @@ import numpy as np
 
 from . import ks as ks_mod
 from . import threshold as threshold_mod
+from .threshold import AttackWorkload, DetectorSpec, ThresholdConfig, at_least, setting_fields
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile
 from .profiles import generate_attack, generate_benign
 from .trace import DEFAULT_INTERVAL_NS, emit_trace, fold_intervals, ingest_trace
@@ -105,22 +106,20 @@ def _float(x: float) -> str:
     return repr(float(x))
 
 
-# (argparse dest, rule, test) of every numeric flag; NaN fails every test.  main
-# checks a command's flags before its handler runs and names the flag in an error.
-_FLAG_RULES = (
-    ("n", "must be >= 1", lambda v: v >= 1),
-    ("seed", "must be >= 0", lambda v: v >= 0),
-    ("pages", "must be >= 0", lambda v: v >= 0),
-    ("pages", f"must be <= {MAX_AMPLIFICATION}", lambda v: v <= MAX_AMPLIFICATION),
-    ("amplification", "must be >= 1", lambda v: v >= 1),
-    ("amplification", f"must be <= {MAX_AMPLIFICATION}", lambda v: v <= MAX_AMPLIFICATION),
-    ("intervals", "must be >= 1", lambda v: v >= 1),
-    ("interval_ns", "must be positive and fit in int64", lambda v: 0 < v < 2**63),
-    ("alpha", "must be in (0, 1)", lambda v: 0.0 < v < 1.0),
-    ("top_k", "must be >= 1", lambda v: v >= 1),
-    ("threshold", "must be >= 0 and not NaN", lambda v: v >= 0),
-    ("stl_threshold", "must be >= 0 and not NaN", lambda v: v >= 0),
-)
+# argparse dest -> the field_value rule of each numeric flag: the settings field it sets,
+# or its own.  main checks a command's flags before its handler runs, naming the flag.
+_FLAG_RULES = {
+    "n": (at_least(1, default=None), int),
+    "seed": (at_least(0, default=None), int),
+    "intervals": (at_least(1, default=None), int),
+    "top_k": (at_least(1, default=None), int),
+    "interval_ns": (at_least(1, default=None, maximum=2**63 - 1), int),
+    "threshold": setting_fields(ThresholdConfig)["branch_per_itlb_threshold"],
+    "stl_threshold": setting_fields(ThresholdConfig)["stl_reset_threshold"],
+    "amplification": setting_fields(AttackWorkload)["amplification"],
+    "pages": setting_fields(AttackWorkload)["pages"],
+    "alpha": setting_fields(DetectorSpec)["alpha"],
+}
 
 
 def _numbers(flag: str, text: str, kind, noun: str) -> list:
@@ -304,10 +303,9 @@ def _config_object(cls, section: dict, name: str | None):
     (``threshold.field_value``), which the error names by its key.  A named
     section may have no key left over.
     """
-    hints = threshold_mod._hints(cls)
     values = {}
-    for f in dataclasses.fields(cls):
-        key, hint = _CONFIG_ALIASES.get(f.name, f.name), hints[f.name]
+    for f, hint in setting_fields(cls).values():
+        key = _CONFIG_ALIASES.get(f.name, f.name)
         if dataclasses.is_dataclass(hint) and name == "fleet":
             sub = section.pop(key, {})
             if not isinstance(sub, dict):
@@ -316,10 +314,8 @@ def _config_object(cls, section: dict, name: str | None):
         elif dataclasses.is_dataclass(hint):
             values[f.name] = _config_object(hint, section, None)
         elif key in section:
-            try:
-                values[f.name] = threshold_mod.field_value(f, hint, section.pop(key), key)
-            except ValueError as exc:
-                raise InputError(f"fleet config {exc}") from None
+            values[f.name] = threshold_mod.field_value(f, hint, section.pop(key),
+                                                       f"fleet config {key!r}")
     if name is not None and section:
         raise InputError(f"unknown {name} config keys: {sorted(section)}")
     return cls(**values)
@@ -465,10 +461,10 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)  # None reads sys.argv[1:]
-        for dest, rule, holds in _FLAG_RULES:
+        for dest, (f, hint) in _FLAG_RULES.items():
             value = getattr(args, dest, None)
-            if value is not None and not holds(value):
-                raise InputError(f"--{dest.replace('_', '-')} {rule}, got {value}")
+            if value is not None:
+                threshold_mod.field_value(f, hint, value, f"--{dest.replace('_', '-')}")
         return _HANDLERS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ series and both safety checks read those two alone.  Requests past
 throughput/memory model.
 
 Everything is derived from the config seed: identical configs produce
-byte-identical reports.
+byte-identical reports; its settings sections come from ``threshold``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from . import ks as _ks
-from .profiles import BENIGN_MAX_BRANCHES, MAX_AMPLIFICATION, AttackVariant, BenignProfile
+from .profiles import BENIGN_MAX_BRANCHES, BenignProfile
 from .profiles import _attack_count_rows, _benign_count_rows, _fleet_counts
-from .threshold import ThresholdConfig, _flag_columns, at_least, check_fields
+from .threshold import AttackWorkload, DetectorSpec, _flag_columns, at_least, check_fields
 from .trace import TraceBatch, _grid_means
 
 DEGRADED_MODE = "degraded to strict process isolation"
@@ -49,26 +49,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-@dataclass(frozen=True)
-class AttackWorkload:
-    """What every attack worker of the fleet runs.
-
-    ``amplification`` None is full strength.  ``pages`` extra code pages
-    dilute the branch metric to duck the branch threshold; 0 leaves it whole.
-    """
-
-    variant: AttackVariant = AttackVariant.PHT
-    amplification: int | None = at_least(1, default=None, maximum=MAX_AMPLIFICATION)
-    pages: int = at_least(0, default=0, maximum=MAX_AMPLIFICATION)
-
-    def __post_init__(self):
-        if self.variant not in tuple(AttackVariant):
-            names = [v.value for v in AttackVariant]
-            raise ValueError(f"'variant' must be one of {names}, got {self.variant!r}")
-        object.__setattr__(self, "variant", AttackVariant(self.variant))
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -103,22 +83,6 @@ class CostModel:
         mid = sum(self.isolated_mem_multiplier_range) / 2.0
         slope = (mid - 1.0) * worker_mem_bytes
         return n_workers * worker_mem_bytes + slope * isolated
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Which detector runs at interval boundaries; KS uses the packaged template."""
-
-    kind: str = "threshold"  # "threshold" | "ks"
-    threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
-    alpha: float = _ks.DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.kind not in ("threshold", "ks"):
-            raise ValueError(f"detector 'kind' must be 'threshold' or 'ks', got {self.kind!r}")
-        check_fields(self)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"detector 'alpha' must be in (0, 1), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ its column rule ``_flag_columns`` on its own window means.
 ``classify_threshold`` classifies one ``IntervalAverage`` and is the
 reference the column form is tested against.  Flagging costs isolation, not
 termination, which is why a sub-percent false-positive rate is acceptable.
+The settings ``ThresholdConfig``, ``AttackWorkload`` and ``DetectorSpec`` live
+here, not in ``fleet``: ``cli`` checks its flags by their fields' rules.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
+from .ks import DEFAULT_ALPHA
 from .trace import IntervalAverage, IntervalBatch
 from .profiles import (
     BENIGN_MD_MEAN,
@@ -33,6 +36,7 @@ from .profiles import (
     AttackProfile,
     pages_to_reach,
 )
+from .profiles import MAX_AMPLIFICATION, AttackVariant
 
 BRANCH_THRESHOLD_DEFAULT = 4096.0
 # No threshold is published for the STL rule, only the separated means;
@@ -61,8 +65,9 @@ def field_value(f: Field, hint, value, name: str | None = None):
 
     An int field takes an int, never a bool (``int | None`` also None); a float
     field an int or a float, held as a float; both within ``at_least``'s bounds,
-    which NaN never is.  A settings dataclass field takes an instance.  Other
-    fields are their class's to check.  A ValueError names the field, or ``name``."""
+    which NaN never is, and inside its metadata's ``open`` interval, if any.  A
+    settings dataclass field takes an instance.  Other fields are their class's
+    to check.  A ValueError names the field, quoted, or ``name`` as given."""
     if hint is float:
         kinds, kind = (int, float), "a number"
     elif hint is int or (int in get_args(hint) and value is not None):
@@ -71,24 +76,30 @@ def field_value(f: Field, hint, value, name: str | None = None):
         kinds, kind = hint, ("an " if hint.__name__[0] in "AEIOU" else "a ") + hint.__name__
     else:
         return value
-    name, minimum = repr(name or f.name), f.metadata.get("minimum")
+    name, minimum = name or repr(f.name), f.metadata.get("minimum")
     if (not isinstance(value, kinds) or isinstance(value, bool)
             or minimum is not None and not value >= minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
     if value > f.metadata.get("maximum", math.inf):
         raise ValueError(f"{name} must be <= {f.metadata['maximum']}, got {value!r}")
+    interval = f.metadata.get("open")  # (low, high), both excluded
+    if interval is not None and not interval[0] < value < interval[1]:
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
     return float(value) if hint is float else value
 
 
-_hints = functools.cache(get_type_hints)  # a settings class's annotations, resolved once
+@functools.cache
+def setting_fields(cls) -> dict:
+    """A settings class's fields by name, as the (field, hint) pairs ``field_value`` takes."""
+    hints = get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
 
 
 def check_fields(config) -> None:
     """Put every field of a settings dataclass through ``field_value``."""
-    hints = _hints(type(config))
-    for f in fields(config):
-        object.__setattr__(config, f.name, field_value(f, hints[f.name], getattr(config, f.name)))
+    for name, (f, hint) in setting_fields(type(config)).items():
+        object.__setattr__(config, name, field_value(f, hint, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,40 @@ class ThresholdConfig:
     stl_reset_threshold: float = at_least(0, default=STL_THRESHOLD_DEFAULT)
 
     def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class AttackWorkload:
+    """What every attack worker of the fleet runs.
+
+    ``amplification`` None is full strength.  ``pages`` extra code pages
+    dilute the branch metric to duck the branch threshold; 0 leaves it whole.
+    """
+
+    variant: AttackVariant = AttackVariant.PHT
+    amplification: int | None = at_least(1, default=None, maximum=MAX_AMPLIFICATION)
+    pages: int = at_least(0, default=0, maximum=MAX_AMPLIFICATION)
+
+    def __post_init__(self):
+        if self.variant not in tuple(AttackVariant):
+            names = [v.value for v in AttackVariant]
+            raise ValueError(f"'variant' must be one of {names}, got {self.variant!r}")
+        object.__setattr__(self, "variant", AttackVariant(self.variant))
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    """Which detector runs at interval boundaries; KS uses the packaged template."""
+
+    kind: str = "threshold"  # "threshold" | "ks"
+    threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
+    alpha: float = field(default=DEFAULT_ALPHA, metadata={"open": (0, 1)})  # as in classify_ks
+
+    def __post_init__(self):
+        if self.kind not in ("threshold", "ks"):
+            raise ValueError(f"detector 'kind' must be 'threshold' or 'ks', got {self.kind!r}")
         check_fields(self)
 
 

@@ -650,28 +650,36 @@ class TestErrors:
         histogram = ["--histogram-out", str(tmp_path / "h.csv")] if profile == "pht" else []
         assert run("gen", "--profile", profile, "--seed", "-1", *histogram,
                    "--out", str(tmp_path / "t.jsonl")) == 1
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,message", [
-        (["gen", "--profile", "benign", "--n", "0"], "--n must be >= 1, got 0"),
-        (["gen", "--profile", "pht", "--pages", "-1"], "--pages must be >= 0, got -1"),
-        (["gen", "--profile", "pht", "--amplification", "0"], "--amplification must be >= 1, got 0"),
+        (["gen", "--profile", "benign", "--n", "0"], "--n must be an integer >= 1, got 0"),
+        (["gen", "--profile", "pht", "--pages", "-1"], "--pages must be an integer >= 0, got -1"),
+        (["gen", "--profile", "pht", "--amplification", "0"],
+         "--amplification must be an integer >= 1, got 0"),
         (["detect", "--trace", str(PINNED_TRACE), "--interval-ns", "0"],
-         "--interval-ns must be positive and fit in int64, got 0"),
+         "--interval-ns must be an integer >= 1, got 0"),
         (["sweep", "--trace", str(PINNED_TRACE), "--interval-ns", "-5"],
-         "--interval-ns must be positive and fit in int64, got -5"),
-        (["ks", "a.csv", "a.csv", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+         "--interval-ns must be an integer >= 1, got -5"),
+        (["detect", "--trace", "t.jsonl", "--interval-ns", str(2**63)],
+         f"--interval-ns must be <= {2**63 - 1}, got {2**63}"),
+        (["ks", "a.csv", "a.csv", "--top-k", "0"], "--top-k must be an integer >= 1, got 0"),
         (["detect", "--detector", "ks", "--histograms", "hists", "--top-k", "0"],
-         "--top-k must be >= 1, got 0"),
+         "--top-k must be an integer >= 1, got 0"),
         # the table's rules also hold where the handler does not read the flag
-        (["detect", "--trace", "t.jsonl", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+        (["detect", "--trace", "t.jsonl", "--top-k", "0"],
+         "--top-k must be an integer >= 1, got 0"),
         (["detect", "--trace", "t.jsonl", "--alpha", "1"], "--alpha must be in (0, 1), got 1.0"),
-        (["channel", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        *(([command, *inputs, "--alpha", alpha], f"--alpha must be in (0, 1), got {alpha}")
+          for command, inputs in (("detect", ["--detector", "ks", "--histograms", "hists"]),
+                                  ("ks", ["a.csv", "a.csv"]))
+          for alpha in ("nan", "inf")),
+        (["channel", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
         (["detect", "--trace", "t.jsonl", "--threshold", "nan"],
-         "--threshold must be >= 0 and not NaN, got nan"),
+         "--threshold must be a number >= 0, got nan"),
         (["detect", "--trace", "t.jsonl", "--stl-threshold", "-1"],
-         "--stl-threshold must be >= 0 and not NaN, got -1.0"),
+         "--stl-threshold must be a number >= 0, got -1.0"),
         (["gen", "--profile", "pht", "--amplification", str(PAST_BOUND)],
          f"--amplification must be <= {MAX_AMPLIFICATION}, got {PAST_BOUND}"),
         (["gen", "--profile", "pht", "--pages", str(PAST_BOUND)],
@@ -694,17 +702,23 @@ class TestErrors:
         (["detect", "--detector", "ks", "--histograms", "."], "no histogram CSVs under ."),
         (["fleet", "--config", "cfg.json"],
          "cannot read fleet config: [Errno 2] No such file or directory: 'cfg.json'"),
+        # flags are checked before any file is read
+        (["fleet", "--config", "missing.json", "--intervals", "0"],
+         "--intervals must be an integer >= 1, got 0"),
         *((["sweep", "--trace", "t.jsonl", "--thresholds", text],
            f"--thresholds: values must be strictly ascending and not NaN, got {text!r}")
           for text in ("2,1", "nan", "1,1")),
     ], ids=["gen-n", "gen-pages", "gen-amplification", "detect-interval-ns",
-            "sweep-interval-ns", "ks-top-k", "detect-top-k", "detect-threshold-top-k",
-            "detect-threshold-alpha", "channel-seed", "detect-threshold-nan",
-            "detect-stl-threshold", "gen-amplification-past-bound", "gen-pages-past-bound",
+            "sweep-interval-ns", "detect-interval-ns-past-int64", "ks-top-k", "detect-top-k",
+            "detect-threshold-top-k", "detect-threshold-alpha", "detect-alpha-nan",
+            "detect-alpha-inf", "ks-alpha-nan", "ks-alpha-inf", "channel-seed",
+            "detect-threshold-nan", "detect-stl-threshold", "gen-amplification-past-bound",
+            "gen-pages-past-bound",
             "gen-amplification-huge", "gen-pages-huge", "channel-amplifications-past-bound",
             "channel-amplifications-huge", "channel-requests-past-bound", "gen-benign-pages",
             "detect-no-trace", "detect-no-histograms", "detect-empty-histogram-dir",
-            "fleet-missing-config", "sweep-thresholds-descending", "sweep-thresholds-nan",
+            "fleet-missing-config", "fleet-missing-config-bad-intervals",
+            "sweep-thresholds-descending", "sweep-thresholds-nan",
             "sweep-thresholds-repeated"])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         # relative inputs name files that do not exist: the flag is checked first
@@ -791,21 +805,22 @@ class TestErrors:
         err = capsys.readouterr().err
         if flags:
             minimum = {"seed": 0, "intervals": 1}[key]
-            assert err == f"error: --{key} must be >= {minimum}, got {flags[1]}\n"
+            assert err == f"error: --{key} must be an integer >= {minimum}, got {flags[1]}\n"
         else:
             assert repr(key) in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["detect", "--threshold", "nan"],
-        ["detect", "--stl-threshold", "nan"],
-        ["sweep", "--thresholds", "1,nan,2"],
-        ["sweep", "--thresholds", "nan"],
+    @pytest.mark.parametrize("argv,message", [
+        (["detect", "--threshold", "nan"], "--threshold must be a number >= 0, got nan"),
+        (["detect", "--stl-threshold", "nan"], "--stl-threshold must be a number >= 0, got nan"),
+        *((["sweep", "--thresholds", text],
+           f"--thresholds: values must be strictly ascending and not NaN, got {text!r}")
+          for text in ("1,nan,2", "nan")),
     ])
-    def test_nan_threshold_is_input_error(self, tmp_path, capsys, argv):
+    def test_nan_threshold_is_input_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert run(*argv, "--trace", str(PINNED_TRACE), "--out", str(out)) == 1
-        assert "NaN" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_histogram_gen_requires_attack_profile(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     ("spectreguard", []),
     ("spectreguard.channel", ["channel"]),
     ("spectreguard.ks", ["ks", "trace"]),
+    ("spectreguard.threshold", ["ks", "profiles", "threshold", "trace"]),
     ("spectreguard.fleet", ["fleet", "ks", "profiles", "threshold", "trace"]),
     ("spectreguard.cli", ["cli", "ks", "profiles", "threshold", "trace"]),
 ])

@@ -253,6 +253,30 @@ class TestClassify:
         if loose.suspect:
             assert tight.suspect
 
+    def test_default_alpha_is_a_tenth(self):
+        # The template's top counts with the 14 smallest replaced by counts
+        # above the largest: p lies between 0.05 and 0.1 at the default top-k.
+        template = load_default_template()
+        counts = sorted(template.entries.values(), reverse=True)
+        counts = counts[:50] + [counts[0] + 1 + i for i in range(14)]
+        hist = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(counts)})
+        verdict = classify_ks(hist, template)
+        assert 0.05 < verdict.ks.p_value < 0.1
+        assert not verdict.suspect
+        assert classify_ks(hist, template, alpha=0.05).suspect
+
+    def test_default_top_k_is_a_hundred(self):
+        # The template's counts plus a second copy of its 40 largest: 104
+        # branches, whose top 100 pass the screen and whose top 90 do not.
+        template = load_default_template()
+        counts = sorted(template.entries.values(), reverse=True)
+        counts += counts[:40]
+        hist = BranchHistogram.from_entries({f"b{i}": c for i, c in enumerate(counts)})
+        verdict = classify_ks(hist, template)
+        assert verdict == classify_ks(hist, template, k=100)
+        assert verdict.ks.n == 100 and verdict.suspect
+        assert not classify_ks(hist, template, k=90).suspect
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         template = load_default_template()
