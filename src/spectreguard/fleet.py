@@ -11,8 +11,8 @@ workers).  Those records lie on a (worker, window, execution) grid, so the
 fleet averages only the rule's two metrics per window, exactly as
 ``fold_intervals`` would (``trace._grid_means``), and flags them with the
 rule's column form; the KS screen draws only misprediction-histogram counts,
-in zero-padded blocks of ``ks.SCREEN_BLOCK`` windows (the counts do not
-depend on the batching; see ``profiles``), and screens a block at a time.
+in the zero-padded blocks of ``profiles._ks_count_blocks`` (the counts do not
+depend on the batching), and screens a block at a time.
 Either way the result is one (worker x interval) flag grid, which gives the
 verdicts and the benign false-positive rate.  One policy function
 (``_first_flag_policy``) maps it to the windows whose close decides to isolate
@@ -34,8 +34,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from . import ks as _ks
-from .profiles import BENIGN_MAX_BRANCHES, BenignProfile
-from .profiles import _attack_count_rows, _benign_count_rows, _fleet_counts
+from .profiles import BenignProfile, _fleet_counts, _ks_count_blocks
 from .threshold import AttackWorkload, DetectorSpec, _flag_columns, at_least, check_fields
 from .trace import TraceBatch, _grid_means
 
@@ -210,38 +209,6 @@ def _worker_generators(seed: int, keys: list[int], j: int) -> Iterator[np.random
         yield rng
 
 
-def _ks_counts(benign: list[bool], rngs, intervals: int):
-    """Every window's histogram counts, worker by worker, in zero-padded blocks
-    of ``SCREEN_BLOCK`` rows, so at most one block is held at a time.  Each
-    worker draws its windows from its own generator, a block's share of them
-    per call.  A benign worker's uniforms fill rows of one buffer, and their
-    count arithmetic runs once per block; an attacker's rows are written over."""
-    unit = np.zeros((_ks.SCREEN_BLOCK, BENIGN_MAX_BRANCHES + 1))
-    attacks, rows = [], 0  # the block's (first row, attack counts); its rows drawn
-
-    def block():
-        counts = _benign_count_rows(unit[:rows])
-        for first, attack in attacks:
-            counts[first:first + len(attack)] = 0
-            counts[first:first + len(attack), :attack.shape[1]] = attack
-        return counts
-
-    for is_benign, rng in zip(benign, rngs):
-        left = intervals
-        while left:
-            take = min(left, _ks.SCREEN_BLOCK - rows)
-            if is_benign:
-                rng.random(out=unit[rows:rows + take])
-            else:
-                attacks.append((rows, _attack_count_rows(rng, take)))
-            rows, left = rows + take, left - take
-            if rows == _ks.SCREEN_BLOCK:
-                yield block()
-                attacks, rows = [], 0
-    if rows:
-        yield block()
-
-
 def _first_flag_policy(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``decided[w, k]``: window k's close (boundary k+1) decides to isolate
     worker w, at its first flag; ``placement[w, b]``: w runs isolated after
@@ -283,7 +250,8 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         means = _grid_means(counts, e, ("branch_instructions", "mem_disambiguation_resets"))
         flags = _flag_columns(*means.T, cfg.detector.threshold)[0].reshape(n_workers, intervals)
     else:
-        counts = _ks_counts(benign.tolist(), _worker_generators(cfg.rng_seed, order, 1), intervals)
+        counts = _ks_count_blocks(benign.tolist(), _worker_generators(cfg.rng_seed, order, 1),
+                                  intervals)
         suspect = _ks.screen_counts(counts, _ks.load_default_template()) >= cfg.detector.alpha
         flags = suspect.reshape(n_workers, intervals)
 

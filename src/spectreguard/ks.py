@@ -224,7 +224,8 @@ def classify_ks(
     return KsVerdict(suspect=result.p_value >= alpha, ks=result)
 
 
-SCREEN_BLOCK = 128  # count rows per block of run_fleet's screen: 128 x 400 int64 is 400 kB
+# Rows per block of profiles._ks_count_blocks, read at each call: 128 x 400 int64 is 400 kB.
+SCREEN_BLOCK = 128
 
 
 def screen_counts(blocks: Iterable[np.ndarray], template: BranchHistogram) -> np.ndarray:

@@ -32,10 +32,10 @@ values, and a numpy ``random`` or ``normal`` block gives the values, and
 leaves the generator in the state, of its rows drawn one at a time: the
 counts do not depend on how the windows are batched.  One count arithmetic
 turns such rows into zero-padded count rows (``_benign_count_rows``,
-``_attack_count_rows``); the fleet fills its screen blocks with it, and
-``draw_benign_counts`` and ``draw_attack_counts`` are views of its rows.
-``make_*_histogram`` keep the offsets-then-counts stream that
-``gen --histogram-out`` writes.
+``_attack_count_rows``), and ``_ks_count_blocks`` lays a KS fleet's windows
+out in the screen's blocks of them.  ``make_*_histogram`` keep the
+offsets-then-counts stream that ``gen --histogram-out`` writes, and
+``make_attack_histogram`` takes its counts from ``_attack_count_rows``.
 
 Note on separation: at hardware scale the full-strength metric sits around
 34 benign standard deviations above the benign mean.  The truncated
@@ -54,6 +54,7 @@ from enum import Enum
 from statistics import NormalDist
 import numpy as np
 
+from . import ks as _ks
 from .ks import BranchHistogram
 from .trace import DEFAULT_INTERVAL_NS, METRIC_FIELDS, TraceBatch
 
@@ -112,7 +113,7 @@ BENIGN_SURVIVAL_TARGETS: dict[float, float] = {
 BENIGN_BODY_SIGMA = 0.55
 BENIGN_TAIL_WEIGHT = 0.0075
 
-# Misprediction histogram shapes (see draw_attack_counts, draw_benign_counts).
+# Misprediction histogram shapes (see _attack_count_rows, _benign_count_rows).
 ATTACK_TAIL_BRANCHES = 62
 DELAY_LOOP_MEAN = 1_200_000.0
 MISTRAIN_RATIO = 0.2
@@ -367,6 +368,40 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | 
     return counts.reshape(-1, _COLUMNS)
 
 
+def _ks_count_blocks(benign: list[bool], rngs: Iterator[np.random.Generator], windows: int
+                     ) -> Iterator[np.ndarray]:
+    """The KS screen's counts of ``windows`` windows per worker, worker by
+    worker, in zero-padded blocks of ``ks.SCREEN_BLOCK`` rows, so at most one
+    block is held at a time; a worker is benign where ``benign`` says so and
+    draws from the next generator of rngs, a block's share of its windows per
+    call.  A benign worker's uniforms fill rows of one buffer, and their count
+    arithmetic runs once per block; an attacker's rows are written over."""
+    unit = np.zeros((_ks.SCREEN_BLOCK, BENIGN_MAX_BRANCHES + 1))
+    attacks, rows = [], 0  # the block's (first row, attack counts); its rows drawn
+
+    def block():
+        counts = _benign_count_rows(unit[:rows])
+        for first, attack in attacks:
+            counts[first:first + len(attack)] = 0
+            counts[first:first + len(attack), :attack.shape[1]] = attack
+        return counts
+
+    for is_benign, rng in zip(benign, rngs):
+        left = windows
+        while left:
+            take = min(left, _ks.SCREEN_BLOCK - rows)
+            if is_benign:
+                rng.random(out=unit[rows:rows + take])
+            else:
+                attacks.append((rows, _attack_count_rows(rng, take)))
+            rows, left = rows + take, left - take
+            if rows == _ks.SCREEN_BLOCK:
+                yield block()
+                attacks, rows = [], 0
+    if rows:
+        yield block()
+
+
 def generate_benign(
     profile: BenignProfile,
     n: int,
@@ -409,17 +444,7 @@ _ATTACK_TAIL = np.array([TAIL_START * TAIL_DECAY**i for i in range(ATTACK_TAIL_B
 
 
 def _attack_count_rows(rng: np.random.Generator, windows: int) -> np.ndarray:
-    """The counts of ``draw_attack_counts``, one row per run."""
-    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, (windows, ATTACK_TAIL_BRANCHES + 2)))
-    delay = np.maximum(2, np.rint(DELAY_LOOP_MEAN * jitter[:, 0]))
-    # the delay loop always ranks first
-    mistrain = np.minimum(np.rint(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[:, 1]), delay - 1)
-    tail = np.rint(_ATTACK_TAIL * jitter[:, 2:])
-    return np.maximum(1, np.column_stack((delay, mistrain, tail))).astype(np.int64)
-
-
-def draw_attack_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
-    """The misprediction counts of ``windows`` attack runs, one int64 array each.
+    """The misprediction counts of ``windows`` attack runs, one int64 row each.
 
     Rank 1 is the transient-window delay loop (mean ``DELAY_LOOP_MEAN``),
     rank 2 the mistrained bounds check (``MISTRAIN_RATIO`` of it, always
@@ -428,7 +453,12 @@ def draw_attack_counts(rng: np.random.Generator, windows: int) -> list[np.ndarra
     carry log-normal jitter of sigma ``JITTER_SIGMA``: one row of
     ``ATTACK_TAIL_BRANCHES + 2`` normals per run, drawn in one block.
     """
-    return list(_attack_count_rows(rng, windows))
+    jitter = np.exp(rng.normal(0.0, JITTER_SIGMA, (windows, ATTACK_TAIL_BRANCHES + 2)))
+    delay = np.maximum(2, np.rint(DELAY_LOOP_MEAN * jitter[:, 0]))
+    # the delay loop always ranks first
+    mistrain = np.minimum(np.rint(DELAY_LOOP_MEAN * MISTRAIN_RATIO * jitter[:, 1]), delay - 1)
+    tail = np.rint(_ATTACK_TAIL * jitter[:, 2:])
+    return np.maximum(1, np.column_stack((delay, mistrain, tail))).astype(np.int64)
 
 
 def _benign_branch_counts(unit: np.ndarray) -> np.ndarray:
@@ -439,27 +469,21 @@ def _benign_branch_counts(unit: np.ndarray) -> np.ndarray:
 
 
 def _benign_count_rows(unit: np.ndarray) -> np.ndarray:
-    """The counts of benign runs from their rows of ``BENIGN_MAX_BRANCHES + 1``
-    uniforms, one zero-padded row of ``BENIGN_MAX_BRANCHES`` per run: a run's
-    counts fill its row from the left, and 0 (never a count) marks no branch."""
+    """The misprediction counts of benign runs from their rows of
+    ``BENIGN_MAX_BRANCHES + 1`` uniforms, one zero-padded int64 row of
+    ``BENIGN_MAX_BRANCHES`` per run: a run's counts fill its row from the left,
+    and 0 (never a count) marks no branch.
+
+    A broad, flat spread typical of benign programs: ``BENIGN_MIN_BRANCHES``
+    to ``BENIGN_MAX_BRANCHES`` branches, uniformly, each with a log-uniform
+    count over ``BENIGN_COUNT_RANGE``.  A row's first uniform picks the size,
+    the next ones give the counts and the rest go unused.
+    """
     span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
     sizes = BENIGN_MIN_BRANCHES + (unit[:, 0] * span).astype(np.intp)
     counts = _benign_branch_counts(unit[:, 1:])
     counts[np.arange(BENIGN_MAX_BRANCHES) >= sizes[:, None]] = 0
     return counts
-
-
-def draw_benign_counts(rng: np.random.Generator, windows: int) -> list[np.ndarray]:
-    """The misprediction counts of ``windows`` benign runs, one int64 array each.
-
-    A broad, flat spread typical of benign programs: ``BENIGN_MIN_BRANCHES``
-    to ``BENIGN_MAX_BRANCHES`` branches, uniformly, each with a log-uniform
-    count over ``BENIGN_COUNT_RANGE``.  Each run takes one row of
-    ``BENIGN_MAX_BRANCHES + 1`` uniforms, drawn in one block: the first picks
-    the size, the next ones give the counts and the rest go unused.
-    """
-    rows = _benign_count_rows(rng.random((windows, BENIGN_MAX_BRANCHES + 1)))
-    return [row[:size] for row, size in zip(rows, np.count_nonzero(rows, axis=1).tolist())]
 
 
 def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:
@@ -469,14 +493,14 @@ def _histogram(offsets: np.ndarray, counts: np.ndarray) -> BranchHistogram:
 
 
 def make_attack_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """One attack run's histogram: distinct branch offsets, then the counts
-    of ``draw_attack_counts``."""
+    """One attack run's histogram: distinct branch offsets, then one row of
+    ``_attack_count_rows``."""
     offsets = rng.choice(1 << 20, size=ATTACK_TAIL_BRANCHES + 2, replace=False)
-    return _histogram(offsets, draw_attack_counts(rng, 1)[0])
+    return _histogram(offsets, _attack_count_rows(rng, 1)[0])
 
 
 def make_benign_histogram(rng: np.random.Generator) -> BranchHistogram:
-    """One benign run's histogram, with ``draw_benign_counts``'s law.
+    """One benign run's histogram, with ``_benign_count_rows``'s law.
 
     The size, then distinct branch offsets, then one uniform per count: the
     stream this generator has always drawn, which the pinned histograms fix.

@@ -6,7 +6,8 @@ interval boundaries; at boundary i each worker, in name order, has its
 window i-1 classified (a suspect verdict isolates it there) and then runs
 interval i's executions and subsequent requests.  Tests require both
 simulators to give equal reports.  A KS worker draws one window's
-histogram counts at a time from its histogram generator and classifies
+histogram counts at a time from its histogram generator, through
+``profiles._benign_count_rows`` or ``_attack_count_rows``, and classifies
 them as a histogram; ``reference_ks_p_values`` returns those p-values.
 
 ``reference_fleet_counts`` is the per-worker counter draw that
@@ -38,16 +39,17 @@ from spectreguard.fleet import (
 )
 from spectreguard.profiles import (
     BENIGN_ITLB_RANGE,
+    BENIGN_MAX_BRANCHES,
     BENIGN_MD_MEAN,
     BENIGN_MD_SIGMA,
     BenignProfile,
     _COLUMNS,
+    _attack_count_rows,
     _attack_counts,
+    _benign_count_rows,
     _fill_counts,
     generate_attack,
     generate_benign,
-    draw_attack_counts,
-    draw_benign_counts,
 )
 from spectreguard.threshold import classify_threshold
 from spectreguard.trace import DEFAULT_INTERVAL_NS, IntervalAverage, TraceBatch, fold_intervals
@@ -83,9 +85,12 @@ class WorkerRecord:
 def _is_suspect(detector: DetectorSpec, record: WorkerRecord, avg: IntervalAverage) -> bool:
     if detector.kind == "threshold":
         return classify_threshold(avg, detector.threshold).suspect
-    draw = draw_benign_counts if isinstance(record.workload, BenignWorkload) else draw_attack_counts
-    (counts,) = draw(record.histogram_rng, 1)
-    hist = _ks.BranchHistogram.from_entries({str(i): c for i, c in enumerate(counts.tolist())})
+    rng = record.histogram_rng
+    if isinstance(record.workload, BenignWorkload):
+        (counts,) = _benign_count_rows(rng.random((1, BENIGN_MAX_BRANCHES + 1)))
+    else:
+        (counts,) = _attack_count_rows(rng, 1)
+    hist = _ks.BranchHistogram.from_entries({str(i): c for i, c in enumerate(counts.tolist()) if c})
     verdict = _ks.classify_ks(hist, _ks.load_default_template(), alpha=detector.alpha)
     record.ks_p_values.append(verdict.ks.p_value)
     return verdict.suspect

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -30,16 +31,19 @@ from spectreguard.profiles import (
     AttackVariant,
     BenignProfile,
     diluted_metric,
-    draw_attack_counts,
-    draw_benign_counts,
     generate_attack,
     generate_benign,
     make_attack_histogram,
     make_benign_histogram,
     pages_to_reach,
 )
-from spectreguard import cli
-from spectreguard.profiles import _fleet_counts
+from spectreguard import cli, ks
+from spectreguard.profiles import (
+    _attack_count_rows,
+    _benign_count_rows,
+    _fleet_counts,
+    _ks_count_blocks,
+)
 from spectreguard.trace import emit_trace, fold_intervals, normalize
 
 DATA = Path(__file__).parent / "data"
@@ -50,13 +54,13 @@ DATA = Path(__file__).parent / "data"
 PINNED_HISTOGRAM = DATA / "pinned_histogram.csv"
 PINNED_ENTRIES_SHA256 = DATA / "histogram_entries.sha256"
 # sha256 over json.dumps([benign, attack]) of three windows of each kind's
-# counts-only draw, benign first, from default_rng(s) for s in 0..199.
+# counts-only draw (a window's nonzero counts), benign first, from
+# default_rng(s) for s in 0..199.
 PINNED_COUNTS_SHA256 = DATA / "histogram_counts.sha256"
 # One line per case of FLEET_COUNTS_CASES, "<sha256>  <case>": the sha256 of
 # _fleet_counts(...).tobytes(), written before the benign draws went to raw
 # rows transformed once per fleet.
 PINNED_FLEET_COUNTS_SHA256 = DATA / "fleet_counts.sha256"
-DRAWS = {"benign": draw_benign_counts, "attack": draw_attack_counts}
 
 
 def branch_metrics(snapshots):
@@ -252,45 +256,68 @@ class TestHistogramGenerators:
         assert digest.hexdigest() == PINNED_ENTRIES_SHA256.read_text().strip()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(DRAWS)), min_size=1,
-                                              max_size=4), st.integers(1, 9))
-    def test_batched_draws_equal_one_window_draws(self, seed, kinds, windows):
+    @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=1, max_size=4),
+           st.integers(1, 9))
+    def test_batched_draws_equal_one_window_draws(self, seed, benign, windows):
         # The fleet draws a worker's windows in blocks; the stream may not
-        # depend on how they are batched.
+        # depend on how they are batched.  Every worker here draws from one
+        # generator, so the stream runs on from worker to worker.
         batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        for kind in kinds:
-            block = DRAWS[kind](batched, windows)
-            one_by_one = [DRAWS[kind](single, 1)[0] for _ in range(windows)]
-            assert [c.dtype for c in block] == [np.dtype(np.int64)] * windows
-            assert [c.tolist() for c in block] == [c.tolist() for c in one_by_one]
-            assert batched.bit_generator.state == single.bit_generator.state
+        (block,) = _ks_count_blocks(benign, itertools.repeat(batched), windows)
+        one_by_one = [one_row for is_benign in benign for _ in range(windows)
+                      for one_row in _ks_count_blocks([is_benign], iter([single]), 1)]
+        assert block.dtype == np.int64
+        assert block.tolist() == np.concatenate(one_by_one).tolist()
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 7, 128, 131])
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # 2 attack and 3 benign workers of 130 windows: blocks of 1 row, of
+        # 7 (which split every worker), the default 128, and 131, where the
+        # first worker ends one row short of a full block.
+        monkeypatch.setattr(ks, "SCREEN_BLOCK", block)
+        benign = [False, True, False, True, True]
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        blocks = list(_ks_count_blocks(benign, iter(rngs), 130))
+        full, last = divmod(5 * 130, block)
+        assert [len(b) for b in blocks] == [block] * full + [last] * (last > 0)
+        rows = np.concatenate(blocks)
+        states = [rng.bit_generator.state for rng in rngs]
+        reference = [np.random.default_rng(seed) for seed in range(5)]
+        expected = [_benign_count_rows(rng.random((130, BENIGN_MAX_BRANCHES + 1))) if is_benign
+                    else _attack_count_rows(rng, 130) for is_benign, rng in zip(benign, reference)]
+        assert rows.shape == (5 * 130, BENIGN_MAX_BRANCHES)
+        for i, (got, want) in enumerate(zip(np.split(rows, 5), expected)):
+            assert got[:, :want.shape[1]].tolist() == want.tolist(), i
+            assert not got[:, want.shape[1]:].any(), i
+        assert states == [rng.bit_generator.state for rng in reference]
 
     def test_counts_pinned_over_seeds(self):
         digest = hashlib.sha256()
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            benign = draw_benign_counts(rng, 3)
-            attack = draw_attack_counts(rng, 3)
-            digest.update(json.dumps([[c.tolist() for c in draws]
-                                      for draws in (benign, attack)]).encode())
+            (block,) = _ks_count_blocks([True, False], itertools.repeat(rng), 3)
+            windows = [row[row > 0].tolist() for row in block]
+            digest.update(json.dumps([windows[:3], windows[3:]]).encode())
         assert digest.hexdigest() == PINNED_COUNTS_SHA256.read_text().strip()
 
     def test_counts_follow_the_histograms_law(self):
         rng = np.random.default_rng(7)
-        benign = draw_benign_counts(rng, 20_000)
-        sizes = np.array([c.size for c in benign])
+        benign = _benign_count_rows(rng.random((20_000, BENIGN_MAX_BRANCHES + 1)))
+        sizes = np.count_nonzero(benign, axis=1)
+        assert ((benign > 0) == (np.arange(BENIGN_MAX_BRANCHES) < sizes[:, None])).all()
         assert (sizes.min(), sizes.max()) == (BENIGN_MIN_BRANCHES, BENIGN_MAX_BRANCHES)
         span = BENIGN_MAX_BRANCHES - BENIGN_MIN_BRANCHES + 1
         expected = sizes.size / span
         per_size = np.bincount(sizes - BENIGN_MIN_BRANCHES, minlength=span)
         # chi-square of 260 degrees of freedom: mean 260, sd 22.8
         assert ((per_size - expected) ** 2 / expected).sum() < 380
-        logs = np.log(np.concatenate(benign))
+        logs = np.log(benign[benign > 0])
         low, high = np.log(BENIGN_COUNT_RANGE)
         assert logs.min() >= low - 1e-3 and logs.max() <= high + 1e-3
         assert logs.mean() == pytest.approx((low + high) / 2, abs=0.01)
         assert logs.std() == pytest.approx((high - low) / 12**0.5, rel=0.01)
-        attack = np.array(draw_attack_counts(rng, 2_000))
+        attack = _attack_count_rows(rng, 2_000)
         assert (attack[:, 0] > attack[:, 1]).all() and (attack >= 1).all()
         assert np.median(attack[:, 0]) == pytest.approx(1_200_000, rel=0.01)
         assert np.median(attack[:, 1] / attack[:, 0]) == pytest.approx(0.2, rel=0.02)
