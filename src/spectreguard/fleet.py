@@ -245,7 +245,7 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
         counts = _fleet_counts(_worker_generators(cfg.rng_seed, order, 0),
                                BenignProfile.default(), cfg.n_attack, cfg.n_benign,
                                intervals * e, e, astuple(cfg.attack))
-        # checks the counter invariants, naming the first bad record's worker
+        # checks the counter invariants; the error names the first bad record's field
         TraceBatch(names, np.repeat(np.arange(n_workers), intervals * e), counts)
         means = _grid_means(counts, e, ("branch_instructions", "mem_disambiguation_resets"))
         flags = _flag_columns(*means.T, cfg.detector.threshold)[0].reshape(n_workers, intervals)

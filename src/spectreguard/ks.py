@@ -7,10 +7,11 @@ hottest branches against a recorded attack template: a high p-value means the
 rejected, so the program is flagged as a suspect.
 
 One distance kernel serves one pair and the fleet's batch: ``ks_two_sample``
-passes it one row, ``screen_counts`` a block of zero-padded count rows, sorted
-once and each screened by its top ``DEFAULT_TOP_K``; exact p-values count
-lattice paths, at any size.  The template is data (``data/attack_template.csv``).
-Histogram CSVs follow the trace line rule; read errors name file and line.
+passes it the ranks of one pair, ``screen_counts`` a block of zero-padded count
+rows, each screened by its top ``DEFAULT_TOP_K`` sorted together with the
+template's; exact p-values count lattice paths, at any size.  The template is
+data (``data/attack_template.csv``).  Histogram CSVs follow the trace line
+rule; read errors name file and line.
 """
 
 from __future__ import annotations
@@ -96,41 +97,27 @@ def top_branches(hist: BranchHistogram, k: int) -> list[int]:
     return sorted(hist.entries.values(), reverse=True)[:k]
 
 
-def _ecdf_distance(rows: np.ndarray, reference: np.ndarray,
-                   sizes: np.ndarray | None = None) -> np.ndarray:
+def _ecdf_distance(rows: np.ndarray, reference: np.ndarray, k: int | None = None) -> np.ndarray:
     """sup |ECDF_row - ECDF_reference| for each row of a 2-D array.
 
-    A row's sample is its ``sizes[r]`` largest values (every value by default),
-    so a zero-padded row of counts is screened by its nonzero ones.  Discrete
-    data: the supremum is attained at observed points.  With rows sorted once,
-    a row value v at the last of its run of equal values has i = column + 1
-    values of its sample at or below it, and j = searchsorted(ref, v, "right")
-    of the reference; a reference value r has those j, and i = the sample's
-    values with searchsorted(ref, v, "left") <= searchsorted(ref, r, "left"),
-    counted by one offset ``bincount``.  The distance is max |i/n - j/m|."""
+    A row's sample is its k largest values (every value by default) less its
+    zeros, so a zero-padded row of counts is screened by its top k nonzero
+    ones.  Discrete data: the supremum is attained at observed points.  Each
+    row's sample is sorted together with the reference, and at the last of
+    each run of equal values v, j = searchsorted(ref, v, "right") of the
+    reference and i = column + 1 - j - (the row's zeros) of the sample lie at
+    or below v.  The distance is max |i/n - j/m|, with n = i at the row's end."""
     reference = np.sort(reference)
     m, width = reference.size, rows.shape[1]
-    sizes = np.full(len(rows), width) if sizes is None else sizes
-    top = int(sizes.max())
-    rows = np.sort(rows, axis=1)[:, width - top:]
-    pad = (top - sizes)[:, None]  # leading columns of a row outside its sample
-    column = np.arange(top)
-    sampled = column >= pad
-    i = column + 1 - pad
-    last = np.ones(rows.shape, dtype=bool)
-    last[:, :-1] = rows[:, 1:] != rows[:, :-1]
-    n = sizes[:, None]
-    row_gap = np.abs(i / n - np.searchsorted(reference, rows, "right") / m)
-    row_gap[~(sampled & last)] = 0.0
-    # the reference at the last of each run of equal values: j there, and the
-    # bin of its run; values outside a row's sample go to bin m + 1, past all
-    at = np.flatnonzero(np.append(reference[1:] != reference[:-1], True))
-    bins = np.where(sampled, np.searchsorted(reference, rows, "left"), m + 1)
-    bins += (m + 2) * np.arange(len(rows))[:, None]
-    below = np.bincount(bins.ravel(), minlength=len(rows) * (m + 2)).reshape(-1, m + 2)
-    i_ref = below.cumsum(axis=1)[:, np.searchsorted(reference, reference[at], "left")]
-    ref_gap = np.abs(i_ref / n - (at + 1) / m)
-    return np.maximum(row_gap.max(axis=1), ref_gap.max(axis=1))
+    if k is not None and k < width:
+        rows = np.partition(rows, width - k, axis=1)[:, width - k:]
+    zeros = rows.shape[1] - np.count_nonzero(rows, axis=1)[:, None]
+    pooled = np.sort(np.hstack([rows, np.broadcast_to(reference, (len(rows), m))]), axis=1)
+    j = np.searchsorted(reference, pooled, "right")
+    i = np.arange(1, pooled.shape[1] + 1) - j - zeros
+    gap = np.abs(i / i[:, -1:] - j / m)
+    gap[:, :-1][pooled[:, 1:] == pooled[:, :-1]] = 0.0  # not the last of its run
+    return gap.max(axis=1)
 
 
 def kolmogorov_survival(lam: float) -> float:
@@ -187,6 +174,8 @@ def ks_two_sample(
     ``asymptotic`` evaluates the Kolmogorov limit at
     lam = D * sqrt(n*m/(n+m)); ``exact`` counts the permutation p-value at any
     n and m, in O(n * (n+m)) big-integer additions (``_exact_p_value``).
+    D is read from the 1-based ranks of the pooled values, so counts past
+    2**53, or past int64, keep their order.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySample("both samples must be non-empty")
@@ -194,8 +183,8 @@ def ks_two_sample(
         raise ValueError(f"unknown mode {mode!r}")
 
     n, m = len(a), len(b)
-    rows, reference = np.array([a], dtype=np.float64), np.asarray(b, dtype=np.float64)
-    statistic = float(_ecdf_distance(rows, reference)[0])
+    ranks = np.unique([*a, *b], return_inverse=True)[1] + 1
+    statistic = float(_ecdf_distance(ranks[None, :n], ranks[n:])[0])
 
     if mode == "exact":
         p_value = _exact_p_value(a, b)
@@ -233,8 +222,10 @@ def screen_counts(blocks: Iterable[np.ndarray], template: BranchHistogram) -> np
 
     The batch form of ``classify_ks`` (suspect iff p >= alpha), with its
     p-values.  Each block is a 2-D array of zero-padded count rows, one sample
-    each (a 1-D array is one sample): one ``_ecdf_distance`` call per block,
-    and one ``kolmogorov_survival`` call per distinct scaled distance."""
+    each (a 1-D array is one sample), and a row of zeros raises
+    ``EmptySample``: one ``_ecdf_distance`` call per block, which sorts each
+    row's top k with the template's, and one ``kolmogorov_survival`` call per
+    distinct scaled distance."""
     reference = np.array(top_branches(template, DEFAULT_TOP_K))
     m = reference.size
     survival = cache(kolmogorov_survival)  # few distinct distances recur
@@ -244,7 +235,7 @@ def screen_counts(blocks: Iterable[np.ndarray], template: BranchHistogram) -> np
         sizes = np.minimum(np.count_nonzero(block, axis=1), DEFAULT_TOP_K)
         if not sizes.all():
             raise EmptySample("every sample must be non-empty")
-        lam = _ecdf_distance(block, reference, sizes) * np.sqrt(sizes * m / (sizes + m))
+        lam = _ecdf_distance(block, reference, DEFAULT_TOP_K) * np.sqrt(sizes * m / (sizes + m))
         p_values += map(survival, lam.tolist())
     return np.array(p_values)
 

@@ -341,6 +341,22 @@ class TestReferenceLoop:
         n_records = n_workers * cfg.intervals * cfg.executions_per_interval
         assert validated == ([n_records] if kind == "threshold" else [])
 
+    def test_bad_counters_fail_the_invariant_check(self, monkeypatch):
+        # One record with more branch misses than branches: the check names the field.
+        misses, branches = map(trace._COLUMN_FIELDS.index, ("branch_misses", "branch_instructions"))
+        draw = fleet._fleet_counts
+
+        def bad_counts(*args):
+            counts = draw(*args)
+            counts[7, misses] = counts[7, branches] + 1
+            return counts
+
+        monkeypatch.setattr(fleet, "_fleet_counts", bad_counts)
+        with pytest.raises(trace.InvariantViolation,
+                           match="^branch_misses: exceeds branch_instructions$") as caught:
+            run_fleet(oracle_fleet(n_benign=40))
+        assert caught.value.field_name == "branch_misses"
+
 
 def first_flag_oracle(flags):
     """The first-flag rule as run_fleet wrote it inline before the policy

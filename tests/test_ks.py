@@ -178,6 +178,25 @@ class TestKsTwoSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == oracle_exact_p([5, 3, 3, 1], [4, 3, 2, 2, 1, 1])
 
+    def test_counts_past_2_to_the_53_stay_apart(self):
+        # float64 would merge 2**53 with 2**53 + 1 and 10**30 with 10**30 + 1.
+        result = ks_two_sample([2**53], [2**53 + 1])
+        assert result.statistic == 1.0
+        assert result.p_value == ks_two_sample([1], [2]).p_value
+        a, b = [5, 2**53 + 1, 10**30], [2**53, 10**30 + 1]
+        for mode in ("asymptotic", "exact"):
+            assert ks_two_sample(a, b, mode=mode).statistic == 0.5
+
+    def test_counts_past_2_to_the_53_on_the_command_line(self, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, counts in zip(paths, ([5, 2**53 + 1, 10**30], [2**53, 10**30 + 1])):
+            write_file(BranchHistogram.from_entries(
+                {f"b{i}": c for i, c in enumerate(counts)}), path)
+        assert cli.main(["ks", *map(str, paths), "--exact"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["d"] == 0.5
+        assert payload["p"] == oracle_exact_p([1, 3, 4], [2, 5])
+
     def test_exact_mode_matches_oracle_past_c3_sizes(self):
         rng = np.random.default_rng(31)
         for size in range(9, 13):
@@ -527,20 +546,22 @@ class TestBlockKernel:
     @given(st.integers(1, 6), st.sampled_from([6, 10**7]), sample, st.integers(0, 2**32 - 1))
     def test_padded_rows_equal_the_pair_kernel_bit_for_bit(self, n_rows, most, reference, seed):
         # Rows of 1 to 150 values, zero-padded to one width with the zeros
-        # anywhere, each taking its top k of 1, 3 or DEFAULT_TOP_K values, so
-        # some are shorter than their k.  A small alphabet ties values within
-        # rows and with the reference, which ties its own.
+        # anywhere, drawn with a top k of 1, 3 or DEFAULT_TOP_K values and
+        # screened one k at a time, so some are shorter than their k.  A small
+        # alphabet ties values within rows and with the reference, which ties
+        # its own.
         rng = np.random.default_rng(seed)
         samples = [rng.integers(1, most + 1, size=rng.integers(1, 151)) for _ in range(n_rows)]
         tops = rng.choice([1, 3, DEFAULT_TOP_K], size=n_rows)
         rows = np.zeros((n_rows, 160), dtype=np.int64)
         for row, s in zip(rows, samples):
             row[rng.permutation(row.size)[:len(s)]] = s
-        sizes = np.minimum([len(s) for s in samples], tops)
         reference = np.array(reference, dtype=np.int64)
-        distances = ks._ecdf_distance(rows, reference, sizes).tolist()
-        assert distances == [pair_ecdf_distance(np.sort(s)[-k:], reference)
-                             for s, k in zip(samples, tops.tolist())]
+        for k in (1, 3, DEFAULT_TOP_K):
+            drawn = np.flatnonzero(tops == k)
+            distances = ks._ecdf_distance(rows[drawn], reference, k).tolist()
+            assert distances == [pair_ecdf_distance(np.sort(samples[r])[-k:], reference)
+                                 for r in drawn]
 
     def test_screen_reads_a_padded_block_as_its_rows(self):
         # The fleet's form, one 2-D block of zero-padded rows, and one
