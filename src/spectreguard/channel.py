@@ -78,6 +78,8 @@ class ChannelParams:
     execution time (independent per iteration, so its contribution to the
     measurement noise scales with sqrt(amplification)).  ``network_noise_sd``
     is the absolute round-trip noise of the remote timing pair, in cycles.
+    Every field must be finite and >= 0, ``cpu_ghz`` > 0 and ``miss_cycles
+    > hit_cycles > 0``; a noise, overhead or timer field of 0 turns that term off.
     """
 
     hit_cycles: float
@@ -89,12 +91,13 @@ class ChannelParams:
     cpu_ghz: float = 2.1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not self.miss_cycles > self.hit_cycles > 0:
             raise ValueError("need miss_cycles > hit_cycles > 0")
-        if self.per_iteration_overhead < 0 or self.network_noise_sd < 0:
-            raise ValueError("noise and overhead parameters must be >= 0")
-        if self.timer_jitter_rel < 0 or self.timer_resolution_ns < 0:
-            raise ValueError("timer parameters must be >= 0")
+        if self.cpu_ghz == 0:
+            raise ValueError(f"cpu_ghz must be > 0, got {self.cpu_ghz!r}")
 
     @property
     def resolution_cycles(self) -> float:
@@ -445,14 +448,15 @@ def leakage_rate(
     requests_per_bit: int,
     runtime_s: float | None = None,
 ) -> LeakEstimate:
-    """Bits per hour: 3600 / (requests * runtime)."""
+    """Bits per hour: 3600 / (requests * runtime); ``runtime_s`` must be
+    finite and > 0."""
     if amplification < 1 or requests_per_bit < 1:
         raise ValueError("amplification and requests_per_bit must be >= 1")
     if runtime_s is None:
         slope, intercept = _runtime_fit()
         runtime_s = intercept + slope * amplification
-    if runtime_s <= 0:
-        raise ValueError("runtime must be positive")
+    if not 0 < runtime_s < math.inf:
+        raise ValueError(f"runtime_s must be finite and > 0, got {runtime_s!r}")
     return LeakEstimate(
         amplification=amplification,
         requests_per_bit=requests_per_bit,

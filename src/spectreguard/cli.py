@@ -39,7 +39,7 @@ from . import threshold as threshold_mod
 from .threshold import AttackWorkload, DetectorSpec, ThresholdConfig, at_least, setting_fields
 from .profiles import MAX_AMPLIFICATION, AttackVariant, BenignProfile
 from .profiles import generate_attack, generate_benign
-from .trace import DEFAULT_INTERVAL_NS, emit_trace, fold_intervals, ingest_trace
+from .trace import NS_PER_SECOND, emit_trace, fold_intervals, ingest_trace
 from .trace import _format_blocks, _unique_object
 
 DEFAULT_SEED = 1729
@@ -113,7 +113,6 @@ _FLAG_RULES = {
     "seed": (at_least(0, default=None), int),
     "intervals": (at_least(1, default=None), int),
     "top_k": (at_least(1, default=None), int),
-    "interval_ns": (at_least(1, default=None, maximum=2**63 - 1), int),
     "threshold": setting_fields(ThresholdConfig)["branch_per_itlb_threshold"],
     "stl_threshold": setting_fields(ThresholdConfig)["stl_reset_threshold"],
     "amplification": setting_fields(AttackWorkload)["amplification"],
@@ -163,8 +162,8 @@ _VERDICT_LINE = (
 )
 
 
-def _verdict_lines_threshold(trace_path, cfg, interval_ns):
-    folded = fold_intervals(ingest_trace(trace_path), interval_ns)
+def _verdict_lines_threshold(trace_path, cfg):
+    folded = fold_intervals(ingest_trace(trace_path))
     suspect, stl, value = threshold_mod.classify_intervals(folded, cfg)
     flags = np.array(["false", "true"], dtype=object)
     # (threshold, metric) text per rule, indexed by the STL-rule flag.  A
@@ -183,8 +182,8 @@ def _verdict_lines_threshold(trace_path, cfg, interval_ns):
         # Window means of int64 counts are finite, so %r of a Python
         # float writes what json does.
         value[rows].astype(object),
-        # Python ints: k * interval_ns can leave the int64 range.
-        folded.window[rows].astype(object) * interval_ns,
+        # Python ints: the window of ts = -2**63 starts below -2**63.
+        folded.window[rows].astype(object) * NS_PER_SECOND,
         quoted[folded.worker[rows]],
     ))
 
@@ -210,7 +209,7 @@ def _cmd_detect(args) -> int:
             branch_per_itlb_threshold=args.threshold,
             stl_reset_threshold=args.stl_threshold,
         )
-        lines = _verdict_lines_threshold(args.trace, cfg, args.interval_ns)
+        lines = _verdict_lines_threshold(args.trace, cfg)
     else:
         if not args.histograms:
             raise InputError("--detector ks requires --histograms")
@@ -239,7 +238,7 @@ def _cmd_sweep(args) -> int:
         if not threshold_mod._ascending(thresholds):
             raise InputError("--thresholds: values must be strictly ascending and not NaN, "
                              f"got {args.thresholds!r}")
-    averages = fold_intervals(ingest_trace(args.trace), args.interval_ns)
+    averages = fold_intervals(ingest_trace(args.trace))
     points = threshold_mod.sweep_thresholds(averages, thresholds)
     rows = (f"{_float(t)},{_float(fp)}" for t, fp in points)
     _write_csv(args.out, SWEEP_SCHEMA, "threshold,fp_rate", rows)
@@ -412,13 +411,11 @@ def _build_parser() -> _Parser:
                         default=threshold_mod.BRANCH_THRESHOLD_DEFAULT)
     detect.add_argument("--stl-threshold", type=float,
                         default=threshold_mod.STL_THRESHOLD_DEFAULT)
-    detect.add_argument("--interval-ns", type=int, default=DEFAULT_INTERVAL_NS)
     detect.add_argument("--out", required=True)
 
     sweep = sub.add_parser("sweep", help="threshold/false-positive curve")
     sweep.add_argument("--trace", required=True)
     sweep.add_argument("--thresholds", default=None, help="comma-separated, ascending")
-    sweep.add_argument("--interval-ns", type=int, default=DEFAULT_INTERVAL_NS)
     sweep.add_argument("--out", required=True)
 
     channel = sub.add_parser("channel", help="leakage table or success grid")

@@ -97,8 +97,10 @@ def top_branches(hist: BranchHistogram, k: int) -> list[int]:
     return sorted(hist.entries.values(), reverse=True)[:k]
 
 
-def _ecdf_distance(rows: np.ndarray, reference: np.ndarray, k: int | None = None) -> np.ndarray:
-    """sup |ECDF_row - ECDF_reference| for each row of a 2-D array.
+def _ecdf_distance(rows: np.ndarray, reference: np.ndarray,
+                   k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """sup |ECDF_row - ECDF_reference| for each row of a 2-D array, and the
+    size of each row's sample.
 
     A row's sample is its k largest values (every value by default) less its
     zeros, so a zero-padded row of counts is screened by its top k nonzero
@@ -106,7 +108,8 @@ def _ecdf_distance(rows: np.ndarray, reference: np.ndarray, k: int | None = None
     row's sample is sorted together with the reference, and at the last of
     each run of equal values v, j = searchsorted(ref, v, "right") of the
     reference and i = column + 1 - j - (the row's zeros) of the sample lie at
-    or below v.  The distance is max |i/n - j/m|, with n = i at the row's end."""
+    or below v.  The distance is max |i/n - j/m|, with n = i at the row's end;
+    a row with no nonzero value has n = 0 and no distance."""
     reference = np.sort(reference)
     m, width = reference.size, rows.shape[1]
     if k is not None and k < width:
@@ -115,9 +118,10 @@ def _ecdf_distance(rows: np.ndarray, reference: np.ndarray, k: int | None = None
     pooled = np.sort(np.hstack([rows, np.broadcast_to(reference, (len(rows), m))]), axis=1)
     j = np.searchsorted(reference, pooled, "right")
     i = np.arange(1, pooled.shape[1] + 1) - j - zeros
-    gap = np.abs(i / i[:, -1:] - j / m)
+    n = i[:, -1]
+    gap = np.abs(i / n[:, None] - j / m)
     gap[:, :-1][pooled[:, 1:] == pooled[:, :-1]] = 0.0  # not the last of its run
-    return gap.max(axis=1)
+    return gap.max(axis=1), n
 
 
 def kolmogorov_survival(lam: float) -> float:
@@ -184,7 +188,8 @@ def ks_two_sample(
 
     n, m = len(a), len(b)
     ranks = np.unique([*a, *b], return_inverse=True)[1] + 1
-    statistic = float(_ecdf_distance(ranks[None, :n], ranks[n:])[0])
+    distance, _sizes = _ecdf_distance(ranks[None, :n], ranks[n:])
+    statistic = float(distance[0])
 
     if mode == "exact":
         p_value = _exact_p_value(a, b)
@@ -224,18 +229,18 @@ def screen_counts(blocks: Iterable[np.ndarray], template: BranchHistogram) -> np
     p-values.  Each block is a 2-D array of zero-padded count rows, one sample
     each (a 1-D array is one sample), and a row of zeros raises
     ``EmptySample``: one ``_ecdf_distance`` call per block, which sorts each
-    row's top k with the template's, and one ``kolmogorov_survival`` call per
-    distinct scaled distance."""
+    row's top k with the template's and gives each sample's size, and one
+    ``kolmogorov_survival`` call per distinct scaled distance."""
     reference = np.array(top_branches(template, DEFAULT_TOP_K))
     m = reference.size
     survival = cache(kolmogorov_survival)  # few distinct distances recur
     p_values: list[float] = []
     for block in blocks:
         block = np.atleast_2d(block)
-        sizes = np.minimum(np.count_nonzero(block, axis=1), DEFAULT_TOP_K)
-        if not sizes.all():
+        if not block.any(axis=1).all():
             raise EmptySample("every sample must be non-empty")
-        lam = _ecdf_distance(block, reference, DEFAULT_TOP_K) * np.sqrt(sizes * m / (sizes + m))
+        distance, sizes = _ecdf_distance(block, reference, DEFAULT_TOP_K)
+        lam = distance * np.sqrt(sizes * m / (sizes + m))
         p_values += map(survival, lam.tolist())
     return np.array(p_values)
 

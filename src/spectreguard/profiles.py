@@ -56,7 +56,7 @@ import numpy as np
 
 from . import ks as _ks
 from .ks import BranchHistogram
-from .trace import DEFAULT_INTERVAL_NS, METRIC_FIELDS, TraceBatch
+from .trace import METRIC_FIELDS, NS_PER_SECOND, TraceBatch
 
 _PHI = NormalDist()
 
@@ -363,8 +363,8 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | 
             _benign_draws(rows, profile, next(rngs), clear_below)
         _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), raw.reshape(9, -1), profile)
     window, slot = np.divmod(np.arange(n), samples_per_window)
-    slot_ns = DEFAULT_INTERVAL_NS // samples_per_window
-    counts[:, :, 0] = window * DEFAULT_INTERVAL_NS + slot * slot_ns
+    slot_ns = NS_PER_SECOND // samples_per_window
+    counts[:, :, 0] = window * NS_PER_SECOND + slot * slot_ns
     return counts.reshape(-1, _COLUMNS)
 
 

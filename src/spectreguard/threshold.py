@@ -259,10 +259,11 @@ def evasion_cost(target_metric: float, attack_profile: AttackProfile) -> Evasion
     Page inflation dilutes the full-strength attack below the target;
     amplification reduction runs at the largest factor whose metric stays
     below the target and pays for it in requests, hence leakage rate.
-    Raises UnreachableTarget when even amplification 1 exceeds the target.
+    Raises UnreachableTarget when even amplification 1 exceeds the target,
+    and ValueError unless ``target_metric`` is finite and > 0.
     """
-    if target_metric <= 0:
-        raise ValueError("target_metric must be positive")
+    if not 0 < target_metric < math.inf:
+        raise ValueError(f"target_metric must be finite and > 0, got {target_metric!r}")
     # metric(a) < target  <=>  a < (target - intercept)/slope, so the answer is
     # ceil of that bound, less 1.  The division can round across a whole
     # number, so the metric itself picks the answer from that guess's neighbours.

@@ -7,8 +7,8 @@ loops stand out against large benign programs) and then smoothed into tumbling
 1-second interval averages.
 
 Timestamps are integer nanoseconds since the trace epoch so traces stay
-platform independent and diff-able.  Windows are half-open
-``[k*interval, (k+1)*interval)`` aligned to the epoch.
+platform independent and diff-able.  Windows are the half-open seconds
+``[k, k + 1)`` since the epoch; their length is not a setting.
 
 Bulk paths work on a ``TraceBatch``: one int64 array of counter columns, an
 int worker code per record with a table of worker names, and the source line
@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Iterator, TextIO
 import numpy as np
 
 NS_PER_SECOND = 1_000_000_000
-DEFAULT_INTERVAL_NS = NS_PER_SECOND
 
 TRACE_SCHEMA = "trace-v1"
 
@@ -248,14 +247,13 @@ class IntervalBatch:
     """Interval averages as columns, in emission order (see the module doc).
 
     ``window`` holds each window's index k (the window starts at
-    ``k * interval_ns``), ``means`` the (n, 7) mean ``METRIC_FIELDS``.
+    ``k * NS_PER_SECOND``), ``means`` the (n, 7) mean ``METRIC_FIELDS``.
     ``dropped_zero_itlb`` counts the samples left out for zero iTLB accesses.
     """
 
     names: tuple[str, ...]
     worker: np.ndarray
     window: np.ndarray
-    interval_ns: int
     sample_count: np.ndarray
     means: np.ndarray
     dropped_zero_itlb: int
@@ -264,14 +262,14 @@ class IntervalBatch:
         return len(self.worker)
 
     def __iter__(self) -> Iterator[IntervalAverage]:
-        names, interval = self.names, self.interval_ns
+        names = self.names
         for w, k, count, means in zip(
             self.worker.tolist(),
             self.window.tolist(),
             self.sample_count.tolist(),
             self.means.tolist(),
         ):
-            yield IntervalAverage(names[w], k * interval, NormalizedMetrics(*means), count)
+            yield IntervalAverage(names[w], k * NS_PER_SECOND, NormalizedMetrics(*means), count)
 
     def metric(self, name: str) -> np.ndarray:
         """The mean of one ``METRIC_FIELDS`` entry, per window."""
@@ -292,13 +290,8 @@ def normalize(snapshot: CounterSnapshot) -> NormalizedMetrics:
     )
 
 
-def _check_interval(interval_ns: int) -> None:
-    if not 0 < interval_ns <= _INT64_MAX:
-        raise ValueError("interval_ns must be positive and fit in int64")
-
-
 class IntervalFolder:
-    """Folds a per-worker snapshot stream into tumbling interval averages.
+    """Folds a per-worker snapshot stream into tumbling 1-second averages.
 
     The reference oracle for ``fold_intervals``: it takes one record at a
     time, with no columns or sorting.  Snapshots must arrive in
@@ -310,9 +303,7 @@ class IntervalFolder:
     samples within a window.
     """
 
-    def __init__(self, interval_ns: int = DEFAULT_INTERVAL_NS):
-        _check_interval(interval_ns)
-        self.interval_ns = interval_ns
+    def __init__(self):
         self.dropped_zero_itlb = 0
         # worker -> (window_start_ns, last_ts_ns, [NormalizedMetrics, ...])
         self._open: dict[str, tuple[int, int, list[NormalizedMetrics]]] = {}
@@ -321,7 +312,7 @@ class IntervalFolder:
         """Feed one snapshot; returns windows completed by this event."""
         worker = snapshot.worker_id
         ts = snapshot.timestamp_ns
-        window = (ts // self.interval_ns) * self.interval_ns
+        window = (ts // NS_PER_SECOND) * NS_PER_SECOND
 
         completed: list[IntervalAverage] = []
         open_window, last_ts, samples = self._open.get(worker, (window, ts, []))
@@ -475,11 +466,8 @@ def _grid_means(counts: np.ndarray, samples: int, metrics: tuple[str, ...]) -> n
     return sums / samples
 
 
-def fold_intervals(
-    records: TraceBatch | Iterable[CounterSnapshot],
-    interval_ns: int = DEFAULT_INTERVAL_NS,
-) -> IntervalBatch:
-    """Fold a trace into interval averages, exactly as IntervalFolder does.
+def fold_intervals(records: TraceBatch | Iterable[CounterSnapshot]) -> IntervalBatch:
+    """Fold a trace into 1-second window averages, exactly as IntervalFolder does.
 
     Records are stably sorted by worker, so each worker's records keep their
     file order; a timestamp regression raises OutOfOrderTimestamp for the
@@ -489,7 +477,6 @@ def fold_intervals(
     IntervalFolder takes, so means do not depend on the order of samples
     within a window.
     """
-    _check_interval(interval_ns)
     batch = records if isinstance(records, TraceBatch) else TraceBatch.from_snapshots(records)
     n = len(batch)
     order = np.argsort(batch.worker, kind="stable")
@@ -504,7 +491,7 @@ def fold_intervals(
         )
 
     # Groups are runs of one worker's records in one window.
-    window = ts // interval_ns
+    window = ts // NS_PER_SECOND
     new_group = np.ones(n, dtype=bool)
     new_group[1:] = ~same_worker | (window[1:] != window[:-1])
     starts = np.flatnonzero(new_group)
@@ -533,7 +520,6 @@ def fold_intervals(
         names=batch.names,
         worker=worker[first],
         window=window[first],
-        interval_ns=interval_ns,
         sample_count=count[emit_order],
         means=sums[emit_order] / count[emit_order, None],
         dropped_zero_itlb=int(n - np.count_nonzero(kept)),

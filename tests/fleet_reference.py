@@ -52,7 +52,7 @@ from spectreguard.profiles import (
     generate_benign,
 )
 from spectreguard.threshold import classify_threshold
-from spectreguard.trace import DEFAULT_INTERVAL_NS, IntervalAverage, TraceBatch, fold_intervals
+from spectreguard.trace import NS_PER_SECOND, IntervalAverage, TraceBatch, fold_intervals
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,5 @@ def reference_fleet_counts(rngs, profile: BenignProfile | None, n_attack: int, n
                      30.0 * np.exp(cache_ref), cache_miss, 300.0 * np.exp(l1d), l1d_miss,
                      BENIGN_MD_MEAN * np.exp(md))
     window, slot = np.divmod(np.arange(n), samples_per_window)
-    counts[:, :, 0] = window * DEFAULT_INTERVAL_NS + slot * (DEFAULT_INTERVAL_NS
-                                                             // samples_per_window)
+    counts[:, :, 0] = window * NS_PER_SECOND + slot * (NS_PER_SECOND // samples_per_window)
     return counts.reshape(-1, _COLUMNS), passes

@@ -146,14 +146,18 @@ class TestSimulateBit:
     @pytest.mark.parametrize("changes,message", [
         (dict(miss_cycles=50.0), "need miss_cycles > hit_cycles > 0"),
         (dict(hit_cycles=0.0), "need miss_cycles > hit_cycles > 0"),
-        (dict(per_iteration_overhead=-1.0), "noise and overhead parameters must be >= 0"),
-        (dict(network_noise_sd=-1.0), "noise and overhead parameters must be >= 0"),
-        (dict(timer_jitter_rel=-0.1), "timer parameters must be >= 0"),
-        (dict(timer_resolution_ns=-1.0), "timer parameters must be >= 0"),
+        (dict(cpu_ghz=0.0), "cpu_ghz must be > 0, got 0.0"),
+        *((dict([(f.name, bad)]), f"{f.name} must be finite and >= 0, got {bad!r}")
+          for f in dataclasses.fields(ChannelParams)
+          for bad in (-1.0, math.nan, math.inf, -math.inf)),
     ])
     def test_bad_channel_params_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(js_worker_params(), **changes)
+
+    def test_zero_noise_overhead_and_timer_stay_allowed(self):
+        dataclasses.replace(js_worker_params(), per_iteration_overhead=0.0, network_noise_sd=0.0,
+                            timer_jitter_rel=0.0, timer_resolution_ns=0.0)
 
 
 class TestBoxTest:
@@ -605,8 +609,11 @@ class TestLeakage:
     @pytest.mark.parametrize("amplification,requests,runtime,message", [
         (0, 100, None, "amplification and requests_per_bit must be >= 1"),
         (10, 0, None, "amplification and requests_per_bit must be >= 1"),
-        (10, 100, 0.0, "runtime must be positive"),
-        (10, 100, -1.0, "runtime must be positive"),
+        (10, 100, 0.0, "runtime_s must be finite and > 0, got 0.0"),
+        (10, 100, -1.0, "runtime_s must be finite and > 0, got -1.0"),
+        (10, 100, math.nan, "runtime_s must be finite and > 0, got nan"),
+        (10, 100, math.inf, "runtime_s must be finite and > 0, got inf"),
+        (10, 100, -math.inf, "runtime_s must be finite and > 0, got -inf"),
     ])
     def test_bad_inputs_rejected(self, amplification, requests, runtime, message):
         with pytest.raises(ValueError, match=message):

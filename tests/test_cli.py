@@ -15,7 +15,7 @@ from spectreguard import channel, cli, fleet, ks
 from spectreguard.fleet import AttackWorkload, DetectorSpec, FleetConfig, run_fleet
 from spectreguard.profiles import MAX_AMPLIFICATION, AttackVariant
 from spectreguard.threshold import ThresholdConfig, classify_threshold
-from spectreguard.trace import _FORMAT_BLOCK, fold_intervals, ingest_trace
+from spectreguard.trace import _FORMAT_BLOCK, NS_PER_SECOND, fold_intervals, ingest_trace
 
 
 PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.jsonl"
@@ -179,7 +179,7 @@ def per_window_lines(trace, extra):
         stl_reset_threshold=float(args.get("--stl-threshold", ThresholdConfig().stl_reset_threshold)),
     )
     expected = ["# schema: verdicts-v1"]
-    for avg in fold_intervals(ingest_trace(trace), int(args.get("--interval-ns", 10**9))):
+    for avg in fold_intervals(ingest_trace(trace)):
         verdict = classify_threshold(avg, cfg)
         expected.append(cli._SORTED_JSON({
             "worker_id": avg.worker_id,
@@ -196,7 +196,7 @@ class TestDetectLines:
     """detect's column path writes what the per-window objects would."""
 
     @pytest.mark.parametrize("extra", [
-        [], ["--threshold", "inf"], ["--interval-ns", "7"], ["--stl-threshold", "0"],
+        [], ["--threshold", "inf"], ["--stl-threshold", "0"],
     ])
     def test_lines_equal_per_window_encoding(self, tmp_path, extra):
         trace = tmp_path / "edge.jsonl"
@@ -205,7 +205,7 @@ class TestDetectLines:
         assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
         expected = per_window_lines(trace, extra)
         assert out.read_text(encoding="utf-8").splitlines() == expected
-        assert len(expected) == 1 + (5 if "--interval-ns" in extra else 4)
+        assert len(expected) == 1 + 4
 
     def test_floats_that_need_17_digits(self, tmp_path):
         # The window mean (0.1 + 0.2) / 2 and the STL threshold each need 17
@@ -224,27 +224,26 @@ class TestDetectLines:
 
     @pytest.mark.parametrize("n", [_FORMAT_BLOCK, _FORMAT_BLOCK + 5])
     def test_verdict_blocks(self, tmp_path, n):
-        # Windows of one interval_ns just under 2**63, all closed in file order.
-        # Worker "neg"'s window -2 starts below -(2**63) and closes after every
-        # w* window 0, so it is verdict n, in the second block (its first row
-        # when n is one block).
-        interval = 2**63 - 1
+        # Each w* worker's window 0 closes in file order.  Worker "neg"'s
+        # window, of ts = -(2**63), starts below -(2**63) and closes after
+        # every w* window 0, so it is verdict n, in the second block (its
+        # first row when n is one block).
         names = [f'w{i}"' for i in range(n)]
         # Each rule flags some of the w* windows 0 and not others.
         text = "".join(trace_line(name, 0, 3, 3 * (4_090 + i % 13), 15_000 if i % 5 else 7)
                        for i, name in enumerate(names))
         text += trace_line("neg", -(2**63), 3, 10, 7)
-        text += "".join(trace_line(name, interval, 5, 9, 7) for name in names)
+        text += "".join(trace_line(name, NS_PER_SECOND, 5, 9, 7) for name in names)
         text += trace_line("neg", 0, 3, 10, 7)
         trace = tmp_path / "blocks.jsonl"
         trace.write_text(text, encoding="utf-8")
         out = tmp_path / "v.jsonl"
-        extra = ["--interval-ns", str(interval)]
-        assert run("detect", "--trace", str(trace), "--out", str(out), *extra) == 0
+        assert run("detect", "--trace", str(trace), "--out", str(out)) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines == per_window_lines(trace, extra)
+        assert lines == per_window_lines(trace, [])
         assert len(lines) - 1 == 2 * n + 2 > 2 * _FORMAT_BLOCK
-        assert json.loads(lines[1 + n])["window_start_ns"] == -2 * interval < -(2**63)
+        start = json.loads(lines[1 + n])["window_start_ns"]
+        assert start == -9_223_372_037 * NS_PER_SECOND < -(2**63)
         verdicts = [json.loads(line) for line in lines[1:n + 1]]
         assert {(v["suspect"], v["triggering_metric"]) for v in verdicts} == {
             (False, "branch_per_itlb"), (True, "branch_per_itlb"), (True, "md_reset_per_itlb")}
@@ -658,12 +657,6 @@ class TestErrors:
         (["gen", "--profile", "pht", "--pages", "-1"], "--pages must be an integer >= 0, got -1"),
         (["gen", "--profile", "pht", "--amplification", "0"],
          "--amplification must be an integer >= 1, got 0"),
-        (["detect", "--trace", str(PINNED_TRACE), "--interval-ns", "0"],
-         "--interval-ns must be an integer >= 1, got 0"),
-        (["sweep", "--trace", str(PINNED_TRACE), "--interval-ns", "-5"],
-         "--interval-ns must be an integer >= 1, got -5"),
-        (["detect", "--trace", "t.jsonl", "--interval-ns", str(2**63)],
-         f"--interval-ns must be <= {2**63 - 1}, got {2**63}"),
         (["ks", "a.csv", "a.csv", "--top-k", "0"], "--top-k must be an integer >= 1, got 0"),
         (["detect", "--detector", "ks", "--histograms", "hists", "--top-k", "0"],
          "--top-k must be an integer >= 1, got 0"),
@@ -708,8 +701,7 @@ class TestErrors:
         *((["sweep", "--trace", "t.jsonl", "--thresholds", text],
            f"--thresholds: values must be strictly ascending and not NaN, got {text!r}")
           for text in ("2,1", "nan", "1,1")),
-    ], ids=["gen-n", "gen-pages", "gen-amplification", "detect-interval-ns",
-            "sweep-interval-ns", "detect-interval-ns-past-int64", "ks-top-k", "detect-top-k",
+    ], ids=["gen-n", "gen-pages", "gen-amplification", "ks-top-k", "detect-top-k",
             "detect-threshold-top-k", "detect-threshold-alpha", "detect-alpha-nan",
             "detect-alpha-inf", "ks-alpha-nan", "ks-alpha-inf", "channel-seed",
             "detect-threshold-nan", "detect-stl-threshold", "gen-amplification-past-bound",

@@ -494,8 +494,9 @@ class TestBatchKernel:
         reference = np.array(reference, dtype=np.int64)
         if presorted:
             rows, reference = np.sort(rows, axis=1), np.sort(reference)
-        batched = ks._ecdf_distance(rows, reference).tolist()
-        assert batched == [pair_ecdf_distance(row, reference) for row in rows]
+        batched, sizes = ks._ecdf_distance(rows, reference)
+        assert batched.tolist() == [pair_ecdf_distance(row, reference) for row in rows]
+        assert sizes.tolist() == [rows.shape[1]] * len(rows)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(long_sample, min_size=1, max_size=6), long_sample)
@@ -559,9 +560,10 @@ class TestBlockKernel:
         reference = np.array(reference, dtype=np.int64)
         for k in (1, 3, DEFAULT_TOP_K):
             drawn = np.flatnonzero(tops == k)
-            distances = ks._ecdf_distance(rows[drawn], reference, k).tolist()
-            assert distances == [pair_ecdf_distance(np.sort(samples[r])[-k:], reference)
-                                 for r in drawn]
+            distances, sizes = ks._ecdf_distance(rows[drawn], reference, k)
+            assert distances.tolist() == [pair_ecdf_distance(np.sort(samples[r])[-k:], reference)
+                                          for r in drawn]
+            assert sizes.tolist() == [min(len(samples[r]), k) for r in drawn]
 
     def test_screen_reads_a_padded_block_as_its_rows(self):
         # The fleet's form, one 2-D block of zero-padded rows, and one
@@ -576,6 +578,8 @@ class TestBlockKernel:
         assert p_values == screen_counts(samples, template).tolist()
         with pytest.raises(EmptySample):
             screen_counts([np.zeros((2, 5), dtype=np.int64)], template)
+        with pytest.raises(EmptySample):
+            screen_counts([block, np.array([[3, 0, 1], [0, 0, 0]])], template)
 
 
 class TestKolmogorovSurvival:

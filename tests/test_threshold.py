@@ -117,7 +117,6 @@ def batch_of(rows):
         names=("w0",),
         worker=np.zeros(n, dtype=np.intp),
         window=np.arange(n),
-        interval_ns=1,
         sample_count=np.ones(n, dtype=np.int64),
         means=means,
         dropped_zero_itlb=0,
@@ -232,9 +231,9 @@ class TestEvasion:
         with pytest.raises(ValueError):
             evasion_cost(100.0, AttackProfile.for_variant("pht"))
 
-    @pytest.mark.parametrize("target", [0.0, -4096.0, -math.inf])
-    def test_non_positive_target_rejected(self, target):
-        with pytest.raises(ValueError, match="target_metric must be positive"):
+    @pytest.mark.parametrize("target", [0.0, -4096.0, -math.inf, math.nan, math.inf])
+    def test_target_must_be_finite_and_positive(self, target):
+        with pytest.raises(ValueError, match=f"target_metric must be finite and > 0, got {target!r}"):
             evasion_cost(target, AttackProfile.for_variant("pht"))
 
     @pytest.mark.parametrize("variant", list(AttackVariant))

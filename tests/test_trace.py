@@ -205,19 +205,12 @@ class TestFoldIntervals:
         snaps = [snap(worker="b", ts=1), snap(worker="a", ts=2), snap(worker="c", ts=3)]
         folded = fold_intervals(snaps)
         assert [a.worker_id for a in folded] == ["a", "b", "c"]
-        assert [a.worker_id for a in _stream_fold(snaps, 10**9)[0]] == ["a", "b", "c"]
-
-    def test_interval_must_be_positive_int64(self):
-        for interval in (0, 2**63):
-            with pytest.raises(ValueError):
-                fold_intervals([snap()], interval)
-            with pytest.raises(ValueError):
-                IntervalFolder(interval)
+        assert [a.worker_id for a in _stream_fold(snaps)[0]] == ["a", "b", "c"]
 
 
-def _stream_fold(snaps, interval_ns):
+def _stream_fold(snaps):
     """The streaming IntervalFolder, the reference for the batch fold."""
-    folder = IntervalFolder(interval_ns)
+    folder = IntervalFolder()
     out = []
     for s in snaps:
         out.extend(folder.push(s))
@@ -234,15 +227,15 @@ def _exact(averages):
     ]
 
 
-def _assert_fold_matches_stream(snaps, interval_ns):
+def _assert_fold_matches_stream(snaps):
     try:
-        expected, dropped = _stream_fold(snaps, interval_ns)
+        expected, dropped = _stream_fold(snaps)
     except OutOfOrderTimestamp as exc:
         with pytest.raises(OutOfOrderTimestamp) as err:
-            fold_intervals(snaps, interval_ns)
+            fold_intervals(snaps)
         assert str(err.value) == str(exc)
         return None
-    folded = fold_intervals(snaps, interval_ns)
+    folded = fold_intervals(snaps)
     assert _exact(folded) == _exact(expected)
     assert folded.dropped_zero_itlb == dropped
     return folded
@@ -250,34 +243,40 @@ def _assert_fold_matches_stream(snaps, interval_ns):
 
 # Name order differs from first-appearance order for most interleavings.
 ORACLE_WORKERS = ("w2", "w0", "w1", "w10")
+SECOND = trace.NS_PER_SECOND
+# A timestamp's offset into its window: often a window edge or next to one.
+OFFSETS = st.one_of(st.sampled_from([0, 1, SECOND - 1]),
+                    st.integers(min_value=0, max_value=SECOND - 1))
 
 
 @st.composite
 def interleaved_traces(draw):
     """Interleaved multi-worker traces; Hypothesis picks the structure
-    (workers, timestamps, zero-iTLB rows) and a seed fills in the counts."""
-    interval = draw(st.sampled_from([1, 3, 1000, 1_000_000_000]))
-    low = -interval if draw(st.booleans()) else 0  # may a timestamp regress?
+    (workers, window indices and offsets, zero-iTLB rows) and a seed fills
+    in the counts."""
+    may_regress = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
     last: dict[str, int] = {}
     snaps = []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
         worker = draw(st.sampled_from(ORACLE_WORKERS))
         if worker in last:
-            # small steps fill windows with several samples, large ones skip windows
-            ts = last[worker] + draw(st.one_of(
-                st.integers(min_value=low, max_value=interval // 3),
-                st.integers(min_value=low, max_value=3 * interval),
-            ))
+            # stay in the window, cross into the next one, skip several, or
+            # (if allowed) step back a window
+            window = last[worker] // SECOND + draw(
+                st.integers(min_value=-1 if may_regress else 0, max_value=4))
         else:
-            ts = draw(st.integers(min_value=-3 * interval, max_value=3 * interval))
+            window = draw(st.integers(min_value=-3, max_value=3))
+        ts = window * SECOND + draw(OFFSETS)
+        if worker in last and not may_regress:
+            ts = max(ts, last[worker])
         last[worker] = ts
         itlb = 0 if draw(st.integers(min_value=0, max_value=4)) == 0 else int(rng.integers(1, 10_000))
         br, llc, l1d, md = (int(v) for v in rng.integers(0, 10_000_000, 4))
         br_miss, llc_miss, l1d_miss = (int(rng.integers(0, total + 1)) for total in (br, llc, l1d))
         snaps.append(snap(worker=worker, ts=ts, itlb=itlb, br=br, br_miss=br_miss, llc=llc,
                           llc_miss=llc_miss, l1d=l1d, l1d_miss=l1d_miss, md=md))
-    return snaps, interval
+    return snaps
 
 
 class TestBatchFoldOracle:
@@ -285,17 +284,15 @@ class TestBatchFoldOracle:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(interleaved_traces())
-    def test_matches_streaming_folder(self, trace):
-        snaps, interval = trace
-        _assert_fold_matches_stream(snaps, interval)
+    def test_matches_streaming_folder(self, snaps):
+        _assert_fold_matches_stream(snaps)
 
     def test_pinned_trace_matches_streaming_folder(self):
         # zero-iTLB rows, windows of 1, 2 and 3 samples, an all-dropped window
         snaps = list(ingest_trace(PINNED_TRACE))
-        folded = _assert_fold_matches_stream(snaps, 1_000_000_000)
+        folded = _assert_fold_matches_stream(snaps)
         assert sorted(folded.sample_count.tolist()) == [1, 1, 1, 1, 2, 3]
         assert folded.dropped_zero_itlb == 2
-        _assert_fold_matches_stream(snaps, 250_000_000)
 
     def test_windows_of_many_sizes(self):
         # windows of 1 to 1000 samples: one addition up to two, the
@@ -306,7 +303,7 @@ class TestBatchFoldOracle:
             batch = generate_benign(profile, 2 * size, seed=size, worker_id=f"w{size}",
                                     samples_per_window=size)
             snaps.extend(batch)
-        folded = _assert_fold_matches_stream(snaps, 1_000_000_000)
+        folded = _assert_fold_matches_stream(snaps)
         assert sorted(set(folded.sample_count.tolist())) == [1, 2, 3, 4, 5, 17, 100, 1000]
 
     def test_large_counts_divide_exactly(self):
@@ -316,7 +313,7 @@ class TestBatchFoldOracle:
         assert big / 3 != float(big) / 3
         snaps = [snap(ts=0, itlb=3, br=big, br_miss=big, llc=big, llc_miss=big,
                       l1d=big, l1d_miss=big, md=big)]
-        _assert_fold_matches_stream(snaps, 1_000_000_000)
+        _assert_fold_matches_stream(snaps)
 
     def test_narrow_windows_never_reach_fsum(self, monkeypatch):
         # windows of 3 to 8 samples, one of them narrowed by a zero-iTLB row
@@ -326,13 +323,13 @@ class TestBatchFoldOracle:
                                     worker_id=f"w{size}", samples_per_window=size)
             snaps.extend(batch)
         snaps += [snap(worker="z", ts=i, itlb=0 if i == 3 else 1000 + i) for i in range(4)]
-        expected, dropped = _stream_fold(snaps, 1_000_000_000)
+        expected, dropped = _stream_fold(snaps)
 
         def forbidden(values):
             raise AssertionError("a window of at most 8 samples reached math.fsum")
 
         monkeypatch.setattr(trace.math, "fsum", forbidden)
-        folded = fold_intervals(snaps, 1_000_000_000)
+        folded = fold_intervals(snaps)
         assert _exact(folded) == _exact(expected)
         assert folded.dropped_zero_itlb == dropped == 1
         assert sorted(set(folded.sample_count.tolist())) == list(range(3, 9))
