@@ -126,6 +126,7 @@ class TestRunFleet:
         mem = [model.memory_bytes(1 << 20, k, 50) for k in range(0, 51, 10)]
         assert all(b < a for a, b in zip(rps, rps[1:]))
         assert all(b > a for a, b in zip(mem, mem[1:]))
+        assert model.isolation_penalty(0, 0) == 1.0
 
     def test_deterministic_reports(self):
         cfg = FleetConfig(n_benign=12, n_attack=1, intervals=5, rng_seed=7)

@@ -918,4 +918,5 @@ class TestIngestPaths:
         assert [_outcome(ingest_trace, path) for path in paths] == expected
         for batch, path in zip(batches, paths):
             assert ingest_trace(path) == batch
+            assert batch != 5
         assert ingest_trace(paths[-1]).counts.tolist() == counts.tolist()
