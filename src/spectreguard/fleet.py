@@ -285,15 +285,15 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
             for w in np.flatnonzero(decided.any(axis=1) & ~benign).tolist()
         },
         # verdicts by (interval, worker code)
-        verdicts=tuple(
+        verdicts=tuple([
             {"interval": k, "worker_id": name, "suspect": s}
             for k, column in enumerate(flags.T.tolist()) for name, s in zip(names, column)
-        ),
+        ]),
         # moves from shared to isolated by (closing window, worker code)
-        timeline=tuple(
+        timeline=tuple([
             {"interval": k, "worker_id": names[w], "action": "isolate"}
             for k, w in np.argwhere((placement[:, 1:] > placement[:, :-1]).T).tolist()
-        ),
+        ]),
         redirects=n_workers * max(0, cfg.subrequests_per_interval * intervals
                                   - SUBREQUEST_LIMIT),
         post_isolation_shared_events=cfg.executions_per_interval * int(np.count_nonzero(shared)),

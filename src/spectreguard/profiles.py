@@ -16,11 +16,12 @@ Two generator families live here:
 
 Every trace's counters are laid out by ``_fleet_counts``: the attack
 workers' (``_attack_counts``), the benign workers', then the timestamps.  A
-benign worker only makes its generator calls (``_benign_draws``), writing raw
-uniforms on [0, 1) and standard normals into its column of one draw block;
+benign worker only makes its generator calls (``_benign_draws``): eight of
+them, raw uniforms on [0, 1) and standard normals into one reused (9, n)
+block, which is copied into the worker's column of the fleet's draw array;
 the mixture pick, the affine maps (numpy's ``uniform`` and ``normal`` are
 exactly ``low + (high - low) * u`` and ``loc + scale * z``) and ``exp`` then
-run once over the block.  No normal below both components' ``(log(upper_cutoff)
+run once over that array.  No normal below both components' ``(log(upper_cutoff)
 - 1e-9 - mu) / sigma`` gives a metric at the cutoff, so only the records at or
 above it are checked, and redrawn if rejected, before the worker's next call.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from statistics import NormalDist
 import numpy as np
@@ -291,21 +292,35 @@ def _branch_metric(profile: BenignProfile, pick: np.ndarray, z: np.ndarray) -> n
                   + np.where(tail, profile.tail_sigma, profile.body_sigma) * z)
 
 
-def _benign_draws(raw: np.ndarray, profile: BenignProfile, rng: np.random.Generator,
+def _benign_draws(raw: np.ndarray, profile: BenignProfile, rngs: Iterator[np.random.Generator],
                   clear_below: float) -> None:
-    """One worker's raw benign draws into raw, a row per call, a record per column."""
-    pick, z, *rows = raw
-    rng.random(out=pick)
-    rng.standard_normal(out=z)
-    if z.max() >= clear_below:
-        pending = np.flatnonzero(z >= clear_below)
-        while (pending := pending[_branch_metric(profile, pick[pending], z[pending])
-                                  >= profile.upper_cutoff]).size:
-            pick[pending] = rng.random(pending.size)
-            z[pending] = rng.standard_normal(pending.size)
-    for row, draw in zip(rows, (rng.random, rng.random, rng.standard_normal, rng.random,
-                                rng.standard_normal, rng.random, rng.standard_normal)):
-        draw(out=row)
+    """Each benign worker's raw draws into its column of raw (9, workers, n),
+    a record per position, each worker from the next generator of rngs.
+
+    A worker draws into one reused (9, n) block, a row per draw, whose row
+    views are made once: eight generator calls, the iTLB and branch-miss
+    uniforms (rows 2 and 3) in one, which numpy fills row after row, as two
+    calls would.  The block is then copied into the worker's column."""
+    block = np.empty((9, raw.shape[2]))
+    pick, z, uniforms, cache_ref, cache_miss, l1d, l1d_miss, md = (
+        block[0], block[1], block[2:4], *block[4:])
+    for out in raw.swapaxes(0, 1):
+        rng = next(rngs)
+        rng.random(out=pick)
+        rng.standard_normal(out=z)
+        if z.max() >= clear_below:
+            pending = np.flatnonzero(z >= clear_below)
+            while (pending := pending[_branch_metric(profile, pick[pending], z[pending])
+                                      >= profile.upper_cutoff]).size:
+                pick[pending] = rng.random(pending.size)
+                z[pending] = rng.standard_normal(pending.size)
+        rng.random(out=uniforms)
+        rng.standard_normal(out=cache_ref)
+        rng.random(out=cache_miss)
+        rng.standard_normal(out=l1d)
+        rng.random(out=l1d_miss)
+        rng.standard_normal(out=md)
+        out[...] = block
 
 
 def _benign_counts(out: np.ndarray, raw: np.ndarray, profile: BenignProfile) -> None:
@@ -325,9 +340,8 @@ def _benign_counts(out: np.ndarray, raw: np.ndarray, profile: BenignProfile) -> 
 
 def _attack_counts(out: np.ndarray, rng: np.random.Generator, variant: AttackVariant | str,
                    amplification: int | None, pages: int) -> None:
-    """One attack worker's counters, all but the timestamp, into out."""
-    if max(amplification or 1, pages) > MAX_AMPLIFICATION:
-        raise ValueError(f"amplification and pages must be <= {MAX_AMPLIFICATION}")
+    """One attack worker's counters, all but the timestamp, into out; its
+    callers take the workload through ``threshold.AttackWorkload``'s bounds."""
     profile, n = AttackProfile.for_variant(variant), len(out)
     branch_mean = profile.branch_metric(amplification, pages)
     md_mean = profile.md_reset_metric(amplification)
@@ -345,8 +359,9 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | 
                   attack: tuple | None) -> np.ndarray:
     """The counters of n_attack attack workers, then n_benign benign workers
     of profile, n records each, one worker after another; each worker draws
-    from the next generator of rngs.  attack is (variant, amplification,
-    pages); profile and attack are read only when those workers exist."""
+    from the next generator of rngs, a benign worker into one reused block
+    (``_benign_draws``).  attack is (variant, amplification, pages); profile
+    and attack are read only when those workers exist."""
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = np.empty((n_attack + n_benign, n, _COLUMNS), dtype=np.int64)
@@ -359,8 +374,7 @@ def _fleet_counts(rngs: Iterator[np.random.Generator], profile: BenignProfile | 
         log_cutoff = math.log(profile.upper_cutoff) - 1e-9  # far above a few ulp of rounding
         clear_below = min((log_cutoff - profile.body_mu) / profile.body_sigma,
                           (log_cutoff - profile.tail_mu) / profile.tail_sigma)
-        for rows in raw.swapaxes(0, 1):
-            _benign_draws(rows, profile, next(rngs), clear_below)
+        _benign_draws(raw, profile, rngs, clear_below)
         _benign_counts(counts[n_attack:].reshape(-1, _COLUMNS), raw.reshape(9, -1), profile)
     window, slot = np.divmod(np.arange(n), samples_per_window)
     slot_ns = NS_PER_SECOND // samples_per_window
@@ -428,11 +442,15 @@ def generate_attack(
 
     The branch metric scales with the amplification factor and dilutes with
     extra code pages; the histogram keeps the characteristic shape where the
-    transient-window delay loop outranks the mistrained bounds check.
+    transient-window delay loop outranks the mistrained bounds check.  The
+    workload is checked as an ``AttackWorkload`` first, with its bounds and
+    error text.
     """
+    from .threshold import AttackWorkload  # threshold imports this module
+
+    workload = AttackWorkload(variant, amplification, pages)
     rng = np.random.default_rng(seed)
-    counts = _fleet_counts(iter([rng]), None, 1, 0, n, samples_per_window,
-                           (variant, amplification, pages))  # rejects pages < 0
+    counts = _fleet_counts(iter([rng]), None, 1, 0, n, samples_per_window, astuple(workload))
     return TraceBatch((worker_id,), np.zeros(n, dtype=np.intp), counts), make_attack_histogram(rng)
 
 

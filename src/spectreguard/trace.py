@@ -189,9 +189,11 @@ class TraceBatch:
     timestamp, iTLB accesses and the seven ``METRIC_FIELDS``.  ``worker``
     holds each record's index into ``names``.  ``line`` holds each record's
     source line number, or is None for generated batches.  The counter
-    invariants are checked on construction: a column test finds the first
-    offending record, and ``CounterSnapshot``'s own check of that record
-    names the field, with the record's line when known.
+    invariants are checked on construction, in one pass when they hold: the
+    least count and one test per (misses, total) pair.  Only a batch that
+    fails it is scanned row by row for the first offending record, and
+    ``CounterSnapshot``'s own check of that record names the field, with the
+    record's line when known.
     """
 
     names: tuple[str, ...]
@@ -201,17 +203,19 @@ class TraceBatch:
 
     def __post_init__(self):
         counts = self.counts
+        pairs = [(counts[:, _COLUMN_FIELDS.index(misses)], counts[:, _COLUMN_FIELDS.index(total)])
+                 for misses, total in _BOUNDED]
+        if counts[:, 1:].min(initial=0) >= 0 and not any((m > t).any() for m, t in pairs):
+            return
         bad = (counts[:, 1:] < 0).any(axis=1)
-        for misses, total in _BOUNDED:
-            bad |= counts[:, _COLUMN_FIELDS.index(misses)] > counts[:, _COLUMN_FIELDS.index(total)]
-        bad = np.flatnonzero(bad)
-        if bad.size:
-            row = int(bad[0])
-            try:
-                CounterSnapshot(self.names[self.worker[row]], *counts[row].tolist())
-            except InvariantViolation as exc:
-                line = None if self.line is None else int(self.line[row])
-                raise InvariantViolation(exc.field_name, exc.message, line) from None
+        for misses, total in pairs:
+            bad |= misses > total
+        row = int(np.flatnonzero(bad)[0])
+        try:
+            CounterSnapshot(self.names[self.worker[row]], *counts[row].tolist())
+        except InvariantViolation as exc:
+            line = None if self.line is None else int(self.line[row])
+            raise InvariantViolation(exc.field_name, exc.message, line) from None
 
     @classmethod
     def from_snapshots(cls, snapshots: Iterable[CounterSnapshot]) -> "TraceBatch":

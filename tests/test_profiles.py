@@ -38,6 +38,7 @@ from spectreguard.profiles import (
     pages_to_reach,
 )
 from spectreguard import cli, ks
+from spectreguard.threshold import AttackWorkload
 from spectreguard.profiles import (
     _attack_count_rows,
     _benign_count_rows,
@@ -170,6 +171,16 @@ class TestGenerateAttack:
         # 10**13 would overflow the PHT branch counter; 10**400 is past float range
         with pytest.raises(ValueError, match=f"must be <= {MAX_AMPLIFICATION}"):
             generate_attack("pht", amplification, pages, n=3, seed=1)
+
+    @pytest.mark.parametrize("amplification,pages", [
+        (None, -1), (0, 0), (MAX_AMPLIFICATION + 1, 0), (None, MAX_AMPLIFICATION + 1),
+    ], ids=["pages-negative", "amplification-0", "amplification-past", "pages-past"])
+    def test_bounds_are_the_attack_workloads(self, amplification, pages):
+        with pytest.raises(ValueError) as workload:
+            AttackWorkload("pht", amplification, pages)
+        with pytest.raises(ValueError) as generated:
+            generate_attack("pht", amplification, pages, n=3, seed=1)
+        assert str(generated.value) == str(workload.value)
 
     def test_stl_md_mean(self):
         snaps, _ = generate_attack("stl", n=600, seed=46)
@@ -386,6 +397,17 @@ class TestFleetCounts:
         assert np.array_equal(counts, expected)
         # every generator made the same calls
         assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in theirs]
+
+    @pytest.mark.parametrize("n", [1, 48, 600])
+    @pytest.mark.parametrize("seed", [0, 17, 2101])
+    def test_two_row_fill_equals_two_calls(self, seed, n):
+        # A benign worker fills its iTLB and branch-miss rows with one call.
+        merged, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = np.empty((9, n))
+        merged.random(out=block[2:4])
+        assert block[2].tolist() == single.random(n).tolist()
+        assert block[3].tolist() == single.random(n).tolist()
+        assert merged.bit_generator.state == single.bit_generator.state
 
     @pytest.mark.parametrize("field", ["body_sigma", "tail_sigma"])
     @pytest.mark.parametrize("value", [0.0, -0.5, math.nan])

@@ -651,6 +651,61 @@ class TestIngestRobustness:
         assert err.value.field_name == "mem_disambiguation_resets"
 
 
+# Each violation the one-pass accept check must catch, by name: a negative
+# value in each of the eight count columns, and misses one above their total
+# in each (misses, total) pair; the wire values it sets and the error text.
+_WIRE_OF = {field: wire for wire, field in WIRE_FIELDS}
+_GOOD = to_wire(snap())
+BATCH_VIOLATIONS = {
+    **{name: ({_WIRE_OF[name]: -1}, f"{name}: count must be >= 0, got -1")
+       for name in trace._COLUMN_FIELDS[1:]},
+    **{f"{misses}>{total}": ({_WIRE_OF[misses]: _GOOD[_WIRE_OF[total]] + 1},
+                             f"{misses}: exceeds {total}")
+       for misses, total in trace._BOUNDED},
+}
+
+
+def _records(n, bad):
+    """n valid wire records a second apart, with BATCH_VIOLATIONS[bad[i]] set in record i."""
+    records = [to_wire(snap(ts=k * 10**9)) for k in range(n)]
+    for i, violation in bad.items():
+        records[i].update(BATCH_VIOLATIONS[violation][0])
+    return records
+
+
+class TestBatchAcceptCheck:
+    """A batch is accepted in one pass only when no record breaks an invariant."""
+
+    @pytest.mark.parametrize("violation", BATCH_VIOLATIONS)
+    @pytest.mark.parametrize("row", [0, 7], ids=["first-row", "last-row"])
+    def test_one_bad_row_is_named(self, violation, row):
+        counts = np.array([list(r.values())[1:] for r in _records(8, {row: violation})])
+        with pytest.raises(InvariantViolation) as err:
+            TraceBatch(("w0",), np.zeros(8, dtype=np.intp), counts)
+        assert (str(err.value), err.value.line_number) == (BATCH_VIOLATIONS[violation][1], None)
+
+    @pytest.mark.parametrize("violation", BATCH_VIOLATIONS)
+    def test_first_of_two_bad_rows_is_named_with_its_line(self, tmp_path, violation):
+        names = list(BATCH_VIOLATIONS)
+        later = names[(names.index(violation) + 1) % len(names)]
+        lines = [json.dumps(r, separators=(",", ":")) for r in _records(8, {3: violation, 6: later})]
+        path = _write_lines(tmp_path / "bad.jsonl", f"# schema: {trace.TRACE_SCHEMA}", *lines)
+        with pytest.raises(InvariantViolation) as err:
+            ingest_trace(path)
+        message = BATCH_VIOLATIONS[violation][1]
+        assert (str(err.value), err.value.line_number) == (f"line 5: {message}", 5)
+
+    def test_empty_batch_constructs(self):
+        batch = TraceBatch((), np.zeros(0, dtype=np.intp), np.zeros((0, 9), dtype=np.int64))
+        assert len(batch) == 0 and list(batch) == []
+
+    def test_negative_timestamps_accepted(self):
+        # timestamps are the one column that may be negative
+        counts = np.array([list(r.values())[1:] for r in _records(3, {})])
+        counts[:, 0] = -(2**63)
+        assert len(TraceBatch(("w0",), np.zeros(3, dtype=np.intp), counts)) == 3
+
+
 def _reference_ingest(path):
     """ingest_trace one line at a time, with every record through the JSON
     decoder (_parse_line) and every line through the line rule."""
