@@ -1,7 +1,11 @@
 # Helpers for the console-script steps of workflows/tests.yml, which loads this file into
 # every step through BASH_ENV.  To run a step by hand, save its run: text as step.sh and run
 #   BASH_ENV=.github/ci.sh RUNNER_TEMP="$(mktemp -d)" bash -eo pipefail step.sh
-# from the repo root, with spectreguard on the PATH.
+# from the repo root, with spectreguard on the PATH.  Without installing the package, put
+# this two-line script on the PATH as spectreguard, and export PYTHONPATH=src for the
+# steps that import spectreguard themselves:
+#   #!/bin/sh
+#   PYTHONPATH=src exec python3 -m spectreguard.cli "$@"
 
 # rejects PATTERN ARGS...: `spectreguard ARGS --out FILE` exits 1, the last line of its
 # stderr (left in $RUNNER_TEMP/rejects.err) matches the ERE ^error: PATTERN, and FILE is

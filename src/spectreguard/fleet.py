@@ -3,8 +3,7 @@
 Workers share one process until a detector flags them; flagged workers are
 migrated into their own process and never terminated, so false positives cost
 throughput, not availability.  Each detector draws only its own input, each
-worker from its own generator: one reused Generator set to every worker's
-seeded PCG64 state in turn, all states hashed at once
+worker from its own Generator, all their seeds hashed at once
 (``_worker_generators``).  The threshold rule draws every worker's counters
 into one validated trace (one counter-arithmetic pass over all benign
 workers).  Those records lie on a (worker, window, execution) grid, so the
@@ -42,12 +41,10 @@ DEGRADED_MODE = "degraded to strict process isolation"
 SELECTIVE_MODE = "selective isolation"
 SUBREQUEST_LIMIT = 10_000
 
-# numpy's SeedSequence hash constants (a pool of four uint32 words) and the
-# multiplier of PCG64's 128-bit LCG.
+# numpy's SeedSequence hash constants (a pool of four uint32 words).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
+_U32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -153,60 +150,46 @@ class FleetReport:
         return out
 
 
+def _hash(value, xor, mult):
+    """numpy's SeedSequence hash step, given its constant before and after."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
 def _worker_generators(seed: int, keys: list[int], j: int) -> Iterator[np.random.Generator]:
     """``default_rng(SeedSequence(seed, spawn_key=(i, j)))`` for each i of
-    ``keys``, in turn, as one reused Generator whose PCG64 state is set for
-    each worker.  A caller must finish with a worker's draws before it asks
-    for the next worker's generator.
+    ``keys``, in turn, each a Generator of its own.
 
-    Every worker's state is computed at once.  numpy's SeedSequence hash runs
-    on uint32 columns, one entry per worker: ``mix_entropy`` mixes the seed's
-    32-bit words (zero-padded to the pool of 4) and the spawn key into the
-    pool, and ``generate_state(4, uint64)`` hashes 8 words out of it, read as
-    uint64 through numpy's '<u4' to '<u8' view.  PCG64 takes the first two
-    as the 128-bit initial state and the last two as its stream, and seeds
-    by ``srandom``, in Python ints.  ``test_states_equal_numpy`` checks the
-    result against numpy's own seeding.
+    Every worker's state is hashed at once, on uint32 columns with one entry
+    per worker.  ``SeedSequence(seed).pool`` has mixed the seed's 32-bit words
+    (at least four), four hash steps each; the spawn key's words i and j are
+    mixed in after them, with the hash constant continued from there, and
+    ``generate_state(4, uint64)`` hashes 8 words out of the pool, read as
+    uint64 through numpy's '<u4' to '<u8' view.  numpy's PCG64 seeds itself
+    from those four words (``State``).  ``test_states_equal_numpy`` checks
+    the result against numpy's own seeding.
     """
-    words = [seed >> 32 * k & _U32 for k in range(max(4, -(-seed.bit_length() // 32)))]
-    entropy = [np.full(len(keys), w, dtype=np.uint32) for w in words + [j]]
-    entropy.insert(-1, np.array(keys, dtype=np.uint32))
-    const = _INIT_A
+    # defined here, so that importing fleet does not load numpy.random
+    class State(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose state is one worker's four hashed uint64 words."""
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _U32
-        value = value * const
-        return value ^ value >> 16
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def mix(x, y):
-        x = _MIX_L * x - _MIX_R * y
-        return x ^ x >> 16
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
 
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = _INIT_B, np.empty((len(keys), 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _U32
-        value = value * const
-        state[:, i] = value ^ value >> 16
-
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
-        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                      "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128,
-                                "inc": inc}}
-        yield rng
+    steps = 4 * max(4, -(-seed.bit_length() // 32))
+    a = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _U32 for k in range(steps, steps + 9)]
+    b = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _U32 for k in range(9)]
+    pool = np.tile(np.random.SeedSequence(seed).pool, (len(keys), 1))
+    key = np.array(keys, dtype=np.uint32), np.full(len(keys), j, dtype=np.uint32)
+    for k in range(8):
+        x = _MIX_L * pool[:, k % 4] - _MIX_R * _hash(key[k // 4], a[k], a[k + 1])
+        pool[:, k % 4] = x ^ x >> 16
+    state = np.stack([_hash(pool[:, k % 4], b[k], b[k + 1]) for k in range(8)], axis=1)
+    for words in state.astype("<u4").view("<u8").astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(State(words)))
 
 
 def _first_flag_policy(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +207,8 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
 
     Worker i of the spec order (attackers, then benign workers) draws its
     counters from spawn key (i, 0) of the config seed, its histograms from
-    (i, 1); only the configured detector's draws are made, from one reused
-    generator (``_worker_generators``).  Its row of the grid, and its code in
+    (i, 1); only the configured detector's draws are made, each worker from its
+    own generator (``_worker_generators``).  Its row of the grid, and its code in
     the trace, is its rank in name order, where every ``attack-`` name
     precedes every ``worker-`` name.  A threshold fleet's trace is validated
     as one ``TraceBatch``; each run of ``executions_per_interval`` records is

@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -281,6 +283,29 @@ class TestChannel:
         lines = read_lines(out)
         assert lines[1] == "amplification,requests,success_rate"
         assert len(lines) == 2 + 4
+
+
+class TestModuleEntryPoint:
+    """``python -m spectreguard.cli``, the route that needs no installed console script."""
+
+    @staticmethod
+    def run_module(*argv) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run([sys.executable, "-m", "spectreguard.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_writes_what_main_writes(self, tmp_path):
+        done = self.run_module("channel", "--table", "--out", str(tmp_path / "a.csv"))
+        assert done.returncode == 0, done.stderr
+        assert run("channel", "--table", "--out", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_input_error_exits_1(self, tmp_path):
+        done = self.run_module("gen", "--profile", "benign", "--n", "0",
+                               "--out", str(tmp_path / "b.jsonl"))
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith("error: --n ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArtifactModes:

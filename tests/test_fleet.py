@@ -439,9 +439,11 @@ class TestIsolationPolicy:
         assert report.isolated_total == sound.isolated_total - 1
 
 
-# Seeds of one (up to 2**32 - 1) to five (2**128 + 7) 32-bit words; a fifth
-# word is mixed into the filled pool of four, as the spawn key's words are.
-SEEDING_SEEDS = [0, 1, 5, 1729, 2101, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 3, 2**128 + 7]
+# Seeds of one (up to 2**32 - 1) to six (2**160 + 9) 32-bit words; a fifth
+# and sixth word are mixed into the filled pool of four, as the spawn key's
+# words are, and move the hash constant the key's words start from.
+SEEDING_SEEDS = [0, 1, 5, 1729, 2101, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 3, 2**128 + 7,
+                 2**160 + 9]
 
 
 class TestWorkerGenerators:
@@ -449,14 +451,14 @@ class TestWorkerGenerators:
     @pytest.mark.parametrize("seed", SEEDING_SEEDS)
     def test_states_equal_numpy(self, seed, j):
         # A failure here means numpy changed how SeedSequence hashes a spawn
-        # key or how PCG64 seeds from it, which _worker_generators recomputes.
+        # key, or its pool, which _worker_generators continues from.
         keys = list(range(1005))
         for i, rng in zip(keys, fleet._worker_generators(seed, keys, j), strict=True):
             numpy_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i, j))))
             assert rng.bit_generator.state == numpy_rng.bit_generator.state, (
                 f"numpy's seeding of SeedSequence({seed}, spawn_key=({i}, {j})) changed")
-            # the reused generator's first draws after its state is set
+            # each generator's first draws
             assert rng.random(3).tolist() == numpy_rng.random(3).tolist()
             assert rng.standard_normal(2).tolist() == numpy_rng.standard_normal(2).tolist()
             assert rng.integers(0, 2**63, 2).tolist() == numpy_rng.integers(0, 2**63, 2).tolist()
@@ -467,6 +469,14 @@ class TestWorkerGenerators:
         states = [rng.bit_generator.state for rng in fleet._worker_generators(9, keys, 1)]
         assert states == [np.random.PCG64(np.random.SeedSequence(9, spawn_key=(i, 1))).state
                           for i in keys]
+
+    def test_each_worker_its_own_generator(self):
+        # all held at once, then drawn from last worker first
+        keys = [4, 0, 9]
+        rngs = list(fleet._worker_generators(2101, keys, 1))
+        for i, rng in reversed(list(zip(keys, rngs))):
+            numpy_rng = np.random.default_rng(np.random.SeedSequence(2101, spawn_key=(i, 1)))
+            assert rng.random(4).tolist() == numpy_rng.random(4).tolist()
 
 
 class TestConfigValidation:

@@ -29,3 +29,13 @@ def test_import_loads_only_what_the_module_runs(module, loaded):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert json.loads(done.stdout) == ["spectreguard"] + [f"spectreguard.{m}" for m in loaded]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 16 ms to start-up; it loads at the first draw
+    code = ("import sys, spectreguard.channel, spectreguard.cli, spectreguard.fleet; "
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"

@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,6 +32,7 @@ from spectreguard.ks import (
 )
 from spectreguard.profiles import make_attack_histogram, make_benign_histogram
 from spectreguard.trace import TRACE_SCHEMA, ParseError, ingest_trace
+from test_acceptance import oracle_distance, oracle_exact_p
 
 TRACE_RECORD = (b'{"worker_id":"w0","ts_ns":0,"itlb":1,"br_insn":0,"br_miss":0,"llc_ref":0,'
                 b'"llc_miss":0,"l1d_acc":0,"l1d_miss":0,"md_reset":0}')
@@ -46,18 +45,7 @@ def write_file(hist, path):
 
 
 # --- independent oracles ----------------------------------------------------
-
-def oracle_distance(a, b):
-    """Brute-force double-loop ECDF supremum, evaluated at observed points."""
-    best = 0.0
-    for value in list(a) + list(b):
-        below_a = sum(1 for x in a if x <= value) / len(a)
-        below_b = sum(1 for x in b if x <= value) / len(b)
-        gap = abs(below_a - below_b)
-        if gap > best:
-            best = gap
-    return best
-
+# (the brute-force distance and exact p-value come from test_acceptance)
 
 def pair_ecdf_distance(a, b):
     """The one-pair ECDF distance kernel that the row-batched one replaced."""
@@ -73,31 +61,6 @@ def dual_survival(lam):
     head = sum(math.exp(-(((2 * k - 1) * math.pi / lam) ** 2) / 8)
                for k in range(1, 2 + int(25 * lam)))
     return 1.0 - math.sqrt(2 * math.pi) / lam * head
-
-
-def oracle_exact_p(a, b):
-    """Full enumeration of label assignments with exact rational distances."""
-    n, m = len(a), len(b)
-    pooled = list(a) + list(b)
-
-    def rational_distance(a_values, b_values):
-        best = Fraction(0)
-        for value in pooled:
-            fa = Fraction(sum(1 for x in a_values if x <= value), n)
-            fb = Fraction(sum(1 for x in b_values if x <= value), m)
-            best = max(best, abs(fa - fb))
-        return best
-
-    observed = rational_distance(a, b)
-    hits = total = 0
-    for chosen in combinations(range(n + m), n):
-        chosen = set(chosen)
-        side_a = [pooled[i] for i in chosen]
-        side_b = [pooled[i] for i in range(n + m) if i not in chosen]
-        total += 1
-        if rational_distance(side_a, side_b) >= observed:
-            hits += 1
-    return hits / total
 
 
 # --- histogram type ----------------------------------------------------------
