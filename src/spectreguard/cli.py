@@ -156,29 +156,24 @@ def _cmd_gen(args) -> int:
 # --- detect ------------------------------------------------------------------
 
 # One verdict as _SORTED_JSON writes it: keys sorted, ", " and ": " separators.
-_VERDICT_LINE = (
-    '{"suspect": %s, "threshold": %s, "triggering_metric": %s, "value": %r, '
-    '"window_start_ns": %d, "worker_id": %s}\n'
-)
+# The head, the keys before "value", is its rule code's.
+_VERDICT_LINE = '%s%r, "window_start_ns": %d, "worker_id": %s}\n'
 
 
 def _verdict_lines_threshold(trace_path, cfg):
     folded = fold_intervals(ingest_trace(trace_path))
-    suspect, stl, value = threshold_mod.classify_intervals(folded, cfg)
-    flags = np.array(["false", "true"], dtype=object)
-    # (threshold, metric) text per rule, indexed by the STL-rule flag.  A
-    # threshold is >= 0 and not NaN, so json writes it as repr or Infinity.
-    rules = np.array([
-        ("Infinity" if threshold == math.inf else repr(threshold), json.dumps(metric))
-        for metric, threshold in (
-            (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold),
-            (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold),
-        )
+    rule, value = threshold_mod.classify_intervals(folded, cfg)
+    # heads[rule], named as classify_threshold names them: a clean window by the branch rule
+    branch = (threshold_mod.BRANCH_METRIC_NAME, cfg.branch_per_itlb_threshold)
+    stl = (threshold_mod.STL_METRIC_NAME, cfg.stl_reset_threshold)
+    heads = np.array([
+        _SORTED_JSON({"suspect": code > 0, "threshold": threshold,
+                      "triggering_metric": metric})[:-1] + ', "value": '
+        for code, (metric, threshold) in enumerate((branch, branch, stl))
     ], dtype=object)
     quoted = np.array([json.dumps(name) for name in folded.names], dtype=object)
     yield from _format_blocks(_VERDICT_LINE, len(folded), lambda rows: (
-        flags[suspect[rows].astype(np.intp)],
-        rules[stl[rows].astype(np.intp)],
+        heads[rule[rows]],
         # Window means of int64 counts are finite, so %r of a Python
         # float writes what json does.
         value[rows].astype(object),
@@ -233,7 +228,7 @@ _DEFAULT_THRESHOLDS = tuple(float(2**k) for k in range(7, 17))  # 128 .. 65536
 
 def _cmd_sweep(args) -> int:
     thresholds = _DEFAULT_THRESHOLDS
-    if args.thresholds:
+    if args.thresholds is not None:
         thresholds = _numbers("--thresholds", args.thresholds, float, "numbers")
         if not threshold_mod._ascending(thresholds):
             raise InputError("--thresholds: values must be strictly ascending and not NaN, "

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import ks as _ks
 from .profiles import BenignProfile, _fleet_counts, _ks_count_blocks
-from .threshold import AttackWorkload, DetectorSpec, _flag_columns, at_least, check_fields
+from .threshold import RULE_METRICS, AttackWorkload, DetectorSpec, _rule_codes
+from .threshold import at_least, check_fields
 from .trace import TraceBatch, _grid_means
 
 DEGRADED_MODE = "degraded to strict process isolation"
@@ -90,7 +91,7 @@ class FleetConfig:
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     attack: AttackWorkload = field(default_factory=AttackWorkload)
     baseline_rps: float = at_least(0, default=1000.0)
-    worker_mem_bytes: int = at_least(0, default=1 << 20)
+    worker_mem_bytes: int = at_least(0, default=1 << 20, maximum=2**63 - 1)
     subrequests_per_interval: int = at_least(0, default=0)
     rng_seed: int = at_least(0, default=0)
     cost_model: ClassVar[CostModel] = CostModel()
@@ -212,8 +213,8 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
     the trace, is its rank in name order, where every ``attack-`` name
     precedes every ``worker-`` name.  A threshold fleet's trace is validated
     as one ``TraceBatch``; each run of ``executions_per_interval`` records is
-    then one window, whose branch and reset means (``trace._grid_means``) the
-    rule flags (``threshold._flag_columns``), with no sort or full fold.
+    then one window, whose ``RULE_METRICS`` means (``trace._grid_means``) the
+    rule flags (``threshold._rule_codes``), with no sort or full fold.
     """
     specs = [f"attack-{i:03d}" for i in range(cfg.n_attack)]
     specs += [f"worker-{i:03d}" for i in range(cfg.n_benign)]
@@ -230,8 +231,8 @@ def run_fleet(cfg: FleetConfig) -> FleetReport:
                                intervals * e, e, astuple(cfg.attack))
         # checks the counter invariants; the error names the first bad record's field
         TraceBatch(names, np.repeat(np.arange(n_workers), intervals * e), counts)
-        means = _grid_means(counts, e, ("branch_instructions", "mem_disambiguation_resets"))
-        flags = _flag_columns(*means.T, cfg.detector.threshold)[0].reshape(n_workers, intervals)
+        rule = _rule_codes(*_grid_means(counts, e, RULE_METRICS).T, cfg.detector.threshold)
+        flags = (rule > 0).reshape(n_workers, intervals)
     else:
         counts = _ks_count_blocks(benign.tolist(), _worker_generators(cfg.rng_seed, order, 1),
                                   intervals)

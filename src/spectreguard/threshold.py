@@ -8,8 +8,9 @@ counter far above ordinary workloads.
 
 Rules are OR-ed, branch rule first, so the triggering metric is
 deterministic.  ``classify_intervals`` applies them to every window of an
-``IntervalBatch`` at once, and ``detect`` uses it; the fleet simulator calls
-its column rule ``_flag_columns`` on its own window means.
+``IntervalBatch`` at once, as one rule code each, and ``detect`` uses it;
+the fleet simulator calls its column rule ``_rule_codes`` on its own window
+means of the ``RULE_METRICS``.
 ``classify_threshold`` classifies one ``IntervalAverage`` and is the
 reference the column form is tested against.  Flagging costs isolation, not
 termination, which is why a sub-percent false-positive rate is acceptable.
@@ -45,6 +46,7 @@ STL_THRESHOLD_DEFAULT = math.sqrt(STL_ATTACK_MD_MEAN * BENIGN_MD_MEAN)
 
 BRANCH_METRIC_NAME = "branch_per_itlb"
 STL_METRIC_NAME = "md_reset_per_itlb"
+RULE_METRICS = ("branch_instructions", "mem_disambiguation_resets")
 
 
 class EmptyPopulation(ValueError):
@@ -86,7 +88,10 @@ def field_value(f: Field, hint, value, name: str | None = None):
     interval = f.metadata.get("open")  # (low, high), both excluded
     if interval is not None and not interval[0] < value < interval[1]:
         raise ValueError(f"{name} must be in {interval}, got {value!r}")
-    return float(value) if hint is float else value
+    try:
+        return float(value) if hint is float else value
+    except OverflowError:  # an int past float range
+        raise ValueError(f"{name} must be a number in float range, got {value!r}") from None
 
 
 @functools.cache
@@ -180,29 +185,26 @@ def classify_threshold(avg: IntervalAverage, cfg: ThresholdConfig) -> ThresholdV
     )
 
 
-def classify_intervals(
-    batch: IntervalBatch, cfg: ThresholdConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_intervals(batch: IntervalBatch,
+                       cfg: ThresholdConfig) -> tuple[np.ndarray, np.ndarray]:
     """``classify_threshold`` over every window of a batch, as columns.
 
-    Returns (suspect, stl, value): whether each window is flagged, whether
-    the STL rule flagged it (the branch rule is checked first), and the
-    triggering value, which is the branch metric unless the STL rule fired.
+    Returns (rule, value): each window's rule code (``_rule_codes``), and the
+    triggering value, which is the STL metric where rule is 2 and the branch
+    metric otherwise.
     """
-    branch = batch.metric("branch_instructions")
-    md = batch.metric("mem_disambiguation_resets")
-    suspect, stl = _flag_columns(branch, md, cfg)
-    return suspect, stl, np.where(stl, md, branch)
+    branch, md = map(batch.metric, RULE_METRICS)
+    rule = _rule_codes(branch, md, cfg)
+    return rule, np.where(rule == 2, md, branch)
 
 
-def _flag_columns(branch: np.ndarray, md: np.ndarray,
-                  cfg: ThresholdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The two rules over columns of window means of the branch and reset
-    metrics: (suspect, stl), stl where the STL rule fired and the branch rule,
-    checked first, did not."""
-    branch_hit = branch >= cfg.branch_per_itlb_threshold
-    stl = ~branch_hit & (md >= cfg.stl_reset_threshold)
-    return branch_hit | stl, stl
+def _rule_codes(branch: np.ndarray, md: np.ndarray, cfg: ThresholdConfig) -> np.ndarray:
+    """The two rules over columns of window means of the ``RULE_METRICS``, as
+    one int8 code per window: 0 where no rule fired, 1 where the branch rule
+    fired and 2 where only the STL rule did (the branch rule is checked first)."""
+    rule = np.where(md >= cfg.stl_reset_threshold, np.int8(2), np.int8(0))
+    rule[branch >= cfg.branch_per_itlb_threshold] = 1
+    return rule
 
 
 def _ascending(thresholds: list[float]) -> bool:

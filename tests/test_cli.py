@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -534,6 +535,31 @@ class TestFleetConfigSurface:
         assert f"fleet config {path[-1]!r} must be " in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(("cls", "f"), config_field_params(
+        lambda f: f.metadata.get("maximum", math.inf) < math.inf))
+    def test_value_past_maximum_is_input_error(self, tmp_path, capsys, cls, f):
+        path, _value, _settings = CONFIG_SURFACE[cls, f.name]
+        maximum = f.metadata["maximum"]
+        config = tmp_path / "cfg.json"
+        for value in (maximum + 1, HUGE):
+            config.write_text(json.dumps(nest(path, value)))
+            assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+            assert capsys.readouterr().err == (
+                f"error: fleet config {path[-1]!r} must be <= {maximum}, got {value}\n")
+            assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(("cls", "f"), config_field_params(
+        lambda f: f.type in ("float", float) and "minimum" in f.metadata))
+    def test_integer_past_float_range_is_input_error(self, tmp_path, capsys, cls, f):
+        # float() of it raised OverflowError, which ended in a traceback
+        path, _value, _settings = CONFIG_SURFACE[cls, f.name]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(nest(path, HUGE)))
+        assert run("fleet", "--config", str(config), "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == (
+            f"error: fleet config {path[-1]!r} must be a number in float range, got {HUGE}\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_ten_settable_fields(self):
         assert len(dataclasses.fields(FleetConfig)) == 10
 
@@ -744,7 +770,8 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", ["1,,2", "1,x", "4096,"])
+    # an empty list is not the default grid
+    @pytest.mark.parametrize("text", ["1,,2", "1,x", "4096,", ""])
     def test_unparsable_sweep_thresholds_name_the_flag(self, tmp_path, capsys, text):
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--trace", str(PINNED_TRACE), "--thresholds", text,

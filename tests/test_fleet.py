@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from fleet_reference import reference_ks_p_values, run_fleet_reference
 from fleet_reference import _build_workers as build_reference_workers
-from spectreguard import fleet, ks, profiles, trace
+from spectreguard import cli, fleet, ks, profiles, trace
 from spectreguard.fleet import (
     CostModel,
     DEGRADED_MODE,
@@ -344,6 +344,38 @@ class TestReferenceLoop:
         n_records = n_workers * cfg.intervals * cfg.executions_per_interval
         assert validated == ([n_records] if kind == "threshold" else [])
 
+    @pytest.mark.parametrize("cfg", [
+        FleetConfig(n_benign=12, n_attack=1, intervals=4, subrequests_per_interval=2501,
+                    rng_seed=9),
+        FleetConfig(n_benign=30, n_attack=2, intervals=5, executions_per_interval=4, rng_seed=8),
+        FleetConfig(n_benign=51, n_attack=1, intervals=30, executions_per_interval=3, rng_seed=7),
+        # nine executions a window take the fsum route
+        FleetConfig(n_benign=19, n_attack=1, intervals=20, executions_per_interval=9, rng_seed=5),
+        # worker-1000 sorts between worker-100 and worker-101: name order is not spec order
+        FleetConfig(n_benign=1000, n_attack=2, intervals=3, executions_per_interval=1,
+                    rng_seed=3),
+    ], ids=["seed9-e2", "seed8-e4", "seed7-e3", "seed5-e9", "seed3-1002-workers"])
+    def test_detect_of_the_fleet_trace_gives_its_verdicts(self, cfg, tmp_path, monkeypatch):
+        # The fleet's own trace, written out and classified by the CLI's
+        # fold_intervals path, is flagged window for window as the fleet's
+        # _grid_means path flags it.
+        validated = []
+        post_init = TraceBatch.__post_init__
+        monkeypatch.setattr(TraceBatch, "__post_init__",
+                            lambda batch: validated.append(batch) or post_init(batch))
+        report = run_fleet(cfg)
+        batch = validated[0]
+        trace_path, out = tmp_path / "fleet.jsonl", tmp_path / "verdicts.jsonl"
+        with trace_path.open("w", encoding="utf-8") as handle:
+            trace.emit_trace(batch, handle)
+        assert cli.main(["detect", "--trace", str(trace_path), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        replayed = {(v["window_start_ns"] // trace.NS_PER_SECOND, v["worker_id"]): v["suspect"]
+                    for v in map(json.loads, lines)}
+        assert len(lines) == len(report.verdicts)
+        assert replayed == {(v["interval"], v["worker_id"]): v["suspect"]
+                            for v in report.verdicts}
+
     def test_bad_counters_fail_the_invariant_check(self, monkeypatch):
         # One record with more branch misses than branches: the check names the field.
         misses, branches = map(trace._COLUMN_FIELDS.index, ("branch_misses", "branch_instructions"))
@@ -604,6 +636,12 @@ class TestConfigValidation:
     def test_zero_cost_inputs_allowed(self):
         run_fleet(FleetConfig(n_benign=2, intervals=2, baseline_rps=0.0, worker_mem_bytes=0,
                               subrequests_per_interval=0))
+
+    def test_largest_worker_memory_is_priced(self):
+        # the bound keeps the series finite: at 10**307 bytes a worker, the
+        # memory of 31 workers overflowed
+        report = run_fleet(FleetConfig(n_benign=30, intervals=2, worker_mem_bytes=2**63 - 1))
+        assert all(31 * 2**63 <= point.memory_bytes < 2**70 for point in report.series)
 
 
 class TestPinnedReports:

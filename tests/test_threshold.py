@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestThresholdConfig:
         # NaN compares false with every value, so it would switch its rule off
         with pytest.raises(ValueError):
             ThresholdConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["branch_per_itlb_threshold", "stl_reset_threshold"])
+    @pytest.mark.parametrize("value", [10**400, 2**1024])
+    def test_integer_past_float_range_rejected(self, field, value):
+        # float() of it raises OverflowError, which no caller maps to an input error
+        with pytest.raises(ValueError, match=f"^'{field}' must be a number in float range, got "):
+            ThresholdConfig(**{field: value})
+
+    def test_largest_float_as_an_integer_accepted(self):
+        assert ThresholdConfig(2**1024 - 2**971).branch_per_itlb_threshold == sys.float_info.max
 
 
 class TestClassify:
@@ -158,12 +169,13 @@ class TestClassifyIntervals:
     def test_matches_classify_threshold_on_every_row(self, case):
         rows, cfg = case
         batch = batch_of(rows)
-        suspect, stl, value = classify_intervals(batch, cfg)
+        rule, value = classify_intervals(batch, cfg)
+        assert rule.dtype == np.int8
         for i, avg in enumerate(batch):
             oracle = classify_threshold(avg, cfg)
-            metric = STL_METRIC_NAME if stl[i] else BRANCH_METRIC_NAME
-            threshold = cfg.stl_reset_threshold if stl[i] else cfg.branch_per_itlb_threshold
-            assert (bool(suspect[i]), metric, float(value[i]), threshold) == (
+            metric = STL_METRIC_NAME if rule[i] == 2 else BRANCH_METRIC_NAME
+            threshold = cfg.stl_reset_threshold if rule[i] == 2 else cfg.branch_per_itlb_threshold
+            assert (bool(rule[i] > 0), metric, float(value[i]), threshold) == (
                 oracle.suspect,
                 oracle.triggering_metric,
                 oracle.value,
